@@ -33,28 +33,9 @@ class BipartiteMultigraph:
     def right_count(self) -> int:
         return len(self.right_labels)
 
-    def left_degree(self, u: int) -> int:
-        return sum(1 for a, _ in self.edges if a == u)
-
-    def right_degree(self, w: int) -> int:
-        return sum(1 for _, b in self.edges if b == w)
-
     def neighbors_of_left(self, u: int) -> list[int]:
         """Distinct right neighbors of u, ascending."""
         return sorted({b for a, b in self.edges if a == u})
-
-
-def graph_from_adjacency(left_labels: Iterable, right_labels: Iterable,
-                         adjacency: dict) -> BipartiteMultigraph:
-    """Convenience builder: adjacency maps left label -> iterable of right labels."""
-    left = tuple(left_labels)
-    right = tuple(right_labels)
-    rindex = {lab: i for i, lab in enumerate(right)}
-    edges = []
-    for i, lab in enumerate(left):
-        for rlab in adjacency.get(lab, ()):
-            edges.append((i, rindex[rlab]))
-    return BipartiteMultigraph(left, right, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -64,16 +45,10 @@ class EdgeColoring:
     k: int
     color_of: tuple[int, ...]
 
-    def edges_of_color(self, color: int) -> list[int]:
-        return [e for e, c in enumerate(self.color_of) if c == color]
-
 
 @dataclass(frozen=True)
 class Matching:
     pairs: tuple[tuple[int, int], ...]
-
-    def left_vertices(self) -> set[int]:
-        return {u for u, _ in self.pairs}
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 completable / holds / valid, 1 incompletable / fails /
-invalid, 2 usage or format error, 3 gave up (gate or node limit).  Grid
-output goes to stdout in the grid file format; diagnostics go to stderr.
+invalid, 2 usage or format error, 3 gave up (gate or node limit), 4
+internal error (a construction bug or exhausted recursion; never a
+verdict).  Grid output goes to stdout in the grid file format; diagnostics
+go to stderr.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GAVE_UP = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str) -> PartialGrid:
@@ -208,6 +211,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GridFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # RecursionError included
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,14 @@ assembles the whole picture into an outline square, and expands it.  Every
 stage that can fail on honest input returns a checkable Obstruction; when
 all stages pass, the expansion is guaranteed to produce a valid square, so
 the staged pipeline doubles as the completability decision.
+
+Axis convention: every construction that has a row and a column version is
+written once, for rows.  Transposing a (p,q) r x s rectangle gives a (q,p)
+s x r rectangle whose rows, bands and partially covered big column are the
+original's columns, stacks and partially covered big row, so the column
+side (bottom graphs, column coverage, column distribution) is the row side
+applied to the transpose.  Only the doubly covered corner big cell is
+solved jointly, on the rectangle itself.
 """
 from __future__ import annotations
 
@@ -97,10 +105,7 @@ class _Shape:
     q_divides: bool
     a: int  # leftover row block height, p - (r - r*)
     b: int  # leftover column block width, q - (s - s*)
-    big_col: Optional[int]  # partially covered big column, if any
-    big_row: Optional[int]  # partially covered big row, if any
     full_bands: int  # r* / p
-    full_stacks: int  # s* / q
     empty_big_cols: tuple[int, ...]
     empty_big_rows: tuple[int, ...]
 
@@ -110,33 +115,63 @@ def _shape(grid: PartialGrid) -> _Shape:
     p, q, n = geom.p, geom.q, geom.n
     r, s = grid.rows, grid.cols
     anc = anchors(r, s, geom)
-    p_div = r % p == 0
-    q_div = s % q == 0
-    big_col = None if q_div else anc.s_star // q + 1
-    big_row = None if p_div else anc.r_star // p + 1
-    first_empty_col = (s // q if q_div else anc.s_star // q + 1) + 1
-    first_empty_row = (r // p if p_div else anc.r_star // p + 1) + 1
+    # Big lines the rectangle does not reach: past the last full or partial one.
+    first_empty_col = (s + q - 1) // q + 1
+    first_empty_row = (r + p - 1) // p + 1
     return _Shape(
         p=p, q=q, n=n, r=r, s=s, r_star=anc.r_star, s_star=anc.s_star,
-        p_divides=p_div, q_divides=q_div,
+        p_divides=r % p == 0, q_divides=s % q == 0,
         a=p - (r - anc.r_star), b=q - (s - anc.s_star),
-        big_col=big_col, big_row=big_row,
-        full_bands=anc.r_star // p, full_stacks=anc.s_star // q,
+        full_bands=anc.r_star // p,
         empty_big_cols=tuple(range(first_empty_col, p + 1)),
         empty_big_rows=tuple(range(first_empty_row, q + 1)),
     )
 
 
-def _band_rows(shape: _Shape, alpha: int) -> list[int]:
-    if alpha <= shape.full_bands:
-        return list(range((alpha - 1) * shape.p + 1, alpha * shape.p + 1))
-    return list(range(shape.r_star + 1, shape.r + 1))
+@dataclass(frozen=True)
+class _Axis:
+    """The rectangle along one axis, with the names callers see for it.
+
+    For the row axis grid is the rectangle itself.  For the column axis it
+    is the transpose, so its rows, bands and partially covered big column
+    are the rectangle's columns, stacks and partially covered big row.
+    """
+
+    grid: PartialGrid
+    shape: _Shape
+    line: str  # left label of replica and coverage graphs
+    cross: str  # right label of the empty big lines in coverage graphs
+    stage: str  # Obstruction stage of this axis' matchings
+    band_kind: str  # Obstruction kind when a side (bottom) graph does not saturate
+    coverage_kind: str  # Obstruction kind when a coverage graph does not saturate
 
 
-def _stack_cols(shape: _Shape, beta: int) -> list[int]:
-    if beta <= shape.full_stacks:
-        return list(range((beta - 1) * shape.q + 1, beta * shape.q + 1))
-    return list(range(shape.s_star + 1, shape.s + 1))
+_ROW_NAMES = ("row", "bigcol", "side-matching", "side-alpha", "row-coverage")
+_COL_NAMES = ("col", "bigrow", "bottom-matching", "bottom-beta", "col-coverage")
+
+
+def _transpose(grid: PartialGrid) -> PartialGrid:
+    """The (q,p) cols x rows grid whose cell (j, i) is grid's cell (i, j).
+
+    Only the cells are carried over; the pipeline never reads a partition.
+    """
+    geom = grid.geometry
+    cells = tuple(tuple(row[j] for row in grid.cells) for j in range(grid.cols))
+    return PartialGrid(SudokuGeometry(geom.q, geom.p), grid.cols, grid.rows, cells, grid.flavor)
+
+
+def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
+    return _Axis(grid, _shape(grid), *names)
+
+
+def _axes(grid: PartialGrid) -> tuple[_Axis, _Axis]:
+    """Row axis, then column axis: the order in which every stage checks them."""
+    return _axis(grid, _ROW_NAMES), _axis(_transpose(grid), _COL_NAMES)
+
+
+def _band_rows(shape: _Shape, alpha: int) -> range:
+    """Rows of band alpha that lie inside the rectangle."""
+    return range((alpha - 1) * shape.p + 1, min(alpha * shape.p, shape.r) + 1)
 
 
 def _side_cell_content(grid: PartialGrid, shape: _Shape, alpha: int) -> set[int]:
@@ -150,15 +185,21 @@ def _side_cell_content(grid: PartialGrid, shape: _Shape, alpha: int) -> set[int]
     return out
 
 
-def _bottom_cell_content(grid: PartialGrid, shape: _Shape, beta: int) -> set[int]:
-    """Preassigned symbols of big cell (partial big row, beta)."""
-    out: set[int] = set()
-    for i in range(shape.r_star + 1, shape.r + 1):
-        for j in _stack_cols(shape, beta):
-            v = grid.at(i, j)
-            if v is not None:
-                out.add(v)
-    return out
+def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
+    grid, shape = ax.grid, ax.shape
+    if shape.q_divides:
+        raise ValueError(f"{ax.line} replica graphs need a partially covered big line")
+    corner = shape.full_bands + 1
+    if not (1 <= alpha <= shape.full_bands or (alpha == corner and not shape.p_divides)):
+        raise ValueError(f"{ax.line} group index {alpha} out of range")
+    rows = _band_rows(shape, alpha)
+    cell_content = _side_cell_content(grid, shape, alpha) if strengthen else set()
+    left = tuple((ax.line, i, c) for i in rows for c in range(1, shape.b + 1))
+    allowed = {i: [k - 1 for k in range(1, shape.n + 1)
+                   if k not in grid.row_symbols(i) and k not in cell_content]
+               for i in rows}
+    edges = tuple((li, w) for li, (_, i, _) in enumerate(left) for w in allowed[i])
+    return BipartiteMultigraph(left, tuple(range(1, shape.n + 1)), edges)
 
 
 def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> BipartiteMultigraph:
@@ -168,44 +209,29 @@ def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> Bip
     symbol j when j is absent from that row and (with the strengthened rule)
     absent from the band's partially covered big cell.
     """
-    shape = _shape(grid)
-    if shape.q_divides:
-        raise ValueError("side graphs exist only when q does not divide s")
-    corner = shape.full_bands + 1
-    if not (1 <= alpha <= shape.full_bands or (alpha == corner and not shape.p_divides)):
-        raise ValueError(f"band index {alpha} out of range")
-    rows = _band_rows(shape, alpha)
-    cell_content = _side_cell_content(grid, shape, alpha) if strengthen else set()
-    left = tuple(("row", i, c) for i in rows for c in range(1, shape.b + 1))
-    right = tuple(range(1, shape.n + 1))
-    edges = []
-    for li, (_, i, _) in enumerate(left):
-        present = grid.row_symbols(i)
-        for j in range(1, shape.n + 1):
-            if j not in present and j not in cell_content:
-                edges.append((li, j - 1))
-    return BipartiteMultigraph(left, right, tuple(edges))
+    return _side_graph(_axis(grid, _ROW_NAMES), alpha, strengthen)
 
 
 def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> BipartiteMultigraph:
-    """Column mirror of side_graph for one stack of the partial big row."""
-    shape = _shape(grid)
-    if shape.p_divides:
-        raise ValueError("bottom graphs exist only when p does not divide r")
-    corner = shape.full_stacks + 1
-    if not (1 <= beta <= shape.full_stacks or (beta == corner and not shape.q_divides)):
-        raise ValueError(f"stack index {beta} out of range")
-    cols = _stack_cols(shape, beta)
-    cell_content = _bottom_cell_content(grid, shape, beta) if strengthen else set()
-    left = tuple(("col", j, c) for j in cols for c in range(1, shape.a + 1))
-    right = tuple(range(1, shape.n + 1))
-    edges = []
-    for li, (_, j, _) in enumerate(left):
-        present = grid.col_symbols(j)
-        for k in range(1, shape.n + 1):
-            if k not in present and k not in cell_content:
-                edges.append((li, k - 1))
-    return BipartiteMultigraph(left, right, tuple(edges))
+    """Column mirror of side_graph for one stack of the partial big row.
+
+    It is side_graph of the transpose, with ("col", j, c) replica labels.
+    """
+    return _side_graph(_axis(_transpose(grid), _COL_NAMES), beta, strengthen)
+
+
+def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
+    grid, shape = ax.grid, ax.shape
+    rows = [i for i in range(shape.r_star + 1, shape.r + 1)
+            if symbol not in grid.row_symbols(i)]
+    corner_ok = (not shape.q_divides
+                 and symbol not in _side_cell_content(grid, shape, shape.full_bands + 1))
+    right: list = [(ax.cross, J) for J in shape.empty_big_cols]
+    if corner_ok:
+        right.append(("corner",))
+    left = tuple((ax.line, i) for i in rows)
+    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
+    return BipartiteMultigraph(left, tuple(right), tuple(edges))
 
 
 def row_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
@@ -218,32 +244,24 @@ def row_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
     symbol must appear in each such row exactly once, at most once per big
     cell of the leftover band.
     """
-    shape = _shape(grid)
-    rows = [i for i in range(shape.r_star + 1, shape.r + 1)
-            if symbol not in grid.row_symbols(i)]
-    corner_ok = (not shape.q_divides
-                 and symbol not in _side_cell_content(grid, shape, shape.full_bands + 1))
-    right: list = [("bigcol", J) for J in shape.empty_big_cols]
-    if corner_ok:
-        right.append(("corner",))
-    left = tuple(("row", i) for i in rows)
-    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
-    return BipartiteMultigraph(left, tuple(right), tuple(edges))
+    return _coverage_graph(_axis(grid, _ROW_NAMES), symbol)
 
 
 def col_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
-    """Column mirror of row_coverage_graph."""
-    shape = _shape(grid)
-    cols = [j for j in range(shape.s_star + 1, shape.s + 1)
-            if symbol not in grid.col_symbols(j)]
-    corner_ok = (not shape.p_divides
-                 and symbol not in _bottom_cell_content(grid, shape, shape.full_stacks + 1))
-    right: list = [("bigrow", I) for I in shape.empty_big_rows]
-    if corner_ok:
-        right.append(("corner",))
-    left = tuple(("col", j) for j in cols)
-    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
-    return BipartiteMultigraph(left, tuple(right), tuple(edges))
+    """Column mirror of row_coverage_graph: its graph on the transpose."""
+    return _coverage_graph(_axis(_transpose(grid), _COL_NAMES), symbol)
+
+
+def _is_must(ax: _Axis, coverage: BipartiteMultigraph) -> bool:
+    """The symbol's leftover rows need every empty big column and the corner."""
+    return (coverage.left_count == coverage.right_count
+            and coverage.left_count > len(ax.shape.empty_big_cols))
+
+
+def _musts(axes: tuple[_Axis, _Axis]) -> list[list[int]]:
+    """Per axis, the symbols the corner big cell must take on that axis' side."""
+    return [[k for k in range(1, ax.shape.n + 1) if _is_must(ax, _coverage_graph(ax, k))]
+            for ax in axes]
 
 
 def _fills_from_matching(graph: BipartiteMultigraph, m: Matching) -> dict[int, list[int]]:
@@ -255,6 +273,12 @@ def _fills_from_matching(graph: BipartiteMultigraph, m: Matching) -> dict[int, l
     return {k: sorted(v) for k, v in fills.items()}
 
 
+def _record(share: dict, shape: _Shape, alpha: int, fills: dict[int, list[int]]) -> None:
+    """Store band alpha's planned symbols under (alpha, row offset in the band)."""
+    for i, syms in fills.items():
+        share[(alpha, i - (alpha - 1) * shape.p)] = tuple(syms)
+
+
 def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     """Fill every partially covered big cell, or certify that none can work.
 
@@ -264,52 +288,39 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     symbol is never claimed twice, and symbols that every placement count
     forces into the corner are matched first.
     """
-    shape = _shape(grid)
+    axes = _axes(grid)
+    shape = axes[0].shape
     if shape.p == 1 or shape.q == 1:
         raise ValueError("medium-cell planning needs p >= 2 and q >= 2")
     plan = MediumCellPlan()
+    shares = (plan.horizontal, plan.vertical)
 
-    if not shape.q_divides:
-        for alpha in range(1, shape.full_bands + 1):
-            g = side_graph(grid, alpha)
+    for ax, share in zip(axes, shares):
+        if ax.shape.q_divides:
+            continue
+        for alpha in range(1, ax.shape.full_bands + 1):
+            g = _side_graph(ax, alpha, True)
             res = saturating_matching(g)
             if isinstance(res, HallViolator):
-                return Obstruction("side-matching", res, kind="side-alpha", index=alpha)
-            for i, syms in _fills_from_matching(g, res).items():
-                plan.horizontal[(alpha, i - (alpha - 1) * shape.p)] = tuple(syms)
-
-    if not shape.p_divides:
-        for beta in range(1, shape.full_stacks + 1):
-            g = bottom_graph(grid, beta)
-            res = saturating_matching(g)
-            if isinstance(res, HallViolator):
-                return Obstruction("bottom-matching", res, kind="bottom-beta", index=beta)
-            for j, syms in _fills_from_matching(g, res).items():
-                plan.vertical[(beta, j - (beta - 1) * shape.q)] = tuple(syms)
+                return Obstruction(ax.stage, res, kind=ax.band_kind, index=alpha)
+            _record(share, ax.shape, alpha, _fills_from_matching(g, res))
 
     # Per-symbol placement counts across the leftover rows and columns.
-    must_h: list[int] = []
-    must_v: list[int] = []
-    if not shape.p_divides:
-        for k in range(1, shape.n + 1):
-            g = row_coverage_graph(grid, k)
-            deficit = g.left_count - g.right_count
-            if deficit > 0:
-                res = saturating_matching(g)
-                return Obstruction("side-matching", res, kind="row-coverage", symbol=k)
-            if deficit == 0 and not shape.q_divides and g.left_count > len(shape.empty_big_cols):
-                must_h.append(k)
-    if not shape.q_divides:
-        for k in range(1, shape.n + 1):
-            g = col_coverage_graph(grid, k)
-            deficit = g.left_count - g.right_count
-            if deficit > 0:
-                res = saturating_matching(g)
-                return Obstruction("bottom-matching", res, kind="col-coverage", symbol=k)
-            if deficit == 0 and not shape.p_divides and g.left_count > len(shape.empty_big_rows):
-                must_v.append(k)
+    musts: list[list[int]] = []
+    for ax in axes:
+        must: list[int] = []
+        if not ax.shape.p_divides:
+            for k in range(1, shape.n + 1):
+                g = _coverage_graph(ax, k)
+                if g.left_count > g.right_count:
+                    res = saturating_matching(g)
+                    return Obstruction(ax.stage, res, kind=ax.coverage_kind, symbol=k)
+                if _is_must(ax, g):
+                    must.append(k)
+        musts.append(must)
 
     if not shape.p_divides and not shape.q_divides:
+        must_h, must_v = musts
         clash = sorted(set(must_h) & set(must_v))
         if clash:
             return Obstruction("corner-conflict", clash[0], kind="corner-double-must",
@@ -317,13 +328,8 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         corner = _solve_corner(grid, shape, must_h, must_v)
         if isinstance(corner, Obstruction):
             return corner
-        h_fills, v_fills = corner
-        corner_alpha = shape.full_bands + 1
-        corner_beta = shape.full_stacks + 1
-        for i, syms in h_fills.items():
-            plan.horizontal[(corner_alpha, i - shape.r_star)] = tuple(syms)
-        for j, syms in v_fills.items():
-            plan.vertical[(corner_beta, j - shape.s_star)] = tuple(syms)
+        for ax, share, fills in zip(axes, shares, corner):
+            _record(share, ax.shape, ax.shape.full_bands + 1, fills)
 
     return plan
 
@@ -408,31 +414,22 @@ def _solve_corner(grid: PartialGrid, shape: _Shape, must_h: list[int], must_v: l
             {j: sorted(v) for j, v in v_fills.items()})
 
 
-def _extended_contents(grid: PartialGrid, shape: _Shape,
-                       plan: MediumCellPlan) -> tuple[list[set[int]], list[set[int]]]:
-    """Row and column symbol sets of the grid with the plan applied (1-based)."""
-    rowsyms = [set() for _ in range(shape.r + 1)]
-    colsyms = [set() for _ in range(shape.s + 1)]
-    for i, j, v in grid.filled():
-        rowsyms[i].add(v)
-        colsyms[j].add(v)
-    for (alpha, x), syms in plan.horizontal.items():
-        i = (alpha - 1) * shape.p + x if alpha <= shape.full_bands else shape.r_star + x
-        rowsyms[i].update(syms)
-    for (beta, y), syms in plan.vertical.items():
-        j = (beta - 1) * shape.q + y if beta <= shape.full_stacks else shape.s_star + y
-        colsyms[j].update(syms)
-    return rowsyms, colsyms
+def _line_contents(ax: _Axis, share: dict) -> list[set[int]]:
+    """Symbol set of every row (1-based) once the axis' medium-cell share is placed."""
+    contents = [set()] + [ax.grid.row_symbols(i) for i in range(1, ax.shape.r + 1)]
+    for (alpha, x), syms in share.items():
+        contents[(alpha - 1) * ax.shape.p + x].update(syms)
+    return contents
 
 
-def _distribute_axis(members: list[int], contents: list[set[int]], block_mult: dict[int, int],
-                     targets: tuple[int, ...], n: int, per_member: int,
-                     block_label: str) -> tuple[dict, dict]:
-    """Spread missing symbols of rows (or columns) over empty big lines.
+def _distribute_group(members: Iterable[int], contents: list[set[int]],
+                      block_mult: dict[int, int], targets: tuple[int, ...], n: int,
+                      per_member: int) -> tuple[dict, dict]:
+    """Spread missing symbols of a group of rows over the empty big columns.
 
-    members are row (column) indices with their current symbol sets in
-    contents; block_mult gives the leftover block's per-symbol multiplicity.
-    An equitable coloring with one color per target guarantees each member
+    members are row indices with their current symbol sets in contents;
+    block_mult gives the leftover block's per-symbol multiplicity.  An
+    equitable coloring with one color per target guarantees each member
     gets per_member symbols per target and each symbol lands exactly once
     per target across the group.
     """
@@ -447,7 +444,7 @@ def _distribute_axis(members: list[int], contents: list[set[int]], block_mult: d
         return fills, {}
     left: list = [("m", m) for m in members]
     if block_mult:
-        left.append((block_label,))
+        left.append(("block",))
     edges = []
     for li, lab in enumerate(left):
         if lab[0] == "m":
@@ -473,84 +470,82 @@ def _distribute_axis(members: list[int], contents: list[set[int]], block_mult: d
     return fills, block
 
 
+def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
+    """Row fills and leftover-block fills of one axis, sorted into tuples."""
+    shape = ax.shape
+    contents = _line_contents(ax, share)
+    targets = shape.empty_big_cols
+    row_fills: dict[tuple[int, int], tuple[int, ...]] = {}
+    block_fills: dict[int, tuple[int, ...]] = {}
+    for alpha in range(1, shape.full_bands + 1):
+        fills, _ = _distribute_group(_band_rows(shape, alpha), contents, {}, targets,
+                                     shape.n, shape.q)
+        for key, syms in fills.items():
+            row_fills[key] = tuple(sorted(syms))
+    if not shape.p_divides:
+        rows = _band_rows(shape, shape.full_bands + 1)
+        mult: dict[int, int] = {}
+        for k in range(1, shape.n + 1):
+            missing = sum(1 for i in rows if k not in contents[i])
+            m_hat = len(targets) - missing
+            if m_hat < 0:
+                raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
+                                   f"empty big lines across them")
+            mult[k] = m_hat
+        fills, block = _distribute_group(rows, contents, mult, targets, shape.n, shape.q)
+        for key, syms in fills.items():
+            row_fills[key] = tuple(sorted(syms))
+        for target, syms in block.items():
+            block_fills[target] = tuple(sorted(syms))
+    return row_fills, block_fills
+
+
 def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
     """Assign every remaining missing symbol to an empty big column and row.
 
     Failures here indicate a bug: plan_medium_cells has already certified
     the per-symbol placement counts that make these colorings work out.
     """
-    shape = _shape(grid)
-    rowsyms, colsyms = _extended_contents(grid, shape, plan)
-    dist = Distribution()
+    row, col = _axes(grid)
+    row_fills, block_row_fills = _distribute_rows(row, plan.horizontal)
+    col_fills, block_col_fills = _distribute_rows(col, plan.vertical)
+    return Distribution(row_fills=row_fills, block_row_fills=block_row_fills,
+                        col_fills=col_fills, block_col_fills=block_col_fills)
 
-    targets_j = shape.empty_big_cols
-    for alpha in range(1, shape.full_bands + 1):
-        rows = _band_rows(shape, alpha)
-        fills, _ = _distribute_axis(rows, rowsyms, {}, targets_j, shape.n,
-                                    shape.q, "ablock")
-        for key, syms in fills.items():
-            dist.row_fills[key] = tuple(sorted(syms))
+
+def _outline_axis(shape: _Shape) -> tuple[Composition, Optional[int], dict[int, int]]:
+    """Row composition of the outline plus outline indices of its merged lines.
+
+    The parts are the r unit rows, the leftover block (when p does not
+    divide r) and one part per empty big row.  Also returns the block's
+    outline index (None without one) and each empty big row's index.
+    """
+    parts = [1] * shape.r
+    block = None
     if not shape.p_divides:
-        rows = list(range(shape.r_star + 1, shape.r + 1))
-        mult: dict[int, int] = {}
-        for k in range(1, shape.n + 1):
-            missing = sum(1 for i in rows if k not in rowsyms[i])
-            m_hat = len(targets_j) - missing
-            if m_hat < 0:
-                raise RuntimeError(f"symbol {k} misses more rows than there are empty big columns")
-            mult[k] = m_hat
-        fills, block = _distribute_axis(rows, rowsyms, mult, targets_j, shape.n,
-                                        shape.q, "ablock")
-        for key, syms in fills.items():
-            dist.row_fills[key] = tuple(sorted(syms))
-        for target, syms in block.items():
-            dist.block_row_fills[target] = tuple(sorted(syms))
-
-    targets_i = shape.empty_big_rows
-    for beta in range(1, shape.full_stacks + 1):
-        cols = _stack_cols(shape, beta)
-        fills, _ = _distribute_axis(cols, colsyms, {}, targets_i, shape.n,
-                                    shape.p, "bblock")
-        for key, syms in fills.items():
-            dist.col_fills[key] = tuple(sorted(syms))
-    if not shape.q_divides:
-        cols = list(range(shape.s_star + 1, shape.s + 1))
-        mult = {}
-        for k in range(1, shape.n + 1):
-            missing = sum(1 for j in cols if k not in colsyms[j])
-            m_hat = len(targets_i) - missing
-            if m_hat < 0:
-                raise RuntimeError(f"symbol {k} misses more columns than there are empty big rows")
-            mult[k] = m_hat
-        fills, block = _distribute_axis(cols, colsyms, mult, targets_i, shape.n,
-                                        shape.p, "bblock")
-        for key, syms in fills.items():
-            dist.col_fills[key] = tuple(sorted(syms))
-        for target, syms in block.items():
-            dist.block_col_fills[target] = tuple(sorted(syms))
-
-    return dist
-
-
-def _outline_axes(shape: _Shape) -> tuple[Composition, Composition, dict, dict]:
-    """Row and column compositions plus big line -> outline index maps."""
-    row_parts = [1] * shape.r
-    row_index: dict[str, dict] = {"ablock": None, "big": {}}
-    if not shape.p_divides:
-        row_parts.append(shape.a)
-        row_index["ablock"] = shape.r + 1
+        parts.append(shape.a)
+        block = len(parts)
+    big: dict[int, int] = {}
     for I in shape.empty_big_rows:
-        row_parts.append(shape.p)
-        row_index["big"][I] = len(row_parts)
-    col_parts = [1] * shape.s
-    col_index: dict[str, dict] = {"bblock": None, "big": {}}
-    if not shape.q_divides:
-        col_parts.append(shape.b)
-        col_index["bblock"] = shape.s + 1
-    for J in shape.empty_big_cols:
-        col_parts.append(shape.q)
-        col_index["big"][J] = len(col_parts)
-    return tuple(row_parts), tuple(col_parts), row_index, col_index
+        parts.append(shape.p)
+        big[I] = len(parts)
+    return tuple(parts), block, big
+
+
+def _axis_cells(ax: _Axis, share: dict, fills: dict, block_fills: dict, own: tuple,
+                cross: tuple) -> Iterable[tuple[int, int, Iterable[int]]]:
+    """Outline cells one axis fills, as (own index, cross index, symbols).
+
+    own and cross are the _outline_axis results of this axis and the other.
+    """
+    _, own_block, _ = own
+    _, cross_block, cross_big = cross
+    for (alpha, x), syms in share.items():
+        yield (alpha - 1) * ax.shape.p + x, cross_block, syms
+    for (i, target), syms in fills.items():
+        yield i, cross_big[target], syms
+    for target, syms in block_fills.items():
+        yield own_block, cross_big[target], syms
 
 
 def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
@@ -561,8 +556,10 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
     their complements; fully empty big cells take every symbol once.  The
     outline is validated before it is returned.
     """
-    shape = _shape(grid)
-    row_parts, col_parts, row_index, col_index = _outline_axes(shape)
+    row, col = _axes(grid)
+    shape = row.shape
+    row_out, col_out = _outline_axis(row.shape), _outline_axis(col.shape)
+    (row_parts, row_block, row_big), (col_parts, col_block, col_big) = row_out, col_out
     cells: dict[tuple[int, int], list[int]] = {}
 
     def add(oi: int, oj: int, symbols) -> None:
@@ -570,37 +567,25 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
 
     for i, j, v in grid.filled():
         add(i, j, (v,))
-    for (alpha, x), syms in plan.horizontal.items():
-        i = (alpha - 1) * shape.p + x if alpha <= shape.full_bands else shape.r_star + x
-        add(i, col_index["bblock"], syms)
-    for (beta, y), syms in plan.vertical.items():
-        j = (beta - 1) * shape.q + y if beta <= shape.full_stacks else shape.s_star + y
-        add(row_index["ablock"], j, syms)
+    for oi, oj, syms in _axis_cells(row, plan.horizontal, dist.row_fills,
+                                    dist.block_row_fills, row_out, col_out):
+        add(oi, oj, syms)
+    for oj, oi, syms in _axis_cells(col, plan.vertical, dist.col_fills,
+                                    dist.block_col_fills, col_out, row_out):
+        add(oi, oj, syms)
 
     if not shape.p_divides and not shape.q_divides:
-        corner_content = set(_side_cell_content(grid, shape, shape.full_bands + 1))
-        corner_alpha = shape.full_bands + 1
-        corner_beta = shape.full_stacks + 1
-        for (alpha, _), syms in plan.horizontal.items():
-            if alpha == corner_alpha:
-                corner_content.update(syms)
-        for (beta, _), syms in plan.vertical.items():
-            if beta == corner_beta:
-                corner_content.update(syms)
+        corner_content = _side_cell_content(grid, shape, shape.full_bands + 1)
+        for ax, share in ((row, plan.horizontal), (col, plan.vertical)):
+            for (alpha, _), syms in share.items():
+                if alpha == ax.shape.full_bands + 1:
+                    corner_content.update(syms)
         complement = [k for k in range(1, shape.n + 1) if k not in corner_content]
-        add(row_index["ablock"], col_index["bblock"], complement)
+        add(row_block, col_block, complement)
 
-    for (i, target), syms in dist.row_fills.items():
-        add(i, col_index["big"][target], syms)
-    for target, syms in dist.block_row_fills.items():
-        add(row_index["ablock"], col_index["big"][target], syms)
-    for (j, target), syms in dist.col_fills.items():
-        add(row_index["big"][target], j, syms)
-    for target, syms in dist.block_col_fills.items():
-        add(row_index["big"][target], col_index["bblock"], syms)
-    for I in shape.empty_big_rows:
-        for J in shape.empty_big_cols:
-            add(row_index["big"][I], col_index["big"][J], range(1, shape.n + 1))
+    for oi in row_big.values():
+        for oj in col_big.values():
+            add(oi, oj, range(1, shape.n + 1))
 
     grid_cells = tuple(
         tuple(tuple(sorted(cells.get((oi, oj), ()))) for oj in range(1, len(col_parts) + 1))
@@ -668,17 +653,13 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
     This is the unstaged test (no corner coordination, no placement counts);
     it is exposed for comparing the plain and strengthened edge rules.
     """
-    shape = _shape(grid)
-    if not shape.q_divides:
+    for ax in _axes(grid):
+        shape = ax.shape
+        if shape.q_divides:
+            continue
         last = shape.full_bands + (0 if shape.p_divides else 1)
         for alpha in range(1, last + 1):
-            res = saturating_matching(side_graph(grid, alpha, strengthen=strengthen))
-            if isinstance(res, HallViolator):
-                return False
-    if not shape.p_divides:
-        last = shape.full_stacks + (0 if shape.q_divides else 1)
-        for beta in range(1, last + 1):
-            res = saturating_matching(bottom_graph(grid, beta, strengthen=strengthen))
+            res = saturating_matching(_side_graph(ax, alpha, strengthen))
             if isinstance(res, HallViolator):
                 return False
     return True
@@ -771,47 +752,22 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     """Independently recheck an obstruction against the grid it came from."""
     if ob.stage == "input-invalid":
         return not validate_partial(grid).ok or not grid.is_fully_filled()
-    if ob.kind == "side-alpha":
-        return verify_violator(side_graph(grid, ob.index), ob.detail)
-    if ob.kind == "bottom-beta":
-        return verify_violator(bottom_graph(grid, ob.index), ob.detail)
-    if ob.kind == "row-coverage":
-        return verify_violator(row_coverage_graph(grid, ob.symbol), ob.detail)
-    if ob.kind == "col-coverage":
-        return verify_violator(col_coverage_graph(grid, ob.symbol), ob.detail)
+    axes = _axes(grid)
+    for ax in axes:
+        if ob.kind == ax.band_kind:
+            return verify_violator(_side_graph(ax, ob.index, True), ob.detail)
+        if ob.kind == ax.coverage_kind:
+            return verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
     if ob.kind == "corner-double-must":
-        shape = _shape(grid)
-        k = ob.symbol
-        g_row = row_coverage_graph(grid, k)
-        g_col = col_coverage_graph(grid, k)
-        return (g_row.left_count == g_row.right_count
-                and g_row.left_count > len(shape.empty_big_cols)
-                and g_col.left_count == g_col.right_count
-                and g_col.left_count > len(shape.empty_big_rows))
-    if ob.kind == "corner-must":
-        shape = _shape(grid)
-        must_h, must_v = _recompute_musts(grid, shape)
-        return verify_violator(_corner_must_graph(grid, shape, must_h, must_v), ob.detail)
-    if ob.kind == "corner-flow":
-        shape = _shape(grid)
-        must_h, must_v = _recompute_musts(grid, shape)
-        return verify_violator(_corner_slot_graph(grid, shape, must_h, must_v),
-                               ob.detail)
+        return all(_is_must(ax, _coverage_graph(ax, ob.symbol)) for ax in axes)
+    if ob.kind in ("corner-must", "corner-flow"):
+        row = axes[0]
+        must_h, must_v = _musts(axes)
+        build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph
+        return verify_violator(build(row.grid, row.shape, must_h, must_v), ob.detail)
     if ob.kind == "ryser":
         counts = ryser_symbol_counts(grid, grid.n)
         return counts[ob.symbol] < grid.rows + grid.cols - grid.n
     if ob.stage == "outline-invalid":
         return isinstance(ob.detail, ValidationReport) and not ob.detail.ok
     return False
-
-
-def _recompute_musts(grid: PartialGrid, shape: _Shape) -> tuple[list[int], list[int]]:
-    must_h, must_v = [], []
-    for k in range(1, shape.n + 1):
-        g = row_coverage_graph(grid, k)
-        if g.left_count == g.right_count and g.left_count > len(shape.empty_big_cols):
-            must_h.append(k)
-        g = col_coverage_graph(grid, k)
-        if g.left_count == g.right_count and g.left_count > len(shape.empty_big_rows):
-            must_v.append(k)
-    return must_h, must_v

@@ -226,51 +226,12 @@ def gen_fig6(n: int, x: int, variant: str) -> PartialGrid:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def random_complete_square(p: int, q: int, seed: int) -> PartialGrid:
-    """A uniform-ish random full Sudoku square via seeded backtracking."""
-    rng = random.Random(seed)
-    geom = SudokuGeometry(p, q)
-    n = geom.n
-    flavor = "latin" if p == 1 or q == 1 else "sudoku"
-    base = empty_grid(p, q, flavor=flavor)
-
-    used: dict = {}
-    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-    keys_of = {cell: _constraint_keys(base, *cell) for cell in cells}
-    for key in {k for ks in keys_of.values() for k in ks}:
-        used[key] = set()
-    values: dict[tuple[int, int], int] = {}
-
-    def fill(idx: int) -> bool:
-        if idx == len(cells):
-            return True
-        cell = cells[idx]
-        options = [v for v in range(1, n + 1)
-                   if all(v not in used[key] for key in keys_of[cell])]
-        rng.shuffle(options)
-        for v in options:
-            values[cell] = v
-            for key in keys_of[cell]:
-                used[key].add(v)
-            if fill(idx + 1):
-                return True
-            for key in keys_of[cell]:
-                used[key].discard(v)
-            del values[cell]
-        return False
-
-    if not fill(0):
-        raise RuntimeError("random square generation failed")
-    rows = tuple(tuple(values[(r, c)] for c in range(1, n + 1)) for r in range(1, n + 1))
-    return PartialGrid(geom, n, n, rows, flavor, None)
-
-
 def gen_random_rectangle(p: int, q: int, r: int, s: int, seed: int) -> PartialGrid:
     """A valid fully filled r x s rectangle: a random square truncated."""
     geom = SudokuGeometry(p, q)
     if r > geom.n or s > geom.n:
         raise ValueError("rectangle larger than the order")
-    square = random_complete_square(p, q, seed)
+    square = gen_random_valid_rectangle(p, q, geom.n, geom.n, seed)
     cells = tuple(tuple(square.cells[i][j] for j in range(s)) for i in range(r))
     return PartialGrid(geom, r, s, cells, square.flavor, None)
 
@@ -319,4 +280,4 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
 
 def random_latin_square(n: int, seed: int) -> PartialGrid:
     """A random latin square of order n (latin flavor, 1 x n boxes)."""
-    return random_complete_square(1, n, seed)
+    return gen_random_valid_rectangle(1, n, n, n, seed)

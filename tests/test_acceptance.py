@@ -131,6 +131,24 @@ def sudoku_23_samples():
     return out
 
 
+@pytest.fixture(scope="module")
+def sudoku_p_gt_q_samples():
+    """260 sampled (3,2) and (4,2) rectangles, where p > q, with verdicts and oracle outcomes."""
+    rng = random.Random(3242)
+    out = []
+    for p, q, count in ((3, 2, 200), (4, 2, 60)):
+        n = p * q
+        for case in range(count):
+            r = rng.randint(0, n)
+            s = rng.randint(0, n)
+            maker = gen_random_rectangle if case % 2 == 0 else gen_random_valid_rectangle
+            grid = maker(p, q, r, s, 20_000 + case)
+            verdict = decide_completable(grid)
+            oracle = brute_force_complete(embed_in_square(grid))
+            out.append((grid, verdict, oracle.outcome == "found"))
+    return out
+
+
 def test_criterion_1_theorem2_totality():
     start = time.time()
     failures = 0
@@ -225,17 +243,12 @@ def test_criterion_4_ryser_equivalence(latin_n4_instances):
     assert sampled_mismatch == 0
 
 
-def test_criterion_5_decision(sudoku_22_instances, sudoku_23_samples):
-    mismatches = [
-        grid for grid, verdict, found in sudoku_22_instances
-        if verdict.completable != found
-    ]
-    mismatches += [
-        grid for grid, verdict, found in sudoku_23_samples
-        if verdict.completable != found
-    ]
+def test_criterion_5_decision(sudoku_22_instances, sudoku_23_samples, sudoku_p_gt_q_samples):
+    instances = list(itertools.chain(sudoku_22_instances, sudoku_23_samples,
+                                     sudoku_p_gt_q_samples))
+    mismatches = [grid for grid, verdict, found in instances if verdict.completable != found]
     rule_disagreements = 0
-    for grid, _, _ in itertools.chain(sudoku_22_instances, sudoku_23_samples):
+    for grid, _, _ in instances:
         if grid.geometry.p == 1 or grid.geometry.q == 1:
             continue
         if matchings_exist(grid) != matchings_exist(grid, strengthen=False):
@@ -243,7 +256,8 @@ def test_criterion_5_decision(sudoku_22_instances, sudoku_23_samples):
     ok = not mismatches
     report("5 (staged decision = oracle)", ok,
            f"{len(sudoku_22_instances)} exhaustive (2,2) + {len(sudoku_23_samples)} "
-           f"sampled (2,3), {len(mismatches)} mismatches; plain-vs-strengthened "
+           f"sampled (2,3) + {len(sudoku_p_gt_q_samples)} sampled (3,2) and (4,2), "
+           f"{len(mismatches)} mismatches; plain-vs-strengthened "
            f"matching rule disagreements: {rule_disagreements} (logged, no threshold)")
     assert not mismatches, mismatches[:3]
 

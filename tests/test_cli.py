@@ -1,6 +1,7 @@
 import pytest
 
-from sudoku_ryser.cli import main
+from sudoku_ryser import completion
+from sudoku_ryser.cli import EXIT_INTERNAL, main
 from sudoku_ryser.fixtures import gen_evans_small
 from sudoku_ryser.grid import grid_from_rows, parse_grid, serialize_grid, validate_partial
 
@@ -37,6 +38,17 @@ def test_complete_incompletable(tmp_path, capsys):
     assert main(["complete", str(path)]) == 1
     err = capsys.readouterr().err
     assert "incompletable" in err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("construction bug"),
+                                   RecursionError("maximum recursion depth exceeded")])
+def test_internal_error_is_not_incompletable(worked_file, capsys, monkeypatch, error):
+    def broken(grid):
+        raise error
+
+    monkeypatch.setattr(completion, "complete", broken)
+    assert main(["complete", worked_file]) == EXIT_INTERNAL  # not 1, "incompletable"
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_complete_brute_method(tmp_path, capsys):
