@@ -39,6 +39,7 @@ from .grid import (
     anchors,
     validate_partial,
 )
+from .hall import ryser_counts
 from .outline import Composition, OutlineLatinSquare, expand_outline, validate_outline
 
 STAGES = ("input-invalid", "side-matching", "bottom-matching", "corner-conflict",
@@ -665,13 +666,6 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
     return True
 
 
-def ryser_symbol_counts(grid: PartialGrid, n: int) -> dict[int, int]:
-    counts = {k: 0 for k in range(1, n + 1)}
-    for _, _, v in grid.filled():
-        counts[v] += 1
-    return counts
-
-
 def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
     """Complete an r x s latin rectangle to an n x n latin square.
 
@@ -687,11 +681,11 @@ def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Ob
     if not report.ok or not work.is_fully_filled():
         raise ValueError("input is not a fully filled latin rectangle")
 
-    counts = ryser_symbol_counts(work, n)
-    bound = r + s - n
-    for k in range(1, n + 1):
-        if counts[k] < bound:
-            return Obstruction("ryser", k, kind="ryser", symbol=k)
+    ryser = ryser_counts(work, n)
+    if not ryser.ok:
+        k = ryser.failing[0]
+        return Obstruction("ryser", k, kind="ryser", symbol=k)
+    counts = ryser.counts
 
     rows = [list(row) for row in work.cells]
     row_sets = [set(row) for row in rows]
@@ -766,8 +760,8 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph
         return verify_violator(build(row.grid, row.shape, must_h, must_v), ob.detail)
     if ob.kind == "ryser":
-        counts = ryser_symbol_counts(grid, grid.n)
-        return counts[ob.symbol] < grid.rows + grid.cols - grid.n
+        ryser = ryser_counts(grid, grid.n)
+        return ryser.counts[ob.symbol] < ryser.bound
     if ob.stage == "outline-invalid":
         return isinstance(ob.detail, ValidationReport) and not ob.detail.ok
     return False

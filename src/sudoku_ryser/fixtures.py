@@ -8,9 +8,8 @@ from typing import Optional
 from .grid import (
     PartialGrid,
     SudokuGeometry,
-    big_cell_of,
+    _constraint_keys,
     empty_grid,
-    grid_from_rows,
     validate_partial,
 )
 
@@ -20,15 +19,6 @@ class OracleResult:
     outcome: str  # found | incompletable | gaveUp
     square: Optional[PartialGrid]
     nodes_expanded: int
-
-
-def _constraint_keys(grid: PartialGrid, row: int, col: int) -> list:
-    keys: list = [("r", row), ("c", col)]
-    if grid.flavor == "sudoku":
-        keys.append(("b", big_cell_of(grid.geometry, row, col)))
-    elif grid.flavor == "gerechte":
-        keys.append(("p", grid.part_id(row, col)))
-    return keys
 
 
 def brute_force_complete(grid: PartialGrid, node_limit: int = 10_000_000,

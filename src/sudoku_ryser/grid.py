@@ -74,6 +74,22 @@ def big_cell_of(geom: SudokuGeometry, row: int, col: int) -> tuple[int, int]:
     return (row + geom.p - 1) // geom.p, (col + geom.q - 1) // geom.q
 
 
+def _constraint_keys(grid: "PartialGrid", row: int, col: int,
+                     flavor: Optional[str] = None) -> list:
+    """The constraint groups of a cell: its row, its column and the flavor's unit.
+
+    Two cells must hold distinct symbols exactly when they share a key.  The
+    flavor defaults to the grid's own.
+    """
+    flavor = grid.flavor if flavor is None else flavor
+    keys: list = [("r", row), ("c", col)]
+    if flavor == "sudoku":
+        keys.append(("b", big_cell_of(grid.geometry, row, col)))
+    elif flavor == "gerechte":
+        keys.append(("p", grid.part_id(row, col)))
+    return keys
+
+
 @dataclass(frozen=True)
 class Violation:
     """One constraint breach: where it happened and which symbol clashed."""

@@ -6,16 +6,25 @@ depending on flavor), all of whose lists contain sigma.  Hall's Inequality
 for Q asks that these numbers summed over all symbols reach |Q|; Hall's
 Condition asks this for every subset.  Checking is exact and exhaustive,
 which is why it is gated to desk-scale inputs.
+
+On a grid this is the list-assigned-graph condition for the conflict graph
+of the cells, in which two cells are adjacent when they share a row, a
+column or the flavor's unit (Hilton and Johnson).  So hall_condition hands
+the empty cells to hall_condition_graph, and every alpha, on grids and on
+graphs, comes from one exact independence search, _max_independent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .bipartite import BipartiteMultigraph, max_matching
-from .grid import PartialGrid, big_cell_of
+from .grid import PartialGrid, _constraint_keys, big_cell_of
 
 Cell = tuple[int, int]
+# Most candidate cells one exact alpha search takes on before refusing.
+_MAX_EXACT = 26
 
 
 @dataclass(frozen=True)
@@ -43,14 +52,6 @@ def _flavor_of(grid: PartialGrid, flavor: Optional[str]) -> str:
     return chosen
 
 
-def _unit_key(grid: PartialGrid, flavor: str, r: int, c: int):
-    if flavor == "sudoku":
-        return big_cell_of(grid.geometry, r, c)
-    if flavor == "gerechte":
-        return grid.part_id(r, c)
-    return None
-
-
 def list_assignment(grid: PartialGrid, flavor: Optional[str] = None) -> dict[Cell, frozenset[int]]:
     """Candidate lists: the symbol itself for filled cells, exclusions otherwise."""
     flavor = _flavor_of(grid, flavor)
@@ -72,51 +73,75 @@ def list_assignment(grid: PartialGrid, flavor: Optional[str] = None) -> dict[Cel
     return lists
 
 
-def _alpha_exact_masks(order: list[tuple[int, int, int]], bound_gate: Optional[int] = None) -> int:
-    """Largest conflict-free subset given (row_bit, col_bit, unit_bit) triples."""
-    best = 0
-    total = len(order)
+def _max_independent(cand: int, adj: list[int]) -> int:
+    """Size of a largest independent set of the vertices in the bit mask cand.
 
-    def bb(idx: int, used_r: int, used_c: int, used_u: int, size: int) -> None:
+    Branch and bound on the lowest remaining vertex: take it (dropping its
+    neighbours) or leave it; a branch ends when even every remaining vertex
+    could not beat the best set found.
+    """
+    best = 0
+
+    def bb(rest: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        if idx == total or size + (total - idx) <= best:
+        if size + rest.bit_count() <= best:
             return
-        rb, cb, ub = order[idx]
-        if not (used_r & rb) and not (used_c & cb) and not (used_u & ub):
-            bb(idx + 1, used_r | rb, used_c | cb, used_u | ub, size + 1)
-        bb(idx + 1, used_r, used_c, used_u, size)
+        low = rest & -rest
+        bb(rest & ~low & ~adj[low.bit_length() - 1], size + 1)
+        bb(rest & ~low, size)
 
-    bb(0, 0, 0, 0, 0)
+    bb(cand, 0)
     return best
 
 
-def alpha_cells(grid: PartialGrid, sigma: int, cells: Iterable[Cell],
-                flavor: Optional[str] = None, max_exact: int = 26) -> int:
-    """Exact maximum number of independent cells of Q whose lists hold sigma."""
-    flavor = _flavor_of(grid, flavor)
+def _adjacency(verts: list, edges: Iterable[tuple]) -> list[int]:
+    """Neighbour bit masks indexed by position in verts."""
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for u, w in edges:
+        iu, iw = index[u], index[w]
+        adj[iu] |= 1 << iw
+        adj[iw] |= 1 << iu
+    return adj
+
+
+def _conflicts(grid: PartialGrid, flavor: str, cells: list[Cell]) -> list[tuple[Cell, Cell]]:
+    """Pairs of the cells that share a row, a column or the flavor's unit."""
+    keys = [set(_constraint_keys(grid, r, c, flavor)) for r, c in cells]
+    return [(cells[i], cells[j]) for i, j in combinations(range(len(cells)), 2)
+            if keys[i] & keys[j]]
+
+
+def _cell_graph(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
+    """The distinct cells in order, their lists and their conflict adjacency."""
+    cells = sorted(set(cells))
     lists = list_assignment(grid, flavor)
-    unit_ids: dict = {}
-    order = []
-    for (r, c) in sorted(set(cells)):
-        if sigma not in lists[(r, c)]:
-            continue
-        unit = _unit_key(grid, flavor, r, c)
-        if unit is not None and unit not in unit_ids:
-            unit_ids[unit] = len(unit_ids)
-        order.append((1 << r, 1 << c, 0 if unit is None else 1 << unit_ids[unit]))
-    if len(order) > max_exact:
-        raise ValueError(f"{len(order)} candidate cells exceed the exact-search gate")
-    return _alpha_exact_masks(order)
+    cell_lists = [lists[cell] for cell in cells]
+    return cells, cell_lists, _adjacency(cells, _conflicts(grid, flavor, cells))
+
+
+def _alpha(cell_lists: list[frozenset[int]], adj: list[int], sigma: int,
+           max_exact: int) -> int:
+    cand = [i for i, lst in enumerate(cell_lists) if sigma in lst]
+    if len(cand) > max_exact:
+        raise ValueError(f"{len(cand)} candidate cells exceed the exact-search gate")
+    return _max_independent(sum(1 << i for i in cand), adj)
+
+
+def alpha_cells(grid: PartialGrid, sigma: int, cells: Iterable[Cell],
+                flavor: Optional[str] = None, max_exact: int = _MAX_EXACT) -> int:
+    """Exact maximum number of independent cells of Q whose lists hold sigma."""
+    _, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
+    return _alpha(cell_lists, adj, sigma, max_exact)
 
 
 def hall_inequality(grid: PartialGrid, cells: Iterable[Cell],
                     flavor: Optional[str] = None) -> tuple[int, int, bool]:
     """(sum of alphas, |Q|, whether the inequality holds) for one subset."""
-    flavor = _flavor_of(grid, flavor)
-    subset = sorted(set(cells))
-    lhs = sum(alpha_cells(grid, sigma, subset, flavor) for sigma in range(1, grid.n + 1))
+    subset, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
+    lhs = sum(_alpha(cell_lists, adj, sigma, _MAX_EXACT) for sigma in range(1, grid.n + 1))
     return lhs, len(subset), lhs >= len(subset)
 
 
@@ -125,94 +150,21 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     """Check Hall's Inequality over every subset of the empty cells.
 
     Filled cells can be dropped: the inequality for any subset holds exactly
-    when it holds for its empty part.  Enumeration is depth first in
-    lexicographic order, so a reported witness is the lexicographically
-    first failing subset.  More empty cells than the gate means giving up.
+    when it holds for its empty part.  What remains is Hall's Condition for
+    the conflict graph of the empty cells (adjacent when they share a row, a
+    column or the flavor's unit) under their lists, so hall_condition_graph
+    decides it with the one exact independence search.  Enumeration is
+    depth first in lexicographic order, so a reported witness is the
+    lexicographically first failing subset.  More empty cells than the gate
+    means giving up.
     """
     flavor = _flavor_of(grid, flavor)
-    n = grid.n
     empties = sorted(grid.empty_cells())
     if len(empties) > gate:
         return HallReport(True, None, 0, True)
     lists = list_assignment(grid, flavor)
-
-    unit_ids: dict = {}
-    info = []
-    for (r, c) in empties:
-        unit = _unit_key(grid, flavor, r, c)
-        if unit is not None and unit not in unit_ids:
-            unit_ids[unit] = len(unit_ids)
-        info.append((1 << r, 1 << c, 0 if unit is None else 1 << unit_ids[unit],
-                     lists[(r, c)]))
-
-    per_symbol: list[list[int]] = [[] for _ in range(n + 1)]
-    symbol_mask = [0] * (n + 1)
-    for idx, (_, _, _, lst) in enumerate(info):
-        for sigma in lst:
-            per_symbol[sigma].append(idx)
-            symbol_mask[sigma] |= 1 << idx
-
-    memo: dict[tuple[int, int], int] = {}
-
-    def exact_alpha(sigma: int, chosen_mask: int) -> int:
-        key = (sigma, chosen_mask & symbol_mask[sigma])
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        order = [(info[i][0], info[i][1], info[i][2])
-                 for i in per_symbol[sigma] if chosen_mask & (1 << i)]
-        val = _alpha_exact_masks(order)
-        memo[key] = val
-        return val
-
-    checked = 0
-    chosen: list[int] = []
-
-    def evaluate() -> Optional[tuple[int, int]]:
-        size = len(chosen)
-        greedy_total = 0
-        for sigma in range(1, n + 1):
-            used_r = used_c = used_u = 0
-            got = 0
-            for i in chosen:
-                rb, cb, ub, lst = info[i]
-                if sigma in lst and not (used_r & rb) and not (used_c & cb) \
-                        and not (used_u & ub):
-                    used_r |= rb
-                    used_c |= cb
-                    used_u |= ub
-                    got += 1
-            greedy_total += got
-        if greedy_total >= size:
-            return None
-        mask = 0
-        for i in chosen:
-            mask |= 1 << i
-        lhs = sum(exact_alpha(sigma, mask) for sigma in range(1, n + 1))
-        if lhs >= size:
-            return None
-        return lhs, size
-
-    def dfs(start: int) -> Optional[tuple[tuple[Cell, ...], int, int]]:
-        nonlocal checked
-        for i in range(start, len(empties)):
-            chosen.append(i)
-            checked += 1
-            failed = evaluate()
-            if failed is not None:
-                lhs, size = failed
-                return tuple(empties[j] for j in chosen), lhs, size
-            found = dfs(i + 1)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
-    checked += 1  # the empty subset, trivially fine
-    witness = dfs(0)
-    if witness is None:
-        return HallReport(True, None, checked, False)
-    return HallReport(False, witness, checked, False)
+    return hall_condition_graph(empties, _conflicts(grid, flavor, empties),
+                                {cell: lists[cell] for cell in empties}, gate)
 
 
 def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
@@ -247,15 +199,15 @@ def whole_square_inequality(grid: PartialGrid, flavor: Optional[str] = None,
     and respect the gate.
     """
     flavor = _flavor_of(grid, flavor)
-    lists = list_assignment(grid, flavor)
     total = grid.rows * grid.cols
     if flavor == "latin":
+        lists = list_assignment(grid, flavor)
         lhs = sum(_alpha_latin_matching(grid, sigma, lists)
                   for sigma in range(1, grid.n + 1))
         return lhs, total, lhs >= total
     all_cells = [(r, c) for r in range(1, grid.rows + 1) for c in range(1, grid.cols + 1)]
-    lhs = sum(alpha_cells(grid, sigma, all_cells, flavor, max_exact=gate)
-              for sigma in range(1, grid.n + 1))
+    _, cell_lists, adj = _cell_graph(grid, flavor, all_cells)
+    lhs = sum(_alpha(cell_lists, adj, sigma, gate) for sigma in range(1, grid.n + 1))
     return lhs, total, lhs >= total
 
 
@@ -264,56 +216,52 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     """Hall's Condition for a list-assigned simple graph.
 
     Every induced subgraph (vertex subset) must satisfy the inequality with
-    alpha taken over independent sets of vertices listing the color.
+    alpha taken over independent sets of vertices listing the color.  The
+    subsets are enumerated depth first in lexicographic order of position,
+    so a reported witness is the first failing subset in that order.  Each
+    subset is screened greedily first: per color, the parent's greedy
+    independent set is extended by the one new vertex when it fits, and only
+    if these sets fall short of the subset size are the exact alphas
+    computed, each cached per color and per subset of that color's vertices.
     """
     verts = list(vertices)
     if len(verts) > gate:
         return HallReport(True, None, 0, True)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for u, w in edges:
-        iu, iw = index[u], index[w]
-        adj[iu] |= 1 << iw
-        adj[iw] |= 1 << iu
-    colors = sorted({c for v in verts for c in lists.get(v, ())})
+    adj = _adjacency(verts, edges)
     vlists = [frozenset(lists.get(v, ())) for v in verts]
+    colors = sorted({c for lst in vlists for c in lst})
+    holders = {color: sum(1 << i for i, lst in enumerate(vlists) if color in lst)
+               for color in colors}
+    memo: dict = {}
 
-    def alpha(color, chosen: list[int]) -> int:
-        cand = [i for i in chosen if color in vlists[i]]
-        best = 0
+    def alpha(color, mask: int) -> int:
+        key = (color, mask & holders[color])
+        if key not in memo:
+            memo[key] = _max_independent(key[1], adj)
+        return memo[key]
 
-        def bb(idx: int, used: int, size: int) -> None:
-            nonlocal best
-            if size > best:
-                best = size
-            if idx == len(cand) or size + (len(cand) - idx) <= best:
-                return
-            i = cand[idx]
-            if not (used & adj[i]):
-                bb(idx + 1, used | (1 << i), size + 1)
-            bb(idx + 1, used, size)
+    checked = 1  # the empty subset, trivially fine
 
-        bb(0, 0, 0)
-        return best
-
-    checked = 1
-    chosen: list[int] = []
-
-    def dfs(start: int):
+    def dfs(start: int, mask: int, greedy: dict, greedy_total: int):
         nonlocal checked
         for i in range(start, len(verts)):
-            chosen.append(i)
+            child_mask = mask | 1 << i
+            size = child_mask.bit_count()
+            child, child_total = dict(greedy), greedy_total
+            for color in vlists[i]:
+                if not child[color] & adj[i]:
+                    child[color] |= 1 << i
+                    child_total += 1
             checked += 1
-            lhs = sum(alpha(color, chosen) for color in colors)
-            if lhs < len(chosen):
-                return tuple(verts[j] for j in chosen), lhs, len(chosen)
-            found = dfs(i + 1)
+            if child_total < size:
+                lhs = sum(alpha(color, child_mask) for color in colors)
+                if lhs < size:
+                    subset = tuple(v for j, v in enumerate(verts) if child_mask >> j & 1)
+                    return subset, lhs, size
+            found = dfs(i + 1, child_mask, child, child_total)
             if found is not None:
                 return found
-            chosen.pop()
         return None
 
-    witness = dfs(0)
-    if witness is None:
-        return HallReport(True, None, checked, False)
-    return HallReport(False, witness, checked, False)
+    witness = dfs(0, 0, dict.fromkeys(colors, 0), 0)
+    return HallReport(witness is None, witness, checked, False)

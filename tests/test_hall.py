@@ -257,3 +257,91 @@ def test_hall_condition_agrees_with_oracle_small():
         report = hall_condition(square)
         oracle = brute_force_complete(square)
         assert report.holds == (oracle.outcome == "found")
+
+
+def _reference_condition(count, adjacent, lists, gate=18):
+    """(holds, witness, subsets_checked, gave_up) by plain enumeration.
+
+    Subsets of positions 0..count-1 come in the depth-first lexicographic
+    order the library uses; alpha is the size of a largest independent
+    subset of the candidates, found by trying every combination.
+    """
+    if count > gate:
+        return True, None, 0, True
+    colors = sorted({c for lst in lists for c in lst})
+
+    def alpha(color, subset):
+        cand = [i for i in subset if color in lists[i]]
+        for k in range(len(cand), 0, -1):
+            for combo in itertools.combinations(cand, k):
+                if not any(adjacent(a, b) for a, b in itertools.combinations(combo, 2)):
+                    return k
+        return 0
+
+    def subsets(start, prefix):
+        for i in range(start, count):
+            yield prefix + (i,)
+            yield from subsets(i + 1, prefix + (i,))
+
+    checked = 1
+    for subset in subsets(0, ()):
+        checked += 1
+        lhs = sum(alpha(color, subset) for color in colors)
+        if lhs < len(subset):
+            return False, (subset, lhs, len(subset)), checked, False
+    return True, None, checked, False
+
+
+def _report_tuple(report):
+    return report.holds, report.witness, report.subsets_checked, report.gave_up
+
+
+def test_hall_condition_matches_reference():
+    # At most 10 empty cells; random 3 x 3 rectangles are the ones that
+    # sometimes fail, so they are drawn most.
+    rng = random.Random(12)
+    failing = 0
+    for r, s in [(2, 3), (3, 2), (2, 4), (4, 2), (3, 4), (4, 3)] * 3 + [(3, 3)] * 30:
+        square = embed_in_square(gen_random_valid_rectangle(2, 2, r, s, rng.randint(0, 999)))
+        empties = sorted(square.empty_cells())
+        for flavor in ("sudoku", "latin"):
+            lists = list_assignment(square, flavor)
+
+            def adjacent(a, b):
+                (r1, c1), (r2, c2) = empties[a], empties[b]
+                same_box = ((r1 - 1) // 2, (c1 - 1) // 2) == ((r2 - 1) // 2, (c2 - 1) // 2)
+                return r1 == r2 or c1 == c2 or (flavor == "sudoku" and same_box)
+
+            holds, witness, checked, gave_up = _reference_condition(
+                len(empties), adjacent, [lists[cell] for cell in empties])
+            if witness is not None:
+                subset, lhs, size = witness
+                witness = tuple(empties[i] for i in subset), lhs, size
+                failing += 1
+            expected = (holds, witness, checked, gave_up)
+            assert _report_tuple(hall_condition(square, flavor=flavor)) == expected
+    assert failing > 0
+
+
+def test_hall_condition_graph_matches_reference():
+    rng = random.Random(5)
+    failing = 0
+    for case in range(200):
+        count = rng.randint(0, 8)
+        names = [f"v{i}" for i in range(count)]
+        density = rng.random()
+        edges = {(a, b) for a, b in itertools.combinations(range(count), 2)
+                 if rng.random() < density}
+        lists = [frozenset(c for c in (1, 2, 3) if rng.random() < 0.45)
+                 for _ in range(count)]
+        gate = 6 if case % 10 == 0 else 18
+        holds, witness, checked, gave_up = _reference_condition(
+            count, lambda a, b: (min(a, b), max(a, b)) in edges, lists, gate)
+        if witness is not None:
+            subset, lhs, size = witness
+            witness = tuple(names[i] for i in subset), lhs, size
+            failing += 1
+        report = hall_condition_graph(names, [(names[a], names[b]) for a, b in sorted(edges)],
+                                      dict(zip(names, lists)), gate)
+        assert _report_tuple(report) == (holds, witness, checked, gave_up)
+    assert failing > 0
