@@ -38,6 +38,14 @@ class BipartiteMultigraph:
         return sorted({b for a, b in self.edges if a == u})
 
 
+def _left_adjacency(g: BipartiteMultigraph) -> list[list[int]]:
+    """neighbors_of_left for every left vertex, from one pass over the edges."""
+    hoods: list[set[int]] = [set() for _ in range(g.left_count)]
+    for u, w in g.edges:
+        hoods[u].add(w)
+    return [sorted(hood) for hood in hoods]
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Assignment of one color in 1..k to every edge (by edge position)."""
@@ -147,9 +155,13 @@ def _flip_chain(start: int, a: int, b: int, used: list[dict[int, int]],
 
 
 def max_matching(g: BipartiteMultigraph) -> Matching:
-    """Maximum-cardinality matching (Hopcroft-Karp), deterministic."""
+    """Maximum-cardinality matching (Hopcroft-Karp), deterministic.
+
+    The depth-first phase keeps its path on explicit stacks, so long
+    augmenting paths cannot exhaust the interpreter's recursion limit.
+    """
     left_n = g.left_count
-    adj = [g.neighbors_of_left(u) for u in range(left_n)]
+    adj = _left_adjacency(g)
     match_l: list[Optional[int]] = [None] * left_n
     match_r: list[Optional[int]] = [None] * g.right_count
     dist = [-1] * left_n
@@ -174,15 +186,34 @@ def max_matching(g: BipartiteMultigraph) -> Matching:
                     queue.append(nxt)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            nxt = match_r[w]
-            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = -1
-        return False
+    def dfs(root: int) -> None:
+        """Augment along the first layered path from the free vertex root, if any.
+
+        lefts[i] is left by rights[i] to reach lefts[i + 1]; a vertex whose
+        neighbors are exhausted leaves the layering (dist -1).
+        """
+        lefts, rights, todo = [root], [], [iter(adj[root])]
+        while todo:
+            u = lefts[-1]
+            for w in todo[-1]:
+                nxt = match_r[w]
+                if nxt is None:
+                    rights.append(w)
+                    for a, b in zip(lefts, rights):
+                        match_l[a] = b
+                        match_r[b] = a
+                    return
+                if dist[nxt] == dist[u] + 1:
+                    lefts.append(nxt)
+                    rights.append(w)
+                    todo.append(iter(adj[nxt]))
+                    break
+            else:
+                dist[u] = -1
+                lefts.pop()
+                todo.pop()
+                if rights:
+                    rights.pop()
 
     while bfs():
         for u in range(left_n):
@@ -198,9 +229,11 @@ def extend_matching(g: BipartiteMultigraph,
 
     Augmentation may reroute which left vertex a right vertex serves but
     never unmatches a matched right vertex, so saturations present in the
-    initial matching are preserved on the right side.
+    initial matching are preserved on the right side.  Each search keeps
+    its path on explicit stacks, so long paths cannot exhaust the
+    interpreter's recursion limit.
     """
-    adj = [g.neighbors_of_left(u) for u in range(g.left_count)]
+    adj = _left_adjacency(g)
     match_l: list[Optional[int]] = [None] * g.left_count
     match_r: list[Optional[int]] = [None] * g.right_count
     for u, w in initial:
@@ -211,22 +244,38 @@ def extend_matching(g: BipartiteMultigraph,
         match_l[u] = w
         match_r[w] = u
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for w in adj[u]:
-            if w in visited:
-                continue
-            visited.add(w)
-            if match_r[w] is None or augment(match_r[w], visited):
-                match_l[u] = w
-                match_r[w] = u
-                return True
+    def augment(root: int) -> bool:
+        """Depth-first search from the free vertex root, visiting each right
+        vertex once; lefts[i] is left by rights[i] to reach lefts[i + 1]."""
+        visited: set[int] = set()
+        lefts, rights, todo = [root], [], [iter(adj[root])]
+        while todo:
+            for w in todo[-1]:
+                if w in visited:
+                    continue
+                visited.add(w)
+                nxt = match_r[w]
+                rights.append(w)
+                if nxt is None:
+                    for a, b in zip(lefts, rights):
+                        match_l[a] = b
+                        match_r[b] = a
+                    return True
+                lefts.append(nxt)
+                todo.append(iter(adj[nxt]))
+                break
+            else:
+                lefts.pop()
+                todo.pop()
+                if rights:
+                    rights.pop()
         return False
 
     improved = True
     while improved:
         improved = False
         for u in range(g.left_count):
-            if match_l[u] is None and augment(u, set()):
+            if match_l[u] is None and augment(u):
                 improved = True
     pairs = tuple((u, match_l[u]) for u in range(g.left_count) if match_l[u] is not None)
     return Matching(pairs)
@@ -242,10 +291,11 @@ def _violator_from_matching(g: BipartiteMultigraph, m: Matching) -> HallViolator
         match_r[w] = u
     reach_l = {u for u in range(g.left_count) if match_l[u] is None}
     reach_r: set[int] = set()
+    adj = _left_adjacency(g)
     queue = deque(sorted(reach_l))
     while queue:
         u = queue.popleft()
-        for w in g.neighbors_of_left(u):
+        for w in adj[u]:
             if w in reach_r:
                 continue
             reach_r.add(w)
@@ -265,8 +315,10 @@ def saturating_matching(g: BipartiteMultigraph) -> Union[Matching, HallViolator]
 
 
 def verify_violator(g: BipartiteMultigraph, v: HallViolator) -> bool:
-    """Recompute the neighborhood of the claimed subset and check deficiency."""
-    hood: set[int] = set()
-    for u in v.left_subset:
-        hood.update(g.neighbors_of_left(u))
+    """Recompute the neighborhood of the claimed subset and check deficiency.
+
+    One pass over the edges; a claimed vertex the graph does not have
+    contributes no neighbors.
+    """
+    hood = {w for u, w in g.edges if u in v.left_subset}
     return hood == set(v.neighborhood) and len(hood) < len(v.left_subset)

@@ -1,16 +1,16 @@
 """Amalgamation of latin squares into outline squares and its constructive inverse.
 
 An outline square merges blocks of rows, columns and symbols of a latin
-square into an array of symbol multisets.  Expansion reverses this by
-repeatedly peeling a unit slice off the leading merged block, using an
-equitable edge-coloring to divide each block's content; the counting
-conditions carry through every peel, so the fully split array is again a
-latin square.
+square into an array of symbol multisets.  Expansion reverses this one
+axis at a time: one equitable edge-coloring of each merged block divides
+its content into unit slices, one per color; the counting conditions hold
+for every slice, so the fully split array is again a latin square.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .bipartite import BipartiteMultigraph, equitable_edge_coloring
 from .grid import (
@@ -138,14 +138,44 @@ def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The outline's rows, or its columns, each as a tuple of cells."""
+    return o.cells if axis == "row" else tuple(zip(*o.cells))
+
+
+def _from_lines(o: OutlineLatinSquare, axis: str, comp: Composition,
+                lines: list) -> OutlineLatinSquare:
+    """The outline with the given lines and composition on one axis."""
+    if axis == "row":
+        return OutlineLatinSquare(comp, o.col_comp, o.sym_comp, tuple(lines))
+    return OutlineLatinSquare(o.row_comp, comp, o.sym_comp, tuple(zip(*lines)))
+
+
+def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
+                  symbols: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Split one merged part of size m into m unit slices, in color order.
+
+    The slices come from one equitable m-edge-coloring of the graph joining
+    the cross-axis blocks to the symbols, one edge per symbol instance in
+    the block; color class c becomes slice c.  Every degree in that graph
+    is a multiple of m, so each class takes an exact 1/m share at every
+    vertex and the counting conditions hold for every slice.
+    """
+    edges = [(b, k - 1) for b, cell in enumerate(block) for k in cell]
+    graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, symbols + 1)),
+                                tuple(edges))
+    coloring = equitable_edge_coloring(graph, m)
+    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m)]
+    for (b, k0), c in zip(edges, coloring.color_of):
+        slices[c - 1][b].append(k0 + 1)
+    return [tuple(tuple(sorted(cell)) for cell in slice_) for slice_ in slices]
+
+
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     """Split the first merged part on the given axis into a unit slice and the rest.
 
-    The slice content is chosen by an equitable m-edge-coloring of the graph
-    joining the cross-axis blocks to the symbols of the splitting block, one
-    edge per symbol instance; color class 1 becomes the new unit slice.
-    Every degree in that graph is a multiple of m, so each class takes an
-    exact 1/m share at every vertex and the counting conditions survive.
+    The unit slice is the first slice of the part's equitable m-coloring
+    (see _block_slices); the other m - 1 slices stay merged.
     """
     if axis not in ("row", "column"):
         raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
@@ -154,41 +184,11 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     if target is None:
         raise OutlineError(f"no composite part on the {axis} axis")
     m = comp[target]
-
-    cross = len(o.col_comp) if axis == "row" else len(o.row_comp)
-    u = len(o.sym_comp)
-    edges: list[tuple[int, int]] = []
-    for b in range(cross):
-        cell = o.cells[target][b] if axis == "row" else o.cells[b][target]
-        for k in cell:
-            edges.append((b, k - 1))
-    graph = BipartiteMultigraph(tuple(range(cross)), tuple(range(1, u + 1)), tuple(edges))
-    coloring = equitable_edge_coloring(graph, m)
-
-    unit: list[Counter] = [Counter() for _ in range(cross)]
-    rest: list[Counter] = [Counter() for _ in range(cross)]
-    for e, (b, k0) in enumerate(edges):
-        (unit if coloring.color_of[e] == 1 else rest)[b][k0 + 1] += 1
-
-    def as_cell(counter: Counter) -> tuple[int, ...]:
-        return tuple(sorted(counter.elements()))
-
-    if axis == "row":
-        new_comp = comp[:target] + (1, m - 1) + comp[target + 1:]
-        new_cells = (
-            o.cells[:target]
-            + (tuple(as_cell(unit[b]) for b in range(cross)),)
-            + (tuple(as_cell(rest[b]) for b in range(cross)),)
-            + o.cells[target + 1:]
-        )
-        return OutlineLatinSquare(new_comp, o.col_comp, o.sym_comp, new_cells)
-
-    new_comp = comp[:target] + (1, m - 1) + comp[target + 1:]
-    new_cells = tuple(
-        row[:target] + (as_cell(unit[i]), as_cell(rest[i])) + row[target + 1:]
-        for i, row in enumerate(o.cells)
-    )
-    return OutlineLatinSquare(o.row_comp, new_comp, o.sym_comp, new_cells)
+    lines = list(_lines(o, axis))
+    unit, *rest = _block_slices(lines[target], m, len(o.sym_comp))
+    merged = tuple(tuple(sorted(chain(*cells))) for cells in zip(*rest))
+    lines[target:target + 1] = [unit, merged]
+    return _from_lines(o, axis, comp[:target] + (1, m - 1) + comp[target + 1:], lines)
 
 
 def parse_outline(text: str) -> OutlineLatinSquare:
@@ -249,9 +249,10 @@ def expand_outline(o: OutlineLatinSquare,
                    flavor: str = "latin") -> PartialGrid:
     """Recover a full latin square whose amalgamation is the given outline.
 
-    Requires a unit symbol composition.  Rows are split to unit parts first,
-    then columns; each split preserves validity, so the result is read off
-    directly from the all-unit array.
+    Requires a unit symbol composition.  Every merged row block is split
+    into unit rows with one equitable coloring (see _block_slices), then
+    every merged column block; each split preserves validity, so the result
+    is read off directly from the all-unit array.
     """
     if any(part != 1 for part in o.sym_comp):
         raise OutlineError("expansion requires a unit symbol composition")
@@ -259,13 +260,15 @@ def expand_outline(o: OutlineLatinSquare,
     if not report.ok:
         raise OutlineError(f"outline is invalid: {report.violations[:3]}")
 
-    current = o
-    while any(part >= 2 for part in current.row_comp):
-        current = split_front(current, "row")
-    while any(part >= 2 for part in current.col_comp):
-        current = split_front(current, "column")
-
     n = o.n
+    current = o
+    for axis in ("row", "column"):
+        comp = current.row_comp if axis == "row" else current.col_comp
+        lines: list = []
+        for m, line in zip(comp, _lines(current, axis)):
+            lines.extend(_block_slices(line, m, n) if m >= 2 else (line,))
+        current = _from_lines(current, axis, (1,) * n, lines)
+
     cells = []
     for i in range(n):
         row = []

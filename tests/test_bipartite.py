@@ -161,3 +161,30 @@ def test_extend_matching_rejects_bad_seed():
         extend_matching(g, [(0, 1)])
     with pytest.raises(ValueError):
         extend_matching(g, [(0, 0), (1, 0)])
+
+
+def chain_graph(n, reverse=False):
+    """Left i joins right i and i + 1, except left 0, which joins right 1 only.
+
+    With reverse=True the left side is listed from n - 1 down to 0, so that
+    Hopcroft-Karp's first phase leaves left 0 free and its second phase must
+    follow the whole chain.
+    """
+    label = (lambda i: n - 1 - i) if reverse else (lambda i: i)
+    edges = [(label(0), 1)]
+    for i in range(1, n):
+        edges += [(label(i), i), (label(i), i + 1)]
+    return BipartiteMultigraph(tuple(range(n)), tuple(range(n + 1)), tuple(edges))
+
+
+def test_extend_matching_follows_a_3000_vertex_chain():
+    n = 3000
+    extended = extend_matching(chain_graph(n), [(i, i) for i in range(1, n)])
+    assert extended.pairs == tuple((i, i + 1) for i in range(n))
+
+
+def test_max_matching_follows_a_3000_vertex_chain():
+    n = 3000
+    assert max_matching(chain_graph(n)).pairs == tuple((i, i + 1) for i in range(n))
+    assert max_matching(chain_graph(n, reverse=True)).pairs == tuple(
+        (j, n - j) for j in range(n))

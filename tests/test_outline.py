@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sudoku_ryser import outline
 from sudoku_ryser.fixtures import random_latin_square
 from sudoku_ryser.grid import grid_from_rows, validate_partial
 from sudoku_ryser.outline import (
@@ -198,3 +199,50 @@ def test_expand_round_trip():
             expanded = expand_outline(o)
             assert validate_partial(expanded).ok
             assert amalgamate(expanded, S, T, U) == o
+
+
+def shuffled_pattern_square(p, q, seed):
+    """A (p,q) pattern square with its rows, columns and symbols permuted."""
+    n = p * q
+    rng = random.Random(seed)
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    return grid_from_rows(1, n, [[syms[(q * (i % p) + i // p + j) % n] + 1 for j in cols]
+                                 for i in rows])
+
+
+@pytest.mark.parametrize("p, q, S, T", [
+    (6, 6, (6,) * 6, (6,) * 6),
+    (6, 6, (12, 1, 5, 18), (9, 3, 6, 6, 12)),
+    (6, 6, (17, 1, 18), (1, 35)),
+    (4, 9, (2, 10, 24), (30, 1, 1, 4)),
+    (3, 4, (12,), (12,)),
+    (3, 4, (1, 11), (11, 1)),
+])
+def test_expand_round_trip_at_block_sizes(p, q, S, T):
+    n = p * q
+    U = (1,) * n
+    o = amalgamate(shuffled_pattern_square(p, q, seed=n + len(S)), S, T, U)
+    expanded = expand_outline(o)
+    assert validate_partial(expanded).ok
+    assert amalgamate(expanded, S, T, U) == o
+
+
+def test_expand_colors_each_merged_part_once(monkeypatch):
+    S, T = (6, 1, 5, 12, 12), (1, 35)
+    colors, splits = [], []
+    coloring, split = outline.equitable_edge_coloring, outline.split_front
+
+    def counted_coloring(graph, k):
+        colors.append(k)
+        return coloring(graph, k)
+
+    def counted_split(o, axis):
+        splits.append(axis)
+        return split(o, axis)
+
+    monkeypatch.setattr(outline, "equitable_edge_coloring", counted_coloring)
+    monkeypatch.setattr(outline, "split_front", counted_split)
+    o = amalgamate(shuffled_pattern_square(6, 6, seed=1), S, T, (1,) * 36)
+    assert amalgamate(expand_outline(o), S, T, (1,) * 36) == o
+    assert colors == [6, 5, 12, 12, 35]
+    assert splits == []
