@@ -33,13 +33,9 @@ class BipartiteMultigraph:
     def right_count(self) -> int:
         return len(self.right_labels)
 
-    def neighbors_of_left(self, u: int) -> list[int]:
-        """Distinct right neighbors of u, ascending."""
-        return sorted({b for a, b in self.edges if a == u})
-
 
 def _left_adjacency(g: BipartiteMultigraph) -> list[list[int]]:
-    """neighbors_of_left for every left vertex, from one pass over the edges."""
+    """Distinct right neighbors of each left vertex, ascending, in one edge pass."""
     hoods: list[set[int]] = [set() for _ in range(g.left_count)]
     for u, w in g.edges:
         hoods[u].add(w)
@@ -92,10 +88,11 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     """Color the edges with k colors so every vertex sees balanced color counts.
 
     Each vertex is split into copies of degree at most k (full copies take
-    exactly k edges), the split graph is properly k-edge-colored by
-    alternating-chain recoloring, and copies are merged back.  A full copy
-    then sees every color exactly once, so the merged counts at a vertex of
-    degree d are floor(d/k) or ceil(d/k).
+    exactly k edges), the split graph is properly k-edge-colored (each edge
+    takes the first color free at both its copies, and only when there is
+    none is one made free by alternating-chain recoloring), and copies are
+    merged back.  A full copy then sees every color exactly once, so the
+    merged counts at a vertex of degree d are floor(d/k) or ceil(d/k).
     """
     if k < 1:
         raise ValueError("color count must be at least 1")
@@ -121,13 +118,15 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     color = [0] * m
     for e in range(m):
         cu, cw = endpoint[e]
-        free_u = next(c for c in range(1, k + 1) if c not in used[cu])
-        free_w = next(c for c in range(1, k + 1) if c not in used[cw])
-        if free_u != free_w and free_u in used[cw]:
-            _flip_chain(cw, free_u, free_w, used, color, endpoint)
-        pick = free_u
-        used[cu][pick] = e
-        used[cw][pick] = e
+        at_u, at_w = used[cu], used[cw]
+        pick = next((c for c in range(1, k + 1) if c not in at_u and c not in at_w), 0)
+        if not pick:
+            # Every color free at u is busy at w: free the first one there.
+            pick = next(c for c in range(1, k + 1) if c not in at_u)
+            free_w = next(c for c in range(1, k + 1) if c not in at_w)
+            _flip_chain(cw, pick, free_w, used, color, endpoint)
+        at_u[pick] = e
+        at_w[pick] = e
         color[e] = pick
     return EdgeColoring(k, tuple(color))
 

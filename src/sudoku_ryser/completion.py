@@ -9,6 +9,12 @@ stage that can fail on honest input returns a checkable Obstruction; when
 all stages pass, the expansion is guaranteed to produce a valid square, so
 the staged pipeline doubles as the completability decision.
 
+Latin rectangles (p = 1 or q = 1) skip the stages before the outline:
+complete_latin_rectangle lays the rectangle and its rows' and columns'
+missing symbols out as an outline square directly, and the same expansion
+completes it.  Ryser's bound N(k) >= r + s - n enters only there, as what
+keeps the symbol multiplicities of that outline's corner non-negative.
+
 Axis convention: every construction that has a row and a column version is
 written once, for rows.  Transposing a (p,q) r x s rectangle gives a (q,p)
 s x r rectangle whose rows, bands and partially covered big column are the
@@ -41,9 +47,6 @@ from .grid import (
 )
 from .hall import ryser_counts
 from .outline import Composition, OutlineLatinSquare, expand_outline, validate_outline
-
-STAGES = ("input-invalid", "side-matching", "bottom-matching", "corner-conflict",
-          "outline-invalid", "ryser")
 
 
 @dataclass
@@ -669,11 +672,17 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
 def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
     """Complete an r x s latin rectangle to an n x n latin square.
 
-    Symbols whose counts sit at the bound r + s - n are deficient: each new
-    column must include them, so they are matched into rows first and the
-    rest of the column is filled by extending that matching.  Once the
-    rectangle is r x n, each further row is a perfect matching between
-    columns and their missing symbols.
+    The rectangle becomes an outline square with unit symbols: its r rows
+    and s columns stay unit lines, the other n - r rows merge into one block
+    and the other n - s columns into another.  Row i's block cell holds the
+    n - s symbols row i misses, column j's holds the n - r symbols column j
+    misses, and the corner where the two blocks cross holds each symbol k
+    N(k) + n - r - s times, N(k) being its count in the rectangle.  That
+    multiplicity is N(k) minus Ryser's bound r + s - n, so it is
+    non-negative exactly when the bound holds; the three counting
+    conditions then hold by construction and expand_outline recovers a
+    square.  When the bound fails the first failing symbol is the
+    obstruction.
     """
     r, s = grid.rows, grid.cols
     work = PartialGrid(SudokuGeometry(1, n), r, s, grid.cells, "latin", None)
@@ -685,61 +694,24 @@ def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Ob
     if not ryser.ok:
         k = ryser.failing[0]
         return Obstruction("ryser", k, kind="ryser", symbol=k)
-    counts = ryser.counts
 
-    rows = [list(row) for row in work.cells]
-    row_sets = [set(row) for row in rows]
-    width = s
-    while width < n:
-        forced = [k for k in range(1, n + 1) if counts[k] == r + width - n]
-        right = tuple(range(1, r + 1))
-        seed: list[tuple[int, int]] = []
-        if forced:
-            g_must = BipartiteMultigraph(
-                tuple(("sym", k) for k in forced), right,
-                tuple((li, i - 1) for li, k in enumerate(forced)
-                      for i in range(1, r + 1) if k not in row_sets[i - 1]))
-            res = saturating_matching(g_must)
-            if isinstance(res, HallViolator):
-                raise RuntimeError("deficient symbols unmatchable although the bound holds")
-            seed = [(ri, li) for li, ri in res.pairs]
-        g_col = BipartiteMultigraph(
-            tuple(range(1, r + 1)), tuple(range(1, n + 1)),
-            tuple((i - 1, k - 1) for i in range(1, r + 1)
-                  for k in range(1, n + 1) if k not in row_sets[i - 1]))
-        seed_pairs = [(si, forced[ki] - 1) for si, ki in seed]
-        m = extend_matching(g_col, seed_pairs)
-        if len(m.pairs) < r:
-            raise RuntimeError("column extension failed although the bound holds")
-        width += 1
-        for i_idx, k_idx in m.pairs:
-            symbol = k_idx + 1
-            rows[i_idx].append(symbol)
-            row_sets[i_idx].add(symbol)
-            counts[symbol] += 1
+    symbols = range(1, n + 1)
 
-    col_sets = [set() for _ in range(n)]
-    for row in rows:
-        for j, v in enumerate(row):
-            col_sets[j].add(v)
-    height = r
-    while height < n:
-        g_row = BipartiteMultigraph(
-            tuple(range(1, n + 1)), tuple(range(1, n + 1)),
-            tuple((j, k - 1) for j in range(n)
-                  for k in range(1, n + 1) if k not in col_sets[j]))
-        m = saturating_matching(g_row)
-        if isinstance(m, HallViolator):
-            raise RuntimeError("row extension failed although the bound holds")
-        new_row = [0] * n
-        for j_idx, k_idx in m.pairs:
-            new_row[j_idx] = k_idx + 1
-            col_sets[j_idx].add(k_idx + 1)
-        rows.append(new_row)
-        height += 1
+    def missing(present: set[int]) -> tuple[int, ...]:
+        return tuple(k for k in symbols if k not in present)
 
-    return PartialGrid(SudokuGeometry(1, n), n, n,
-                       tuple(tuple(row) for row in rows), "latin", None)
+    def parts(units: int) -> Composition:
+        return (1,) * units + ((n - units,) if units < n else ())
+
+    cells = []
+    for i in range(1, r + 1):
+        row = tuple((v,) for v in work.cells[i - 1])
+        cells.append(row + ((missing(work.row_symbols(i)),) if s < n else ()))
+    if r < n:
+        block = tuple(missing(work.col_symbols(j)) for j in range(1, s + 1))
+        corner = tuple(k for k in symbols for _ in range(ryser.counts[k] - ryser.bound))
+        cells.append(block + ((corner,) if s < n else ()))
+    return expand_outline(OutlineLatinSquare(parts(r), parts(s), (1,) * n, tuple(cells)))
 
 
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:

@@ -36,14 +36,6 @@ class SudokuGeometry:
     def n(self) -> int:
         return self.p * self.q
 
-    @property
-    def big_row_count(self) -> int:
-        return self.q
-
-    @property
-    def big_col_count(self) -> int:
-        return self.p
-
 
 @dataclass(frozen=True)
 class Anchors:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sudoku_ryser import bipartite
 from sudoku_ryser.bipartite import (
     BipartiteMultigraph,
     HallViolator,
@@ -188,3 +189,20 @@ def test_max_matching_follows_a_3000_vertex_chain():
     assert max_matching(chain_graph(n)).pairs == tuple((i, i + 1) for i in range(n))
     assert max_matching(chain_graph(n, reverse=True)).pairs == tuple(
         (j, n - j) for j in range(n))
+
+
+def test_coloring_takes_a_color_free_at_both_ends(monkeypatch):
+    # The last edge meets color 1 at right vertex 0 and color 2 is free at
+    # both of its ends, so no alternating chain needs flipping.
+    flips = []
+    flip = bipartite._flip_chain
+
+    def counted_flip(*args):
+        flips.append(args[:3])
+        return flip(*args)
+
+    monkeypatch.setattr(bipartite, "_flip_chain", counted_flip)
+    g = BipartiteMultigraph((0, 1, 2), (0, 1), ((0, 0), (1, 1), (0, 1), (2, 0)))
+    coloring = equitable_edge_coloring(g, 3)
+    assert flips == []
+    assert is_equitable(g, coloring)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sudoku_ryser import completion, outline
 from sudoku_ryser.bipartite import HallViolator, Matching, saturating_matching
 from sudoku_ryser.completion import (
     MediumCellPlan,
@@ -41,6 +42,13 @@ WORKED_SQUARE = grid_from_rows(2, 2, [[1, 2, 3, 4], [3, 4, 1, 2],
 
 def edge_set(graph):
     return {(graph.left_labels[u], graph.right_labels[w]) for u, w in graph.edges}
+
+
+def cyclic_rows(n, r, s, shift):
+    """The r x s corner of a cyclic latin square of order n, symbol k + 1
+    relabelled (k * shift) % n + 1; shift must be coprime to n."""
+    relabel = [(k * shift) % n + 1 for k in range(n)]
+    return [[relabel[(i + j) % n] for j in range(s)] for i in range(r)]
 
 
 def test_side_graph_band_example():
@@ -183,6 +191,13 @@ def test_complete_routes_latin_for_flat_boxes():
     ob = verdict.certificate
     assert ob.stage == "ryser" and ob.symbol == 3
     assert verify_obstruction(grid, ob)
+    # q = 1 (p = n) takes the latin path too.
+    for r, s in ((2, 3), (5, 1), (1, 5), (5, 5)):
+        grid = grid_from_rows(5, 1, cyclic_rows(5, r, s, shift=2))
+        verdict = complete(grid)
+        assert verdict.completable
+        assert verdict.certificate.geometry == SudokuGeometry(5, 1)
+        assert validate_partial(verdict.certificate).ok and extends(grid, verdict.certificate)
 
 
 def test_complete_latin_rectangle_ryser_failure():
@@ -198,6 +213,12 @@ def test_complete_latin_rectangle_success():
     assert isinstance(result, PartialGrid)
     assert validate_partial(result).ok
     assert extends(grid, result)
+    # Edge shapes: no merged row block, no merged column block, or neither.
+    for r, s in ((6, 2), (3, 6), (1, 6), (6, 1), (6, 6), (5, 5)):
+        grid = grid_from_rows(1, 6, cyclic_rows(6, r, s, shift=5))
+        result = complete_latin_rectangle(grid, 6)
+        assert isinstance(result, PartialGrid) and result.rows == result.cols == 6
+        assert validate_partial(result).ok and extends(grid, result)
 
 
 def test_complete_latin_rectangle_from_scratch():
@@ -220,6 +241,35 @@ def test_complete_latin_rectangle_exhaustive_n4():
         else:
             assert oracle.outcome == "found"
             assert validate_partial(result).ok and extends(grid, result)
+
+
+def test_complete_latin_rectangle_expands_one_outline(monkeypatch):
+    # r < n and s < n: one merged row block and one merged column block, so
+    # exactly two colorings and no matching of the completion module.
+    colors, matchings = [], []
+    coloring = outline.equitable_edge_coloring
+
+    def counted_coloring(graph, k):
+        colors.append(k)
+        return coloring(graph, k)
+
+    def counted(name):
+        fn = getattr(completion, name)
+
+        def call(*args, **kwargs):
+            matchings.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(outline, "equitable_edge_coloring", counted_coloring)
+    for name in ("saturating_matching", "extend_matching"):
+        monkeypatch.setattr(completion, name, counted(name))
+    grid = grid_from_rows(1, 7, cyclic_rows(7, 3, 2, shift=2))
+    result = complete_latin_rectangle(grid, 7)
+    assert isinstance(result, PartialGrid)
+    assert validate_partial(result).ok and extends(grid, result)
+    assert colors == [4, 5]
+    assert matchings == []
 
 
 def test_corner_needs_joint_choice():
