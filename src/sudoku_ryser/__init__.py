@@ -18,7 +18,6 @@ from .completion import (
     bottom_graph,
     complete,
     complete_latin_rectangle,
-    decide_completable,
     distribute_free,
     matchings_exist,
     plan_medium_cells,

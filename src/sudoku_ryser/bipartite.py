@@ -93,6 +93,12 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     none is one made free by alternating-chain recoloring), and copies are
     merged back.  A full copy then sees every color exactly once, so the
     merged counts at a vertex of degree d are floor(d/k) or ceil(d/k).
+
+    Bit-set layout of the coloring state: busy[v] has bit c set when color
+    c (1..k) is taken at copy v, and at[v * (k + 1) + c] is the edge holding
+    color c at copy v, or -1.  With full holding bits 1..k, the first color
+    free at both copies u and w is the lowest set bit of
+    full & ~(busy[u] | busy[w]).
     """
     if k < 1:
         raise ValueError("color count must be at least 1")
@@ -100,57 +106,78 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     if m == 0:
         return EdgeColoring(k, ())
 
-    # Assign each edge endpoint to a vertex copy in blocks of k.
-    copies: dict[tuple[int, int, int], int] = {}
-    endpoint = [[0, 0] for _ in range(m)]
-    seen: dict[tuple[int, int], int] = {}
-    for e, (u, w) in enumerate(g.edges):
-        for side, v in ((0, u), (1, w)):
-            pos = seen.get((side, v), 0)
-            seen[(side, v)] = pos + 1
-            key = (side, v, pos // k)
-            if key not in copies:
-                copies[key] = len(copies)
-            endpoint[e][side] = copies[key]
+    # Assign each edge endpoint to a vertex copy in blocks of k; right
+    # vertex w is vertex left_count + w here.
+    left_n = g.left_count
+    current = [0] * (left_n + g.right_count)
+    room = [0] * len(current)  # edges the current copy can still take
+    endpoint: list[tuple[int, int]] = []
+    copies = 0
+    for u, w in g.edges:
+        w += left_n
+        if not room[u]:
+            current[u], room[u] = copies, k
+            copies += 1
+        if not room[w]:
+            current[w], room[w] = copies, k
+            copies += 1
+        room[u] -= 1
+        room[w] -= 1
+        endpoint.append((current[u], current[w]))
 
     # Proper k-edge-coloring of the split graph (all degrees <= k).
-    used: list[dict[int, int]] = [dict() for _ in range(len(copies))]  # copy -> color -> edge
+    width = k + 1
+    at = [-1] * (copies * width)
+    busy = [0] * copies
+    full = (1 << width) - 2
     color = [0] * m
-    for e in range(m):
-        cu, cw = endpoint[e]
-        at_u, at_w = used[cu], used[cw]
-        pick = next((c for c in range(1, k + 1) if c not in at_u and c not in at_w), 0)
-        if not pick:
+    for e, (cu, cw) in enumerate(endpoint):
+        free = full & ~(busy[cu] | busy[cw])
+        if free:
+            pick = (free & -free).bit_length() - 1
+        else:
             # Every color free at u is busy at w: free the first one there.
-            pick = next(c for c in range(1, k + 1) if c not in at_u)
-            free_w = next(c for c in range(1, k + 1) if c not in at_w)
-            _flip_chain(cw, pick, free_w, used, color, endpoint)
-        at_u[pick] = e
-        at_w[pick] = e
+            free_u = full & ~busy[cu]
+            free_w = full & ~busy[cw]
+            pick = (free_u & -free_u).bit_length() - 1
+            _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1,
+                        at, busy, color, endpoint, width)
+        at[cu * width + pick] = e
+        at[cw * width + pick] = e
+        bit = 1 << pick
+        busy[cu] |= bit
+        busy[cw] |= bit
         color[e] = pick
     return EdgeColoring(k, tuple(color))
 
 
-def _flip_chain(start: int, a: int, b: int, used: list[dict[int, int]],
-                color: list[int], endpoint: list[list[int]]) -> None:
-    """Swap colors a and b along the alternating chain leaving `start` on color a."""
-    path = []
-    vertex, want = start, a
-    while want in used[vertex]:
-        e = used[vertex][want]
-        path.append(e)
-        u0, w0 = endpoint[e]
-        vertex = w0 if u0 == vertex else u0
-        want = b if want == a else a
-    for e in path:
-        old = color[e]
-        new = b if old == a else a
-        for v in endpoint[e]:
-            if used[v].get(old) == e:
-                del used[v][old]
-        color[e] = new
-        for v in endpoint[e]:
-            used[v][new] = e
+def _flip_chain(start: int, a: int, b: int, at: list[int], busy: list[int],
+                color: list[int], endpoint: list[tuple[int, int]], width: int) -> None:
+    """Swap colors a and b along the alternating chain leaving `start` on color a.
+
+    b is free at start, so the chain is a path.  Each step recolors one
+    edge x -> y and, at the vertex it reaches, hands color x to the chain's
+    next edge (or frees it at the far end).  Only the two ends change which
+    colors are busy: a becomes free at start and b busy, and the far end
+    swaps its chain color likewise.
+    """
+    e = at[start * width + a]
+    at[start * width + a] = -1
+    at[start * width + b] = e
+    vertex, x, y = start, a, b
+    while e >= 0:
+        cu, cw = endpoint[e]
+        vertex = cw if cu == vertex else cu
+        base = vertex * width
+        nxt = at[base + y]
+        color[e] = y
+        at[base + y] = e
+        at[base + x] = nxt
+        x, y = y, x
+        e = nxt
+    swap = (1 << a) | (1 << b)
+    busy[start] ^= swap
+    busy[vertex] ^= swap
 
 
 def max_matching(g: BipartiteMultigraph) -> Matching:

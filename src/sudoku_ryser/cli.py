@@ -106,7 +106,7 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("matchings check needs a corner rectangle", file=sys.stderr)
             return EXIT_USAGE
-        verdict = completion.decide_completable(rectangle)
+        verdict = completion.complete(rectangle)
         if verdict.completable:
             print("completable: all stages passed")
             return EXIT_OK

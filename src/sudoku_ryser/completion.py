@@ -143,6 +143,8 @@ class _Axis:
 
     grid: PartialGrid
     shape: _Shape
+    lines: tuple[frozenset[int], ...]  # symbols of each row of grid, 1-based (0 is empty)
+    corner: frozenset[int]  # preassigned symbols of the doubly covered corner big cell
     line: str  # left label of replica and coverage graphs
     cross: str  # right label of the empty big lines in coverage graphs
     stage: str  # Obstruction stage of this axis' matchings
@@ -165,7 +167,12 @@ def _transpose(grid: PartialGrid) -> PartialGrid:
 
 
 def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
-    return _Axis(grid, _shape(grid), *names)
+    """The axis with each row's symbol set built once, for every graph of it."""
+    shape = _shape(grid)
+    lines = (frozenset(),) + tuple(frozenset(grid.row_symbols(i))
+                                   for i in range(1, grid.rows + 1))
+    corner = frozenset(_side_cell_content(grid, shape, shape.full_bands + 1))
+    return _Axis(grid, shape, lines, corner, *names)
 
 
 def _axes(grid: PartialGrid) -> tuple[_Axis, _Axis]:
@@ -199,9 +206,10 @@ def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
     rows = _band_rows(shape, alpha)
     cell_content = _side_cell_content(grid, shape, alpha) if strengthen else set()
     left = tuple((ax.line, i, c) for i in rows for c in range(1, shape.b + 1))
-    allowed = {i: [k - 1 for k in range(1, shape.n + 1)
-                   if k not in grid.row_symbols(i) and k not in cell_content]
-               for i in rows}
+    allowed = {}
+    for i in rows:
+        present = ax.lines[i] | cell_content
+        allowed[i] = [k - 1 for k in range(1, shape.n + 1) if k not in present]
     edges = tuple((li, w) for li, (_, i, _) in enumerate(left) for w in allowed[i])
     return BipartiteMultigraph(left, tuple(range(1, shape.n + 1)), edges)
 
@@ -225,11 +233,9 @@ def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> Bi
 
 
 def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
-    grid, shape = ax.grid, ax.shape
-    rows = [i for i in range(shape.r_star + 1, shape.r + 1)
-            if symbol not in grid.row_symbols(i)]
-    corner_ok = (not shape.q_divides
-                 and symbol not in _side_cell_content(grid, shape, shape.full_bands + 1))
+    shape = ax.shape
+    rows = [i for i in range(shape.r_star + 1, shape.r + 1) if symbol not in ax.lines[i]]
+    corner_ok = not shape.q_divides and symbol not in ax.corner
     right: list = [(ax.cross, J) for J in shape.empty_big_cols]
     if corner_ok:
         right.append(("corner",))
@@ -290,7 +296,8 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     The doubly covered corner big cell takes both a horizontal and a
     vertical share; those are found together as one replica matching so a
     symbol is never claimed twice, and symbols that every placement count
-    forces into the corner are matched first.
+    forces into the corner are matched first.  Each row's and column's
+    symbol set is built once, with its axis, and read by every graph.
     """
     axes = _axes(grid)
     shape = axes[0].shape
@@ -329,7 +336,7 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         if clash:
             return Obstruction("corner-conflict", clash[0], kind="corner-double-must",
                                symbol=clash[0])
-        corner = _solve_corner(grid, shape, must_h, must_v)
+        corner = _solve_corner(axes, must_h, must_v)
         if isinstance(corner, Obstruction):
             return corner
         for ax, share, fills in zip(axes, shares, corner):
@@ -338,65 +345,54 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     return plan
 
 
-def _corner_slot_graph(grid: PartialGrid, shape: _Shape,
-                       must_h: Iterable[int] = (),
+def _corner_slot_graph(axes: tuple[_Axis, _Axis], must_h: Iterable[int] = (),
                        must_v: Iterable[int] = ()) -> BipartiteMultigraph:
     """Corner big cell slots (row and column replicas) versus symbols.
 
     A symbol whose placement counts force it into the row (column) share
     keeps only its row-slot (column-slot) edges: any completion places it
     on that side, so dropping the other side never loses a solution, and it
-    stops augmenting paths from rerouting the symbol across sides.
+    stops augmenting paths from rerouting the symbol across sides.  Each
+    leftover row (column) of the rectangle has b (a) slots; on the
+    transpose a is b, so both sides are the rows of their axis.
     """
-    pre = _side_cell_content(grid, shape, shape.full_bands + 1)
-    h_only = set(must_h)
-    v_only = set(must_v)
     left: list = []
-    for i in range(shape.r_star + 1, shape.r + 1):
-        left.extend(("h", i, c) for c in range(1, shape.b + 1))
-    for j in range(shape.s_star + 1, shape.s + 1):
-        left.extend(("v", j, c) for c in range(1, shape.a + 1))
-    right = tuple(range(1, shape.n + 1))
-    edges = []
-    for li, slot in enumerate(left):
-        if slot[0] == "h":
-            present = grid.row_symbols(slot[1])
-            banned = v_only
-        else:
-            present = grid.col_symbols(slot[1])
-            banned = h_only
-        for k in range(1, shape.n + 1):
-            if k not in present and k not in pre and k not in banned:
-                edges.append((li, k - 1))
-    return BipartiteMultigraph(tuple(left), right, tuple(edges))
+    edges: list = []
+    for tag, ax, banned in (("h", axes[0], frozenset(must_v)), ("v", axes[1], frozenset(must_h))):
+        shape = ax.shape
+        for i in range(shape.r_star + 1, shape.r + 1):
+            present = ax.lines[i] | ax.corner | banned
+            allowed = [k - 1 for k in range(1, shape.n + 1) if k not in present]
+            for c in range(1, shape.b + 1):
+                edges.extend((len(left), k0) for k0 in allowed)
+                left.append((tag, i, c))
+    return BipartiteMultigraph(tuple(left), tuple(range(1, axes[0].shape.n + 1)), tuple(edges))
 
 
-def _corner_must_graph(grid: PartialGrid, shape: _Shape, must_h: list[int],
+def _corner_must_graph(axes: tuple[_Axis, _Axis], must_h: list[int],
                        must_v: list[int]) -> BipartiteMultigraph:
     """Forced corner symbols versus the slots that can host them."""
-    slots = _corner_slot_graph(grid, shape, must_h, must_v)
-    pre = _side_cell_content(grid, shape, shape.full_bands + 1)
+    slots = _corner_slot_graph(axes, must_h, must_v)
+    lines = {"h": axes[0].lines, "v": axes[1].lines}
+    pre = axes[0].corner
     left = tuple([("must-h", k) for k in sorted(must_h)]
                  + [("must-v", k) for k in sorted(must_v)])
     edges = []
     for li, (tag, k) in enumerate(left):
         want = "h" if tag == "must-h" else "v"
-        for si, slot in enumerate(slots.left_labels):
-            if slot[0] != want:
-                continue
-            present = grid.row_symbols(slot[1]) if want == "h" else grid.col_symbols(slot[1])
-            if k not in present and k not in pre:
+        for si, (side, index, _) in enumerate(slots.left_labels):
+            if side == want and k not in lines[side][index] and k not in pre:
                 edges.append((li, si))
     return BipartiteMultigraph(left, slots.left_labels, tuple(edges))
 
 
-def _solve_corner(grid: PartialGrid, shape: _Shape, must_h: list[int], must_v: list[int]):
+def _solve_corner(axes: tuple[_Axis, _Axis], must_h: list[int], must_v: list[int]):
     """One matching for both corner directions; returns (h_fills, v_fills)."""
-    slot_graph = _corner_slot_graph(grid, shape, must_h, must_v)
+    slot_graph = _corner_slot_graph(axes, must_h, must_v)
 
     seed: list[tuple[int, int]] = []
     if must_h or must_v:
-        must_graph = _corner_must_graph(grid, shape, must_h, must_v)
+        must_graph = _corner_must_graph(axes, must_h, must_v)
         res = saturating_matching(must_graph)
         if isinstance(res, HallViolator):
             return Obstruction("corner-conflict", res, kind="corner-must")
@@ -420,7 +416,7 @@ def _solve_corner(grid: PartialGrid, shape: _Shape, must_h: list[int], must_v: l
 
 def _line_contents(ax: _Axis, share: dict) -> list[set[int]]:
     """Symbol set of every row (1-based) once the axis' medium-cell share is placed."""
-    contents = [set()] + [ax.grid.row_symbols(i) for i in range(1, ax.shape.r + 1)]
+    contents = [set(line) for line in ax.lines]
     for (alpha, x), syms in share.items():
         contents[(alpha - 1) * ax.shape.p + x].update(syms)
     return contents
@@ -579,7 +575,7 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
         add(oi, oj, syms)
 
     if not shape.p_divides and not shape.q_divides:
-        corner_content = _side_cell_content(grid, shape, shape.full_bands + 1)
+        corner_content = set(row.corner)
         for ax, share in ((row, plan.horizontal), (col, plan.vertical)):
             for (alpha, _), syms in share.items():
                 if alpha == ax.shape.full_bands + 1:
@@ -644,11 +640,6 @@ def complete(grid: PartialGrid) -> Verdict:
         if square.at(i, j) != v:
             raise RuntimeError("expanded square does not extend the input; construction bug")
     return Verdict(True, square)
-
-
-def decide_completable(grid: PartialGrid) -> Verdict:
-    """Same staged pipeline as complete; the verdict is the decision."""
-    return complete(grid)
 
 
 def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
@@ -727,10 +718,9 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     if ob.kind == "corner-double-must":
         return all(_is_must(ax, _coverage_graph(ax, ob.symbol)) for ax in axes)
     if ob.kind in ("corner-must", "corner-flow"):
-        row = axes[0]
         must_h, must_v = _musts(axes)
         build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph
-        return verify_violator(build(row.grid, row.shape, must_h, must_v), ob.detail)
+        return verify_violator(build(axes, must_h, must_v), ob.detail)
     if ob.kind == "ryser":
         ryser = ryser_counts(grid, grid.n)
         return ryser.counts[ob.symbol] < ryser.bound

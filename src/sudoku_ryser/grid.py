@@ -240,13 +240,56 @@ def _duplicates(seen: dict[int, list[tuple[int, int]]]) -> Iterator[tuple[int, l
             yield symbol, coords
 
 
+def _clash_free(grid: PartialGrid) -> bool:
+    """One pass with bit masks: True when no two filled cells of a row,
+    column or (for sudoku) big cell share a symbol and every symbol is in 1..n.
+
+    Symbol v is bit v of the mask of its row, of its column (cols[j]) and
+    of its big cell (boxes[(i // p) * p + j // q], 0-based i and j).  Only
+    grids that fit in the n x n square come here.
+    """
+    n, p, q = grid.n, grid.geometry.p, grid.geometry.q
+    sudoku = grid.flavor == "sudoku"
+    cols = [0] * grid.cols
+    boxes = [0] * n
+    stack_of = [j // q for j in range(grid.cols)]
+    for i, row in enumerate(grid.cells):
+        seen = 0
+        band = (i // p) * p
+        for j, v in enumerate(row):
+            if v is None:
+                continue
+            if not 1 <= v <= n:
+                return False
+            bit = 1 << v
+            if sudoku:
+                b = band + stack_of[j]
+                if (seen | cols[j] | boxes[b]) & bit:
+                    return False
+                boxes[b] |= bit
+            elif (seen | cols[j]) & bit:
+                return False
+            seen |= bit
+            cols[j] |= bit
+    return True
+
+
 def validate_partial(grid: PartialGrid) -> ValidationReport:
     """Check every uniqueness constraint the grid's flavor implies.
 
     The report lists every duplicate by row, column, big cell or part, and
-    every symbol outside 1..n; ok is True exactly when there are none.
+    every symbol outside 1..n; ok is True exactly when there are none.  A
+    latin or sudoku grid that fits in the n x n square first takes one bit
+    mask pass (_clash_free); the report is built by the detailed scans only
+    when that pass finds a clash or a symbol out of range.
     """
     n = grid.n
+    try:
+        if (grid.flavor != "gerechte" and grid.rows <= n and grid.cols <= n
+                and _clash_free(grid)):
+            return ValidationReport(True, ())
+    except TypeError:
+        pass  # a non-integer symbol: the detailed scans decide
     violations: list[Violation] = []
 
     for r, c, v in grid.filled():

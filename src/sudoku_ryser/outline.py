@@ -100,12 +100,41 @@ def amalgamate(square: PartialGrid, row_comp: Composition, col_comp: Composition
     return OutlineLatinSquare(tuple(row_comp), tuple(col_comp), tuple(sym_comp), cells)
 
 
+def _counts_hold(o: OutlineLatinSquare) -> bool:
+    """One counting pass over plain lists: True when all three counting
+    conditions hold and every symbol is in 1..u.
+
+    row[k] and cols[j][k] count symbol k (1-based, index 0 unused) in the
+    current row and in column j.
+    """
+    u = len(o.sym_comp)
+    sym = (0,) + o.sym_comp
+    cols = [[0] * (u + 1) for _ in o.col_comp]
+    for p_i, line in zip(o.row_comp, o.cells):
+        row = [0] * (u + 1)
+        for q_j, cell, col in zip(o.col_comp, line, cols):
+            if len(cell) != p_i * q_j:
+                return False
+            if cell and (min(cell) < 1 or max(cell) > u):
+                return False
+            for k in cell:
+                row[k] += 1
+                col[k] += 1
+        if row != [p_i * r_k for r_k in sym]:
+            return False
+    return all(col == [q_j * r_k for r_k in sym] for q_j, col in zip(o.col_comp, cols))
+
+
 def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
     """Check the three counting conditions of an outline square.
 
     (i) row i holds symbol k exactly p_i * r_k times, (ii) column j holds it
     q_j * r_k times, (iii) cell (i, j) holds p_i * q_j symbols in total.
+    A counting pass over plain lists (_counts_hold) decides first; the
+    detailed report is built only when it fails.
     """
+    if _counts_hold(o):
+        return ValidationReport(True, ())
     violations: list[Violation] = []
     u = len(o.sym_comp)
 

@@ -15,7 +15,6 @@ from sudoku_ryser.completion import (
     Obstruction,
     complete,
     complete_latin_rectangle,
-    decide_completable,
     matchings_exist,
     verify_obstruction,
 )
@@ -109,7 +108,7 @@ def sudoku_22_instances():
     for r in range(0, 5):
         for s in range(0, 5):
             for grid in enumerate_rectangles(2, 2, r, s):
-                verdict = decide_completable(grid)
+                verdict = complete(grid)
                 oracle = brute_force_complete(embed_in_square(grid))
                 out.append((grid, verdict, oracle.outcome == "found"))
     return out
@@ -125,7 +124,7 @@ def sudoku_23_samples():
         s = rng.randint(0, 6)
         maker = gen_random_rectangle if case % 2 == 0 else gen_random_valid_rectangle
         grid = maker(2, 3, r, s, 10_000 + case)
-        verdict = decide_completable(grid)
+        verdict = complete(grid)
         oracle = brute_force_complete(embed_in_square(grid))
         out.append((grid, verdict, oracle.outcome == "found"))
     return out
@@ -143,7 +142,7 @@ def sudoku_p_gt_q_samples():
             s = rng.randint(0, n)
             maker = gen_random_rectangle if case % 2 == 0 else gen_random_valid_rectangle
             grid = maker(p, q, r, s, 20_000 + case)
-            verdict = decide_completable(grid)
+            verdict = complete(grid)
             oracle = brute_force_complete(embed_in_square(grid))
             out.append((grid, verdict, oracle.outcome == "found"))
     return out

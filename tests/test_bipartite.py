@@ -206,3 +206,71 @@ def test_coloring_takes_a_color_free_at_both_ends(monkeypatch):
     coloring = equitable_edge_coloring(g, 3)
     assert flips == []
     assert is_equitable(g, coloring)
+
+
+def reference_coloring(g: BipartiteMultigraph, k: int) -> tuple[int, ...]:
+    """First-fit coloring of the split graph with a dict per copy (color ->
+    edge) and alternating-chain flips: the kernel before it kept bit sets."""
+    copies: dict = {}
+    seen: dict = {}
+    endpoint = []
+    for u, w in g.edges:
+        ends = []
+        for side, v in ((0, u), (1, w)):
+            pos = seen.get((side, v), 0)
+            seen[(side, v)] = pos + 1
+            ends.append(copies.setdefault((side, v, pos // k), len(copies)))
+        endpoint.append(ends)
+    used = [{} for _ in copies]
+    color = []
+    for e, (cu, cw) in enumerate(endpoint):
+        colors = range(1, k + 1)
+        pick = next((c for c in colors if c not in used[cu] and c not in used[cw]), 0)
+        if not pick:
+            pick = next(c for c in colors if c not in used[cu])
+            other = next(c for c in colors if c not in used[cw])
+            path, vertex, want = [], cw, pick
+            while want in used[vertex]:
+                f = used[vertex][want]
+                path.append(f)
+                cu_f, cw_f = endpoint[f]
+                vertex = cw_f if cu_f == vertex else cu_f
+                want = other if want == pick else pick
+            for f in path:
+                for v in endpoint[f]:
+                    del used[v][color[f]]
+            for f in path:
+                color[f] = other if color[f] == pick else pick
+                for v in endpoint[f]:
+                    used[v][color[f]] = f
+        used[cu][pick] = used[cw][pick] = e
+        color.append(pick)
+    return tuple(color)
+
+
+def test_coloring_matches_the_dict_reference(monkeypatch):
+    # The criterion-2 graphs of the acceptance suite, then denser random
+    # multigraphs with more colors, where chains are flipped more often.
+    flips = []
+    flip = bipartite._flip_chain
+
+    def counted_flip(*args):
+        flips.append(args[:3])
+        return flip(*args)
+
+    monkeypatch.setattr(bipartite, "_flip_chain", counted_flip)
+    rng = random.Random(271828)
+    graphs = []
+    for _ in range(1000):
+        nl = rng.randint(1, 20)
+        nr = rng.randint(1, 20)
+        m = rng.randint(0, 200)
+        edges = tuple((rng.randrange(nl), rng.randrange(nr)) for _ in range(m))
+        g = BipartiteMultigraph(tuple(range(nl)), tuple(range(nr)), edges)
+        graphs.append((g, rng.randint(1, 6)))
+    rng = random.Random(6)
+    graphs.extend((random_multigraph(rng, max_side=6, max_edges=120), rng.randint(1, 12))
+                  for _ in range(300))
+    for g, k in graphs:
+        assert equitable_edge_coloring(g, k).color_of == reference_coloring(g, k), (g, k)
+    assert len(flips) > 100

@@ -12,7 +12,6 @@ from sudoku_ryser.completion import (
     bottom_graph,
     complete,
     complete_latin_rectangle,
-    decide_completable,
     distribute_free,
     matchings_exist,
     plan_medium_cells,
@@ -396,7 +395,7 @@ def test_decide_matches_oracle_on_small_sweep():
         for s in range(0, 5):
             for seed in range(3):
                 grid = gen_random_valid_rectangle(2, 2, r, s, seed)
-                verdict = decide_completable(grid)
+                verdict = complete(grid)
                 oracle = brute_force_complete(embed_in_square(grid))
                 assert verdict.completable == (oracle.outcome == "found"), \
                     (r, s, seed, grid.cells)
@@ -428,7 +427,7 @@ def test_decide_matches_oracle_2_3():
         s = rng.randint(0, 6)
         maker = gen_random_rectangle if case % 2 else gen_random_valid_rectangle
         grid = maker(2, 3, r, s, case)
-        verdict = decide_completable(grid)
+        verdict = complete(grid)
         oracle = brute_force_complete(embed_in_square(grid))
         assert verdict.completable == (oracle.outcome == "found"), (r, s, case)
         if verdict.completable:

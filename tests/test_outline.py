@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -99,6 +100,43 @@ def test_validate_outline_flags_column_counts():
     report = validate_outline(bad)
     assert not report.ok
     assert any(v.kind == "column" for v in report.violations)
+
+
+def test_validate_outline_flags_every_move():
+    # Moving one symbol instance from any cell to any other breaks at least
+    # the two cells' sizes.
+    o = amalgamate(random_latin_square(5, 2), (2, 1, 2), (1, 3, 1), (1, 2, 2))
+    assert validate_outline(o).ok
+    places = [(i, j) for i in range(3) for j in range(3)]
+    moves = 0
+    for (i, j), (i2, j2) in itertools.permutations(places, 2):
+        for k in set(o.cells[i][j]):
+            cells = [list(row) for row in o.cells]
+            source = list(cells[i][j])
+            source.remove(k)
+            cells[i][j] = tuple(source)
+            cells[i2][j2] = tuple(sorted(cells[i2][j2] + (k,)))
+            bad = OutlineLatinSquare(o.row_comp, o.col_comp, o.sym_comp,
+                                     tuple(tuple(row) for row in cells))
+            assert not validate_outline(bad).ok, (i, j, i2, j2, k)
+            moves += 1
+    assert moves > 100
+    # Two moves of k round a rectangle of cells keep every row and column
+    # count; only the four cell sizes break.
+    for (i, j), (i2, j2) in itertools.combinations(places, 2):
+        for k in set(o.cells[i][j]) & set(o.cells[i2][j2]):
+            if i == i2 or j == j2:
+                continue
+            cells = [list(row) for row in o.cells]
+            for (a, b), (c, d) in (((i, j), (i, j2)), ((i2, j2), (i2, j))):
+                source = list(cells[a][b])
+                source.remove(k)
+                cells[a][b] = tuple(source)
+                cells[c][d] = tuple(sorted(cells[c][d] + (k,)))
+            bad = OutlineLatinSquare(o.row_comp, o.col_comp, o.sym_comp,
+                                     tuple(tuple(row) for row in cells))
+            report = validate_outline(bad)
+            assert not report.ok and {v.kind for v in report.violations} == {"cell"}
 
 
 def test_split_front_requires_composite_part():
