@@ -233,96 +233,86 @@ def embed_in_square(grid: PartialGrid) -> PartialGrid:
     return PartialGrid(grid.geometry, n, n, cells, grid.flavor, None)
 
 
-def _duplicates(seen: dict[int, list[tuple[int, int]]]) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    for symbol in sorted(seen):
-        coords = seen[symbol]
-        if len(coords) > 1:
-            yield symbol, coords
+def validate_partial(grid: PartialGrid) -> ValidationReport:
+    """Check every uniqueness constraint the grid's flavor implies.
 
+    The report lists every symbol outside 1..n, then every duplicate by
+    row, column, big cell or part (groups and symbols in ascending order,
+    coordinates in row-major order); ok is True exactly when there are none.
 
-def _clash_free(grid: PartialGrid) -> bool:
-    """One pass with bit masks: True when no two filled cells of a row,
-    column or (for sudoku) big cell share a symbol and every symbol is in 1..n.
-
-    Symbol v is bit v of the mask of its row, of its column (cols[j]) and
-    of its big cell (boxes[(i // p) * p + j // q], 0-based i and j).  Only
-    grids that fit in the n x n square come here.
+    One pass keeps the symbols of each row, column and unit (big cell or
+    part) as a bit mask, symbol v being bit v, and notes every (group,
+    symbol) that repeats; the coordinates of the repeats are gathered by a
+    second walk only when there are any.  The big cell of 0-based (i, j) is
+    numbered (i // p) * p + j // q.
     """
     n, p, q = grid.n, grid.geometry.p, grid.geometry.q
-    sudoku = grid.flavor == "sudoku"
-    cols = [0] * grid.cols
-    boxes = [0] * n
-    stack_of = [j // q for j in range(grid.cols)]
+    violations: list[Violation] = []
+    units: Optional[list] = None  # per row, each cell's unit id
+    if grid.flavor == "sudoku":
+        if grid.rows > n or grid.cols > n:
+            for r, c, v in grid.filled():
+                if 1 <= v <= n:
+                    big_cell_of(grid.geometry, r, c)  # raises outside the square
+        bands = [[b * p + j // q for j in range(grid.cols)]
+                 for b in range(-(-grid.rows // p))]
+        units = [bands[i // p] for i in range(grid.rows)]
+    elif grid.flavor == "gerechte":
+        units = grid.partition
+
+    clashes: set[tuple] = set()  # (0 row | 1 column | 2 unit, group, symbol)
+    col_seen = [0] * grid.cols
+    unit_seen: dict = {}
     for i, row in enumerate(grid.cells):
         seen = 0
-        band = (i // p) * p
+        unit_row = units[i] if units is not None else None
         for j, v in enumerate(row):
             if v is None:
                 continue
             if not 1 <= v <= n:
-                return False
-            bit = 1 << v
-            if sudoku:
-                b = band + stack_of[j]
-                if (seen | cols[j] | boxes[b]) & bit:
-                    return False
-                boxes[b] |= bit
-            elif (seen | cols[j]) & bit:
-                return False
-            seen |= bit
-            cols[j] |= bit
-    return True
-
-
-def validate_partial(grid: PartialGrid) -> ValidationReport:
-    """Check every uniqueness constraint the grid's flavor implies.
-
-    The report lists every duplicate by row, column, big cell or part, and
-    every symbol outside 1..n; ok is True exactly when there are none.  A
-    latin or sudoku grid that fits in the n x n square first takes one bit
-    mask pass (_clash_free); the report is built by the detailed scans only
-    when that pass finds a clash or a symbol out of range.
-    """
-    n = grid.n
-    try:
-        if (grid.flavor != "gerechte" and grid.rows <= n and grid.cols <= n
-                and _clash_free(grid)):
-            return ValidationReport(True, ())
-    except TypeError:
-        pass  # a non-integer symbol: the detailed scans decide
-    violations: list[Violation] = []
-
-    for r, c, v in grid.filled():
-        if not (1 <= v <= n):
-            violations.append(Violation("range", ((r, c),), v))
-
-    def scan(kind: str, groups: dict, keyof) -> None:
-        for r, c, v in grid.filled():
-            if not (1 <= v <= n):
+                violations.append(Violation("range", ((i + 1, j + 1),), v))
                 continue
-            groups.setdefault(keyof(r, c), {}).setdefault(v, []).append((r, c))
-        for key in sorted(groups):
-            for symbol, coords in _duplicates(groups[key]):
-                violations.append(Violation(kind, tuple(coords), symbol))
+            bit = 1 << v
+            if seen & bit:
+                clashes.add((0, i, v))
+            if col_seen[j] & bit:
+                clashes.add((1, j, v))
+            seen |= bit
+            col_seen[j] |= bit
+            if unit_row is not None:
+                u = unit_row[j]
+                mask = unit_seen.get(u, 0)
+                if mask & bit:
+                    clashes.add((2, u, v))
+                unit_seen[u] = mask | bit
 
-    scan("row", {}, lambda r, c: r)
-    scan("column", {}, lambda r, c: c)
-    if grid.flavor == "sudoku":
-        scan("bigcell", {}, lambda r, c: big_cell_of(grid.geometry, r, c))
-    elif grid.flavor == "gerechte":
+    if clashes:
+        coords: dict[tuple, list[tuple[int, int]]] = {key: [] for key in clashes}
+        for i, row in enumerate(grid.cells):
+            for j, v in enumerate(row):
+                if v is None or not 1 <= v <= n:
+                    continue
+                keys = [(0, i, v), (1, j, v)]
+                if units is not None:
+                    keys.append((2, units[i][j], v))
+                for key in keys:
+                    if key in coords:
+                        coords[key].append((i + 1, j + 1))
+        kinds = ("row", "column", "bigcell" if grid.flavor == "sudoku" else "part")
+        for key in sorted(coords):
+            violations.append(Violation(kinds[key[0]], tuple(coords[key]), key[2]))
+
+    if grid.flavor == "gerechte":
         if grid.partition is None:
             violations.append(Violation("part", (), None))
-        else:
-            scan("part", {}, lambda r, c: grid.partition[r - 1][c - 1])
-            if grid.rows == n and grid.cols == n:
-                sizes: dict[int, int] = {}
-                for i in range(n):
-                    for j in range(n):
-                        pid = grid.partition[i][j]
-                        sizes[pid] = sizes.get(pid, 0) + 1
-                for pid in sorted(sizes):
-                    if sizes[pid] != n:
-                        violations.append(Violation("part", ((pid, sizes[pid]),), None))
+        elif grid.rows == n and grid.cols == n:
+            sizes: dict[int, int] = {}
+            for part_row in grid.partition:
+                for pid in part_row:
+                    sizes[pid] = sizes.get(pid, 0) + 1
+            for pid in sorted(sizes):
+                if sizes[pid] != n:
+                    violations.append(Violation("part", ((pid, sizes[pid]),), None))
 
     return ValidationReport(not violations, tuple(violations))
 

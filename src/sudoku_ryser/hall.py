@@ -138,14 +138,10 @@ def alpha_cells(grid: PartialGrid, sigma: int, cells: Iterable[Cell],
 
 
 def hall_inequality(grid: PartialGrid, cells: Iterable[Cell],
-                    flavor: Optional[str] = None,
-                    max_exact: int = _MAX_EXACT) -> tuple[int, int, bool]:
-    """(sum of alphas, |Q|, whether the inequality holds) for one subset.
-
-    Like alpha_cells, each alpha refuses more than max_exact candidate cells.
-    """
+                    flavor: Optional[str] = None) -> tuple[int, int, bool]:
+    """(sum of alphas, |Q|, whether the inequality holds) for one subset."""
     subset, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
-    lhs = sum(_alpha(cell_lists, adj, sigma, max_exact) for sigma in range(1, grid.n + 1))
+    lhs = sum(_alpha(cell_lists, adj, sigma, _MAX_EXACT) for sigma in range(1, grid.n + 1))
     return lhs, len(subset), lhs >= len(subset)
 
 

@@ -8,7 +8,6 @@ for every slice, so the fully split array is again a latin square.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -100,70 +99,43 @@ def amalgamate(square: PartialGrid, row_comp: Composition, col_comp: Composition
     return OutlineLatinSquare(tuple(row_comp), tuple(col_comp), tuple(sym_comp), cells)
 
 
-def _counts_hold(o: OutlineLatinSquare) -> bool:
-    """One counting pass over plain lists: True when all three counting
-    conditions hold and every symbol is in 1..u.
-
-    row[k] and cols[j][k] count symbol k (1-based, index 0 unused) in the
-    current row and in column j.
-    """
-    u = len(o.sym_comp)
-    sym = (0,) + o.sym_comp
-    cols = [[0] * (u + 1) for _ in o.col_comp]
-    for p_i, line in zip(o.row_comp, o.cells):
-        row = [0] * (u + 1)
-        for q_j, cell, col in zip(o.col_comp, line, cols):
-            if len(cell) != p_i * q_j:
-                return False
-            if cell and (min(cell) < 1 or max(cell) > u):
-                return False
-            for k in cell:
-                row[k] += 1
-                col[k] += 1
-        if row != [p_i * r_k for r_k in sym]:
-            return False
-    return all(col == [q_j * r_k for r_k in sym] for q_j, col in zip(o.col_comp, cols))
-
-
 def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
     """Check the three counting conditions of an outline square.
 
     (i) row i holds symbol k exactly p_i * r_k times, (ii) column j holds it
     q_j * r_k times, (iii) cell (i, j) holds p_i * q_j symbols in total.
-    A counting pass over plain lists (_counts_hold) decides first; the
-    detailed report is built only when it fails.
+    The report lists row violations, then column violations, then each
+    cell's size and range violations; symbols outside 1..u are not counted.
+    One pass counts into plain lists: row[k] for the current row and
+    cols[j][k] for column j, index 0 unused.
     """
-    if _counts_hold(o):
-        return ValidationReport(True, ())
-    violations: list[Violation] = []
     u = len(o.sym_comp)
-
-    for i, p_i in enumerate(o.row_comp):
-        counts: Counter = Counter()
-        for cell in o.cells[i]:
-            counts.update(cell)
-        for k in range(1, u + 1):
-            expected = p_i * o.sym_comp[k - 1]
-            if counts.get(k, 0) != expected:
-                violations.append(Violation("row", ((i + 1, counts.get(k, 0)),), k))
-
-    for j, q_j in enumerate(o.col_comp):
-        counts = Counter()
-        for i in range(len(o.row_comp)):
-            counts.update(o.cells[i][j])
-        for k in range(1, u + 1):
-            expected = q_j * o.sym_comp[k - 1]
-            if counts.get(k, 0) != expected:
-                violations.append(Violation("column", ((j + 1, counts.get(k, 0)),), k))
-
-    for i, p_i in enumerate(o.row_comp):
-        for j, q_j in enumerate(o.col_comp):
-            size = len(o.cells[i][j])
-            if size != p_i * q_j:
-                violations.append(Violation("cell", ((i + 1, j + 1), (size, p_i * q_j)), None))
-            if any(not (1 <= k <= u) for k in o.cells[i][j]):
-                violations.append(Violation("range", ((i + 1, j + 1),), None))
-
+    sym = (0,) + o.sym_comp
+    violations: list[Violation] = []
+    cell_violations: list[Violation] = []
+    cols = [[0] * (u + 1) for _ in o.col_comp]
+    for i, (p_i, line) in enumerate(zip(o.row_comp, o.cells)):
+        row = [0] * (u + 1)
+        for j, (q_j, cell, col) in enumerate(zip(o.col_comp, line, cols)):
+            if len(cell) != p_i * q_j:
+                cell_violations.append(
+                    Violation("cell", ((i + 1, j + 1), (len(cell), p_i * q_j)), None))
+            if cell and (min(cell) < 1 or max(cell) > u):
+                cell_violations.append(Violation("range", ((i + 1, j + 1),), None))
+                cell = [k for k in cell if 1 <= k <= u]
+            for k in cell:
+                row[k] += 1
+                col[k] += 1
+        expected = [p_i * r_k for r_k in sym]
+        if row != expected:
+            violations.extend(Violation("row", ((i + 1, row[k]),), k)
+                              for k in range(1, u + 1) if row[k] != expected[k])
+    for j, (q_j, col) in enumerate(zip(o.col_comp, cols)):
+        expected = [q_j * r_k for r_k in sym]
+        if col != expected:
+            violations.extend(Violation("column", ((j + 1, col[k]),), k)
+                              for k in range(1, u + 1) if col[k] != expected[k])
+    violations.extend(cell_violations)
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -110,16 +110,6 @@ def test_hall_inequality_completed_square():
     assert ok and lhs == size == 5
 
 
-def test_hall_inequality_max_exact_gate():
-    # Every symbol of an empty (2,3) square has all 36 cells as candidates:
-    # past the default gate of 26, checkable once the gate is raised.
-    square = empty_grid(2, 3)
-    cells = [(r, c) for r in range(1, 7) for c in range(1, 7)]
-    with pytest.raises(ValueError):
-        hall_inequality(square, cells)
-    assert hall_inequality(square, cells, max_exact=36) == (36, 36, True)
-
-
 def test_hall_condition_blocked_witness():
     report = hall_condition(BLOCKED)
     assert not report.holds
