@@ -340,6 +340,86 @@ def saturating_matching(g: BipartiteMultigraph) -> Union[Matching, HallViolator]
     return _violator_from_matching(g, m)
 
 
+def capacitated_matching(adj: list[list[int]], capacity: int,
+                         right_count: int) -> Union[list[list[int]], HallViolator]:
+    """Give every left vertex `capacity` distinct right neighbors, each right
+    vertex going to at most one left vertex, or certify that this is impossible.
+
+    adj[u] lists left vertex u's right neighbors, ascending and distinct.
+    This is a saturating matching of the replicated graph in which left
+    vertex u * capacity + c (0 <= c < capacity) is copy c of u, with u's
+    neighbors, found without building the copies.  A greedy pass gives each
+    vertex its first free neighbors; then each vertex still short, in index
+    order, grows one neighbor at a time along an augmenting path (see
+    _augment_from).  Returns each vertex's right vertices, ascending.
+
+    When vertex u cannot be filled, the vertices reachable from u by
+    alternating paths, with all their copies, form a HallViolator on the
+    replicated graph: every right neighbor of theirs is held by one of them,
+    and u holds fewer than capacity.
+    """
+    owner = [-1] * right_count
+    held: list[set[int]] = []
+    for u, hood in enumerate(adj):
+        got: set[int] = set()
+        for w in hood:
+            if len(got) == capacity:
+                break
+            if owner[w] < 0:
+                owner[w] = u
+                got.add(w)
+        held.append(got)
+    for u in range(len(adj)):
+        while len(held[u]) < capacity:
+            reached = _augment_from(u, adj, owner, held)
+            if reached is not None:
+                return HallViolator(
+                    frozenset(v * capacity + c for v in reached for c in range(capacity)),
+                    frozenset(w for v in reached for w in adj[v]))
+    return [sorted(got) for got in held]
+
+
+def _augment_from(root: int, adj: list[list[int]], owner: list[int],
+                  held: list[set[int]]) -> Optional[set[int]]:
+    """Give root one more right vertex along an augmenting path, if there is one.
+
+    Depth-first on explicit stacks, visiting each left and right vertex at
+    most once: from left vertex u the search may step to any neighbor u
+    does not hold, and from a held right vertex on to its holder.  lefts[i]
+    takes rights[i], which lefts[i + 1] gives up.  Returns None after
+    augmenting, else the left vertices reached.
+    """
+    seen_left, seen_right = {root}, set()
+    lefts, rights, todo = [root], [], [iter(adj[root])]
+    while todo:
+        u = lefts[-1]
+        for w in todo[-1]:
+            v = owner[w]
+            if v == u or w in seen_right:
+                continue
+            seen_right.add(w)
+            if v < 0:
+                rights.append(w)
+                for a, x in zip(lefts, rights):
+                    owner[x] = a
+                    held[a].add(x)
+                for a, x in zip(lefts[1:], rights):
+                    held[a].discard(x)
+                return None
+            if v not in seen_left:
+                seen_left.add(v)
+                lefts.append(v)
+                rights.append(w)
+                todo.append(iter(adj[v]))
+                break
+        else:
+            lefts.pop()
+            todo.pop()
+            if rights:
+                rights.pop()
+    return seen_left
+
+
 def verify_violator(g: BipartiteMultigraph, v: HallViolator) -> bool:
     """Recompute the neighborhood of the claimed subset and check deficiency.
 

@@ -1,13 +1,16 @@
 """Completion of fully filled Sudoku rectangles to full Sudoku squares.
 
-The pipeline fills the partially covered big cells first (saturating
-matchings in the side and bottom graphs, with the two corner directions
-solved jointly), distributes each remaining row's and column's missing
-symbols over the empty big columns and rows by equitable edge-colorings,
-assembles the whole picture into an outline square, and expands it.  Every
-stage that can fail on honest input returns a checkable Obstruction; when
-all stages pass, the expansion is guaranteed to produce a valid square, so
-the staged pipeline doubles as the completability decision.
+The pipeline fills the partially covered big cells first: in each full band
+(stack) every row (column) takes its share of the partially covered big
+column (row) from one capacitated matching, in which a row takes b symbols
+it lacks and a symbol serves one row per band, and the two directions of the
+doubly covered corner big cell are solved jointly.  It then distributes each
+remaining row's and column's missing symbols over the empty big columns and
+rows by equitable edge-colorings, assembles the whole picture into an
+outline square, and expands it.  Every stage that can fail on honest input
+returns a checkable Obstruction; when all stages pass, the expansion is
+guaranteed to produce a valid square, so the staged pipeline doubles as the
+completability decision.
 
 Latin rectangles (p = 1 or q = 1) skip the stages before the outline:
 complete_latin_rectangle lays the rectangle and its rows' and columns'
@@ -31,8 +34,8 @@ from typing import Iterable, Optional, Union
 from .bipartite import (
     BipartiteMultigraph,
     HallViolator,
-    Matching,
     _violator_from_matching,
+    capacitated_matching,
     equitable_edge_coloring,
     extend_matching,
     saturating_matching,
@@ -196,22 +199,47 @@ def _side_cell_content(grid: PartialGrid, shape: _Shape, alpha: int) -> set[int]
     return out
 
 
-def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
-    grid, shape = ax.grid, ax.shape
+def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
+    """The 0-based symbols each row of band alpha may take in the partial big
+    column, ascending: those absent from the row and, with the strengthened
+    rule, from the band's partially covered big cell."""
+    shape = ax.shape
     if shape.q_divides:
         raise ValueError(f"{ax.line} replica graphs need a partially covered big line")
     corner = shape.full_bands + 1
     if not (1 <= alpha <= shape.full_bands or (alpha == corner and not shape.p_divides)):
         raise ValueError(f"{ax.line} group index {alpha} out of range")
-    rows = _band_rows(shape, alpha)
-    cell_content = _side_cell_content(grid, shape, alpha) if strengthen else set()
-    left = tuple((ax.line, i, c) for i in rows for c in range(1, shape.b + 1))
-    allowed = {}
-    for i in rows:
+    cell_content = _side_cell_content(ax.grid, shape, alpha) if strengthen else set()
+    allowed = []
+    for i in _band_rows(shape, alpha):
         present = ax.lines[i] | cell_content
-        allowed[i] = [k - 1 for k in range(1, shape.n + 1) if k not in present]
-    edges = tuple((li, w) for li, (_, i, _) in enumerate(left) for w in allowed[i])
-    return BipartiteMultigraph(left, tuple(range(1, shape.n + 1)), edges)
+        allowed.append([k - 1 for k in range(1, shape.n + 1) if k not in present])
+    return allowed
+
+
+def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
+    """Band alpha's rows, b copies each, against the symbols they may take."""
+    b = ax.shape.b
+    allowed = _band_allowed(ax, alpha, strengthen)
+    left = tuple((ax.line, i, c) for i in _band_rows(ax.shape, alpha) for c in range(1, b + 1))
+    edges = tuple((pos * b + c, w) for pos, hood in enumerate(allowed)
+                  for c in range(b) for w in hood)
+    return BipartiteMultigraph(left, tuple(range(1, ax.shape.n + 1)), edges)
+
+
+def _match_band(ax: _Axis, alpha: int,
+                strengthen: bool) -> Union[dict[int, list[int]], HallViolator]:
+    """Band alpha's share of the partial big column: b symbols per row, each
+    symbol at most once in the band, keyed by row.
+
+    The capacitated matcher works on one vertex per row; its violator is
+    stated on _side_graph, whose replica pos * b + c is copy c of the
+    band's row at position pos.
+    """
+    res = capacitated_matching(_band_allowed(ax, alpha, strengthen), ax.shape.b, ax.shape.n)
+    if isinstance(res, HallViolator):
+        return res
+    return {i: [w + 1 for w in got] for i, got in zip(_band_rows(ax.shape, alpha), res)}
 
 
 def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> BipartiteMultigraph:
@@ -232,12 +260,21 @@ def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> Bi
     return _side_graph(_axis(_transpose(grid), _COL_NAMES), beta, strengthen)
 
 
-def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
+def _coverage_sides(ax: _Axis, symbol: int) -> tuple[list[int], int]:
+    """The two sides of the symbol's coverage graph: the leftover rows that
+    miss it, and how many slots can take it (the empty big columns, plus the
+    corner big cell when it exists without the symbol).  Every slot is open
+    to every row, so these sizes alone decide whether the graph saturates."""
     shape = ax.shape
     rows = [i for i in range(shape.r_star + 1, shape.r + 1) if symbol not in ax.lines[i]]
     corner_ok = not shape.q_divides and symbol not in ax.corner
-    right: list = [(ax.cross, J) for J in shape.empty_big_cols]
-    if corner_ok:
+    return rows, len(shape.empty_big_cols) + corner_ok
+
+
+def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
+    rows, slots = _coverage_sides(ax, symbol)
+    right: list = [(ax.cross, J) for J in ax.shape.empty_big_cols]
+    if slots > len(right):
         right.append(("corner",))
     left = tuple((ax.line, i) for i in rows)
     edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
@@ -262,25 +299,18 @@ def col_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
     return _coverage_graph(_axis(_transpose(grid), _COL_NAMES), symbol)
 
 
-def _is_must(ax: _Axis, coverage: BipartiteMultigraph) -> bool:
-    """The symbol's leftover rows need every empty big column and the corner."""
-    return (coverage.left_count == coverage.right_count
-            and coverage.left_count > len(ax.shape.empty_big_cols))
+def _is_must(ax: _Axis, rows: list[int], slots: int) -> bool:
+    """The symbol's leftover rows need every empty big column and the corner.
+
+    rows and slots are the symbol's _coverage_sides.
+    """
+    return len(rows) == slots > len(ax.shape.empty_big_cols)
 
 
 def _musts(axes: tuple[_Axis, _Axis]) -> list[list[int]]:
     """Per axis, the symbols the corner big cell must take on that axis' side."""
-    return [[k for k in range(1, ax.shape.n + 1) if _is_must(ax, _coverage_graph(ax, k))]
+    return [[k for k in range(1, ax.shape.n + 1) if _is_must(ax, *_coverage_sides(ax, k))]
             for ax in axes]
-
-
-def _fills_from_matching(graph: BipartiteMultigraph, m: Matching) -> dict[int, list[int]]:
-    """Group matched symbols by the row or column their replicas stand for."""
-    fills: dict[int, list[int]] = {}
-    for li, ri in m.pairs:
-        _, index, _ = graph.left_labels[li]
-        fills.setdefault(index, []).append(graph.right_labels[ri])
-    return {k: sorted(v) for k, v in fills.items()}
 
 
 def _record(share: dict, shape: _Shape, alpha: int, fills: dict[int, list[int]]) -> None:
@@ -292,11 +322,14 @@ def _record(share: dict, shape: _Shape, alpha: int, fills: dict[int, list[int]])
 def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     """Fill every partially covered big cell, or certify that none can work.
 
-    Full bands and stacks are handled by independent saturating matchings.
-    The doubly covered corner big cell takes both a horizontal and a
-    vertical share; those are found together as one replica matching so a
-    symbol is never claimed twice, and symbols that every placement count
-    forces into the corner are matched first.  Each row's and column's
+    Each full band (stack) is filled on its own by the capacitated matcher:
+    every row (column) of it takes b (a) symbols it lacks, each symbol at
+    most once per band.  The doubly covered corner big cell takes both a
+    horizontal and a vertical share; those are found together as one
+    replica matching so a symbol is never claimed twice, and symbols that
+    every placement count forces into the corner are matched first.  The
+    placement counts come from the sizes of each symbol's coverage graph,
+    which is built only to certify a failure.  Each row's and column's
     symbol set is built once, with its axis, and read by every graph.
     """
     axes = _axes(grid)
@@ -310,11 +343,10 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         if ax.shape.q_divides:
             continue
         for alpha in range(1, ax.shape.full_bands + 1):
-            g = _side_graph(ax, alpha, True)
-            res = saturating_matching(g)
+            res = _match_band(ax, alpha, True)
             if isinstance(res, HallViolator):
                 return Obstruction(ax.stage, res, kind=ax.band_kind, index=alpha)
-            _record(share, ax.shape, alpha, _fills_from_matching(g, res))
+            _record(share, ax.shape, alpha, res)
 
     # Per-symbol placement counts across the leftover rows and columns.
     musts: list[list[int]] = []
@@ -322,11 +354,11 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         must: list[int] = []
         if not ax.shape.p_divides:
             for k in range(1, shape.n + 1):
-                g = _coverage_graph(ax, k)
-                if g.left_count > g.right_count:
-                    res = saturating_matching(g)
+                rows, slots = _coverage_sides(ax, k)
+                if len(rows) > slots:
+                    res = saturating_matching(_coverage_graph(ax, k))
                     return Obstruction(ax.stage, res, kind=ax.coverage_kind, symbol=k)
-                if _is_must(ax, g):
+                if _is_must(ax, rows, slots):
                     must.append(k)
         musts.append(must)
 
@@ -654,8 +686,7 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
             continue
         last = shape.full_bands + (0 if shape.p_divides else 1)
         for alpha in range(1, last + 1):
-            res = saturating_matching(_side_graph(ax, alpha, strengthen))
-            if isinstance(res, HallViolator):
+            if isinstance(_match_band(ax, alpha, strengthen), HallViolator):
                 return False
     return True
 
@@ -716,7 +747,7 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         if ob.kind == ax.coverage_kind:
             return verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
     if ob.kind == "corner-double-must":
-        return all(_is_must(ax, _coverage_graph(ax, ob.symbol)) for ax in axes)
+        return all(_is_must(ax, *_coverage_sides(ax, ob.symbol)) for ax in axes)
     if ob.kind in ("corner-must", "corner-flow"):
         must_h, must_v = _musts(axes)
         build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph

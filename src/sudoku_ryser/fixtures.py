@@ -1,6 +1,7 @@
 """Brute-force completion oracle, incompletable constructions, random instances."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -226,11 +227,27 @@ def gen_random_rectangle(p: int, q: int, r: int, s: int, seed: int) -> PartialGr
     return PartialGrid(geom, r, s, cells, square.flavor, None)
 
 
+# Assignments gen_random_valid_rectangle's first attempt may make (every
+# seeded draw of the test suite finishes within it; the costliest, (3,4)
+# 5 x 10 with seed 8, makes 12,204), and per cell and attempt number, those
+# each later attempt may make.
+FIRST_BUDGET = 1 << 14
+NODES_PER_CELL = 8
+
+
 def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> PartialGrid:
     """A random valid r x s rectangle, not necessarily completable.
 
     Unlike gen_random_rectangle this fills the region directly, so it can
-    produce rectangles that no full square extends.
+    produce rectangles that no full square extends.  Each attempt is a
+    backtracking search that tries each cell's allowed symbols in a
+    shuffled order.  The first fills the cells in row-major order and is cut
+    off after FIRST_BUDGET assignments; so a draw it finishes is the one
+    plain row-major backtracking makes.  That order can wander for minutes
+    on some n = 12 shapes, so attempt k >= 1 fills the most constrained cell
+    first and is cut off after k * NODES_PER_CELL assignments per cell.
+    Every attempt continues the same random stream, and the budget grows
+    until one finishes, so a rectangle is always returned.
     """
     rng = random.Random(seed)
     geom = SudokuGeometry(p, q)
@@ -239,32 +256,54 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
         raise ValueError("rectangle larger than the order")
     flavor = "latin" if p == 1 or q == 1 else "sudoku"
     base = empty_grid(p, q, rows=r, cols=s, flavor=flavor)
-    cells = [(i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
-    keys_of = {cell: _constraint_keys(base, *cell) for cell in cells}
-    used: dict = {key: set() for ks in keys_of.values() for key in ks}
-    values: dict[tuple[int, int], int] = {}
+    keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
 
-    def fill(idx: int) -> bool:
-        if idx == len(cells):
-            return True
-        cell = cells[idx]
-        options = [v for v in range(1, n + 1)
-                   if all(v not in used[key] for key in keys_of[cell])]
-        rng.shuffle(options)
-        for v in options:
-            values[cell] = v
+    for attempt in itertools.count():
+        budget = NODES_PER_CELL * len(keys_of) * attempt if attempt else FIRST_BUDGET
+        used = {key: 0 for keys in keys_of for key in keys}  # bit v: symbol v taken
+        values = [0] * len(keys_of)
+        order = list(range(len(keys_of)))  # order[k:] are the cells left to fill
+        nodes = 0
+
+        def taken(cell: int) -> int:
+            mask = 0
             for key in keys_of[cell]:
-                used[key].add(v)
-            if fill(idx + 1):
+                mask |= used[key]
+            return mask
+
+        def fill(k: int) -> Optional[bool]:
+            """True when filled, False when no option fits, None when cut off."""
+            nonlocal nodes
+            if k == len(order):
                 return True
-            for key in keys_of[cell]:
-                used[key].discard(v)
-            del values[cell]
-        return False
+            if attempt:
+                pick = max(range(k, len(order)), key=lambda t: taken(order[t]).bit_count())
+                order[k], order[pick] = order[pick], order[k]
+            cell = order[k]
+            mask = taken(cell)
+            options = [v for v in range(1, n + 1) if not mask >> v & 1]
+            rng.shuffle(options)
+            for v in options:
+                nodes += 1
+                if nodes > budget:
+                    return None
+                values[cell] = v
+                bit = 1 << v
+                for key in keys_of[cell]:
+                    used[key] |= bit
+                result = fill(k + 1)
+                if result is not False:
+                    return result
+                for key in keys_of[cell]:
+                    used[key] ^= bit
+            return False
 
-    if not fill(0):
-        raise RuntimeError("random rectangle generation failed")
-    rows = tuple(tuple(values[(i, j)] for j in range(1, s + 1)) for i in range(1, r + 1))
+        result = fill(0)
+        if result:
+            break
+        if result is False:
+            raise RuntimeError("random rectangle generation failed")
+    rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
     return PartialGrid(geom, r, s, rows, flavor, None)
 
 

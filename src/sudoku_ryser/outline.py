@@ -8,8 +8,9 @@ for every slice, so the fully split array is again a latin square.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
+from typing import Optional
 
 from .bipartite import BipartiteMultigraph, equitable_edge_coloring
 from .grid import (
@@ -39,13 +40,17 @@ class OutlineLatinSquare:
     """An s x t array of symbol multisets with row/column/symbol compositions.
 
     Cell multisets are stored as sorted tuples.  Validity against the three
-    counting conditions is checked by validate_outline, not on construction.
+    counting conditions is checked by validate_outline, not on construction;
+    since the outline cannot change, validate_outline keeps its report in
+    _report and returns that on later calls.
     """
 
     row_comp: Composition
     col_comp: Composition
     sym_comp: Composition
     cells: tuple[tuple[tuple[int, ...], ...], ...]
+    _report: Optional[ValidationReport] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         n = sum(self.row_comp)
@@ -107,8 +112,11 @@ def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
     The report lists row violations, then column violations, then each
     cell's size and range violations; symbols outside 1..u are not counted.
     One pass counts into plain lists: row[k] for the current row and
-    cols[j][k] for column j, index 0 unused.
+    cols[j][k] for column j, index 0 unused.  The report is computed once
+    per outline and kept on it.
     """
+    if o._report is not None:
+        return o._report
     u = len(o.sym_comp)
     sym = (0,) + o.sym_comp
     violations: list[Violation] = []
@@ -136,7 +144,9 @@ def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
             violations.extend(Violation("column", ((j + 1, col[k]),), k)
                               for k in range(1, u + 1) if col[k] != expected[k])
     violations.extend(cell_violations)
-    return ValidationReport(not violations, tuple(violations))
+    report = ValidationReport(not violations, tuple(violations))
+    object.__setattr__(o, "_report", report)
+    return report
 
 
 def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...], ...]:

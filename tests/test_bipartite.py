@@ -7,6 +7,7 @@ from sudoku_ryser.bipartite import (
     BipartiteMultigraph,
     HallViolator,
     Matching,
+    capacitated_matching,
     equitable_edge_coloring,
     extend_matching,
     is_equitable,
@@ -248,6 +249,20 @@ def reference_coloring(g: BipartiteMultigraph, k: int) -> tuple[int, ...]:
     return tuple(color)
 
 
+def criterion_2_graphs():
+    """The acceptance suite's criterion-2 graphs, each with its color count."""
+    rng = random.Random(271828)
+    graphs = []
+    for _ in range(1000):
+        nl = rng.randint(1, 20)
+        nr = rng.randint(1, 20)
+        m = rng.randint(0, 200)
+        edges = tuple((rng.randrange(nl), rng.randrange(nr)) for _ in range(m))
+        g = BipartiteMultigraph(tuple(range(nl)), tuple(range(nr)), edges)
+        graphs.append((g, rng.randint(1, 6)))
+    return graphs
+
+
 def test_coloring_matches_the_dict_reference(monkeypatch):
     # The criterion-2 graphs of the acceptance suite, then denser random
     # multigraphs with more colors, where chains are flipped more often.
@@ -259,18 +274,82 @@ def test_coloring_matches_the_dict_reference(monkeypatch):
         return flip(*args)
 
     monkeypatch.setattr(bipartite, "_flip_chain", counted_flip)
-    rng = random.Random(271828)
-    graphs = []
-    for _ in range(1000):
-        nl = rng.randint(1, 20)
-        nr = rng.randint(1, 20)
-        m = rng.randint(0, 200)
-        edges = tuple((rng.randrange(nl), rng.randrange(nr)) for _ in range(m))
-        g = BipartiteMultigraph(tuple(range(nl)), tuple(range(nr)), edges)
-        graphs.append((g, rng.randint(1, 6)))
+    graphs = criterion_2_graphs()
     rng = random.Random(6)
     graphs.extend((random_multigraph(rng, max_side=6, max_edges=120), rng.randint(1, 12))
                   for _ in range(300))
     for g, k in graphs:
         assert equitable_edge_coloring(g, k).color_of == reference_coloring(g, k), (g, k)
     assert len(flips) > 100
+
+
+def adjacency(g):
+    return [sorted({w for u, w in g.edges if u == x}) for x in range(g.left_count)]
+
+
+def replicated(adj, capacity, right_count):
+    """The graph in which left vertex u * capacity + c is copy c of u."""
+    edges = tuple((u * capacity + c, w) for u, hood in enumerate(adj)
+                  for c in range(capacity) for w in hood)
+    return BipartiteMultigraph(tuple(range(len(adj) * capacity)), tuple(range(right_count)),
+                               edges)
+
+
+def check_capacitated(adj, capacity, right_count, result):
+    """The result is a valid filling, or a violator of the replicated graph;
+    returns whether it filled."""
+    if isinstance(result, HallViolator):
+        assert verify_violator(replicated(adj, capacity, right_count), result)
+        return False
+    assert len(result) == len(adj)
+    for got, hood in zip(result, adj):
+        assert len(got) == capacity and got == sorted(got) and set(got) <= set(hood)
+    placed = [w for got in result for w in got]
+    assert len(placed) == len(set(placed))
+    return True
+
+
+def test_capacitated_matching_with_capacity_one_is_max_matching():
+    outcomes = []
+    for g, _ in criterion_2_graphs():
+        adj = adjacency(g)
+        result = capacitated_matching(adj, 1, g.right_count)
+        filled = check_capacitated(adj, 1, g.right_count, result)
+        assert filled == (len(max_matching(g).pairs) == g.left_count)
+        if not filled:
+            assert verify_violator(g, result)
+        outcomes.append(filled)
+    assert 100 < sum(outcomes) < 900
+
+
+def test_capacitated_matching_agrees_on_replicated_graphs():
+    rng = random.Random(17)
+    outcomes = []
+    for _ in range(400):
+        g = random_multigraph(rng, max_side=7, max_edges=30)
+        capacity = rng.randint(1, 3)
+        adj = adjacency(g)
+        result = capacitated_matching(adj, capacity, g.right_count)
+        filled = check_capacitated(adj, capacity, g.right_count, result)
+        expected = saturating_matching(replicated(adj, capacity, g.right_count))
+        assert filled == isinstance(expected, Matching)
+        outcomes.append(filled)
+    assert 40 < sum(outcomes) < 360
+
+
+def test_capacitated_matching_is_deterministic():
+    rng = random.Random(8)
+    for _ in range(100):
+        g = random_multigraph(rng, max_side=8, max_edges=40)
+        capacity = rng.randint(1, 3)
+        adj = adjacency(g)
+        assert (capacitated_matching(adj, capacity, g.right_count)
+                == capacitated_matching(adj, capacity, g.right_count))
+
+
+def test_capacitated_matching_follows_a_3000_vertex_chain():
+    # Greedy gives left i < n - 1 right vertex i, leaving left n - 1, whose
+    # only neighbor is 0, short; the one augmenting path passes every left.
+    n = 3000
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    assert capacitated_matching(adj, 1, n) == [[i + 1] for i in range(n - 1)] + [[0]]

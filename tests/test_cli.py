@@ -1,6 +1,6 @@
 import pytest
 
-from sudoku_ryser import completion
+from sudoku_ryser import cli, completion
 from sudoku_ryser.cli import EXIT_INTERNAL, main
 from sudoku_ryser.fixtures import gen_evans_small
 from sudoku_ryser.grid import grid_from_rows, parse_grid, serialize_grid, validate_partial
@@ -157,3 +157,23 @@ def test_missing_file_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_main_parses_with_one_parser_per_process(worked_file, capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it: exit codes,
+    # usage errors and --help stay the same however often it is called.
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    rounds = []
+    for _ in range(3):
+        codes = (main(["--help"]), main(["complete"]), main(["bogus"]),
+                 main(["check", worked_file]), main(["complete", worked_file]))
+        rounds.append((codes, capsys.readouterr()))
+    assert rounds[0] == rounds[1] == rounds[2]
+    codes, captured = rounds[0]
+    assert codes == (0, 2, 2, 2, 0)
+    assert captured.out.startswith("usage: sudoku-ryser")
+    assert "the following arguments are required: file" in captured.err
+    assert len(built) == 1

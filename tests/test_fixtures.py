@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from sudoku_ryser.fixtures import (
@@ -10,7 +13,7 @@ from sudoku_ryser.fixtures import (
     gen_random_valid_rectangle,
     random_latin_square,
 )
-from sudoku_ryser.grid import empty_grid, grid_from_rows, validate_partial
+from sudoku_ryser.grid import _constraint_keys, empty_grid, grid_from_rows, validate_partial
 
 
 def filled_count(grid):
@@ -172,6 +175,57 @@ def test_random_valid_rectangle():
         grid = gen_random_valid_rectangle(2, 3, 4, 3, seed)
         assert grid.is_fully_filled()
         assert validate_partial(grid).ok
+
+
+def plain_backtracking_rectangle(p, q, r, s, seed):
+    """Row-major backtracking with shuffled options and no restart: the draw
+    gen_random_valid_rectangle makes whenever its first attempt finishes."""
+    rng = random.Random(seed)
+    n = p * q
+    base = empty_grid(p, q, rows=r, cols=s, flavor="latin" if p == 1 or q == 1 else "sudoku")
+    cells = [(i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
+    used = {}
+    values = {}
+
+    def fill(idx):
+        if idx == len(cells):
+            return True
+        keys = _constraint_keys(base, *cells[idx])
+        options = [v for v in range(1, n + 1) if all(v not in used.get(k, ()) for k in keys)]
+        rng.shuffle(options)
+        for v in options:
+            values[cells[idx]] = v
+            for k in keys:
+                used.setdefault(k, set()).add(v)
+            if fill(idx + 1):
+                return True
+            for k in keys:
+                used[k].discard(v)
+        return False
+
+    assert fill(0)
+    return tuple(tuple(values[(i, j)] for j in range(1, s + 1)) for i in range(1, r + 1))
+
+
+def test_random_valid_rectangle_keeps_draws_that_need_no_restart():
+    rng = random.Random(3)
+    for _ in range(120):
+        p, q = rng.choice([(1, 4), (2, 2), (2, 3), (3, 2), (3, 3)])
+        n = p * q
+        r, s, seed = rng.randint(0, n), rng.randint(0, n), rng.randrange(10_000)
+        assert gen_random_valid_rectangle(p, q, r, s, seed).cells == \
+            plain_backtracking_rectangle(p, q, r, s, seed), (p, q, r, s, seed)
+
+
+@pytest.mark.parametrize("p, q, r, s, seed", [(4, 3, 4, 10, 10), (3, 4, 12, 10, 8)])
+def test_random_valid_rectangle_restarts_past_a_stall(p, q, r, s, seed):
+    # Plain backtracking spends seconds on these draws; restarts end them.
+    start = time.process_time()
+    grid = gen_random_valid_rectangle(p, q, r, s, seed)
+    assert time.process_time() - start < 1.0
+    assert (grid.rows, grid.cols) == (r, s)
+    assert grid.is_fully_filled() and validate_partial(grid).ok
+    assert gen_random_valid_rectangle(p, q, r, s, seed) == grid
 
 
 def test_random_latin_square():
