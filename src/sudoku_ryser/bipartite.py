@@ -255,56 +255,25 @@ def extend_matching(g: BipartiteMultigraph,
 
     Augmentation may reroute which left vertex a right vertex serves but
     never unmatches a matched right vertex, so saturations present in the
-    initial matching are preserved on the right side.  Each search keeps
-    its path on explicit stacks, so long paths cannot exhaust the
-    interpreter's recursion limit.
+    initial matching are preserved on the right side.  Each free left
+    vertex, in index order, gets one search (see _augment_from): a vertex
+    with no augmenting path gains none when others augment (Kuhn), so one
+    pass reaches a maximum matching.
     """
     adj = _left_adjacency(g)
-    match_l: list[Optional[int]] = [None] * g.left_count
-    match_r: list[Optional[int]] = [None] * g.right_count
+    owner = [-1] * g.right_count
+    held: list[set[int]] = [set() for _ in adj]
     for u, w in initial:
-        if match_l[u] is not None or match_r[w] is not None:
+        if held[u] or owner[w] >= 0:
             raise ValueError("initial pairs are not a matching")
         if w not in adj[u]:
             raise ValueError(f"initial pair ({u}, {w}) is not an edge")
-        match_l[u] = w
-        match_r[w] = u
-
-    def augment(root: int) -> bool:
-        """Depth-first search from the free vertex root, visiting each right
-        vertex once; lefts[i] is left by rights[i] to reach lefts[i + 1]."""
-        visited: set[int] = set()
-        lefts, rights, todo = [root], [], [iter(adj[root])]
-        while todo:
-            for w in todo[-1]:
-                if w in visited:
-                    continue
-                visited.add(w)
-                nxt = match_r[w]
-                rights.append(w)
-                if nxt is None:
-                    for a, b in zip(lefts, rights):
-                        match_l[a] = b
-                        match_r[b] = a
-                    return True
-                lefts.append(nxt)
-                todo.append(iter(adj[nxt]))
-                break
-            else:
-                lefts.pop()
-                todo.pop()
-                if rights:
-                    rights.pop()
-        return False
-
-    improved = True
-    while improved:
-        improved = False
-        for u in range(g.left_count):
-            if match_l[u] is None and augment(u):
-                improved = True
-    pairs = tuple((u, match_l[u]) for u in range(g.left_count) if match_l[u] is not None)
-    return Matching(pairs)
+        owner[w] = u
+        held[u].add(w)
+    for u in range(g.left_count):
+        if not held[u]:
+            _augment_from(u, adj, owner, held)
+    return Matching(tuple((u, w) for u, got in enumerate(held) for w in got))
 
 
 def _violator_from_matching(g: BipartiteMultigraph, m: Matching) -> HallViolator:

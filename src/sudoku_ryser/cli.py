@@ -14,7 +14,14 @@ import sys
 from typing import Optional
 
 from . import completion, fixtures, hall
-from .grid import GridFormatError, PartialGrid, parse_grid, serialize_grid, validate_partial
+from .grid import (
+    FLAVORS,
+    GridFormatError,
+    PartialGrid,
+    parse_grid,
+    serialize_grid,
+    validate_partial,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,19 +60,24 @@ def _is_corner_rectangle(grid: PartialGrid) -> Optional[PartialGrid]:
     return PartialGrid(grid.geometry, rows, cols, cells, grid.flavor, None)
 
 
+def _brute_force(grid: PartialGrid, node_limit: int) -> int:
+    """Complete the grid by exhaustive search and report the outcome."""
+    result = fixtures.brute_force_complete(grid, node_limit=node_limit)
+    if result.outcome == "found":
+        sys.stdout.write(serialize_grid(result.square))
+        return EXIT_OK
+    if result.outcome == "gaveUp":
+        print("gave up: node limit exhausted", file=sys.stderr)
+        return EXIT_GAVE_UP
+    print("incompletable (exhaustive search)", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def _cmd_complete(args) -> int:
     grid = _load(args.file)
     method = args.method
     if method == "brute":
-        result = fixtures.brute_force_complete(grid, node_limit=args.node_limit)
-        if result.outcome == "found":
-            sys.stdout.write(serialize_grid(result.square))
-            return EXIT_OK
-        if result.outcome == "gaveUp":
-            print("gave up: node limit exhausted", file=sys.stderr)
-            return EXIT_GAVE_UP
-        print("incompletable (exhaustive search)", file=sys.stderr)
-        return EXIT_FAIL
+        return _brute_force(grid, args.node_limit)
 
     rectangle = _is_corner_rectangle(grid)
     if rectangle is None:
@@ -74,11 +86,7 @@ def _cmd_complete(args) -> int:
             return EXIT_USAGE
         print("not a corner rectangle; falling back to exhaustive search",
               file=sys.stderr)
-        result = fixtures.brute_force_complete(grid, node_limit=args.node_limit)
-        if result.outcome == "found":
-            sys.stdout.write(serialize_grid(result.square))
-            return EXIT_OK
-        return EXIT_GAVE_UP if result.outcome == "gaveUp" else EXIT_FAIL
+        return _brute_force(grid, args.node_limit)
 
     geom = rectangle.geometry
     if method == "thm2" and (rectangle.rows % geom.p or rectangle.cols % geom.q):
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ryser", action="store_true")
     group.add_argument("--hall", action="store_true")
     group.add_argument("--matchings", action="store_true")
-    p_check.add_argument("--flavor", choices=("latin", "sudoku", "gerechte"), default=None)
+    p_check.add_argument("--flavor", choices=FLAVORS, default=None)
     p_check.add_argument("--gate", type=int, default=18)
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=_cmd_check)

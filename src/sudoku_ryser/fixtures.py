@@ -11,6 +11,7 @@ from .grid import (
     SudokuGeometry,
     _constraint_keys,
     empty_grid,
+    extends,  # re-exported: the oracle's callers check completions with it
     validate_partial,
 )
 
@@ -115,13 +116,6 @@ def brute_force_complete(grid: PartialGrid, node_limit: int = 10_000_000,
     if outcome == "gaveUp":
         return OracleResult("gaveUp", None, nodes)
     return OracleResult("incompletable", None, nodes)
-
-
-def extends(base: PartialGrid, square: PartialGrid) -> bool:
-    """True when every filled cell of base appears unchanged in square."""
-    if square.rows < base.rows or square.cols < base.cols:
-        return False
-    return all(square.at(r, c) == v for r, c, v in base.filled())
 
 
 @dataclass(frozen=True)
@@ -254,8 +248,7 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
     n = geom.n
     if r > n or s > n:
         raise ValueError("rectangle larger than the order")
-    flavor = "latin" if p == 1 or q == 1 else "sudoku"
-    base = empty_grid(p, q, rows=r, cols=s, flavor=flavor)
+    base = empty_grid(p, q, rows=r, cols=s)
     keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
 
     for attempt in itertools.count():
@@ -304,7 +297,7 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
         if result is False:
             raise RuntimeError("random rectangle generation failed")
     rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
-    return PartialGrid(geom, r, s, rows, flavor, None)
+    return PartialGrid(geom, r, s, rows, base.flavor, None)
 
 
 def random_latin_square(n: int, seed: int) -> PartialGrid:

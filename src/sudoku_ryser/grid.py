@@ -190,6 +190,14 @@ class PartialGrid:
         return out
 
 
+def _default_flavor(p: int, q: int, partition: object = None) -> str:
+    """The flavor a grid gets when none is named: gerechte with a partition,
+    latin when a box is a single row or column, sudoku otherwise."""
+    if partition is not None:
+        return "gerechte"
+    return "latin" if p == 1 or q == 1 else "sudoku"
+
+
 def grid_from_rows(p: int, q: int, rows: list[list[Optional[int]]], *,
                    flavor: Optional[str] = None,
                    partition: Optional[list[list[int]]] = None) -> PartialGrid:
@@ -199,12 +207,7 @@ def grid_from_rows(p: int, q: int, rows: list[list[Optional[int]]], *,
     n_rows = len(cells)
     n_cols = len(cells[0]) if cells else 0
     if flavor is None:
-        if partition is not None:
-            flavor = "gerechte"
-        elif p == 1 or q == 1:
-            flavor = "latin"
-        else:
-            flavor = "sudoku"
+        flavor = _default_flavor(p, q, partition)
     part = tuple(tuple(row) for row in partition) if partition is not None else None
     return PartialGrid(geom, n_rows, n_cols, cells, flavor, part)
 
@@ -215,9 +218,16 @@ def empty_grid(p: int, q: int, rows: Optional[int] = None, cols: Optional[int] =
     rows = geom.n if rows is None else rows
     cols = geom.n if cols is None else cols
     if flavor is None:
-        flavor = "latin" if p == 1 or q == 1 else "sudoku"
+        flavor = _default_flavor(p, q)
     cells = tuple((None,) * cols for _ in range(rows))
     return PartialGrid(geom, rows, cols, cells, flavor, None)
+
+
+def extends(base: PartialGrid, square: PartialGrid) -> bool:
+    """True when every filled cell of base appears unchanged in square."""
+    if square.rows < base.rows or square.cols < base.cols:
+        return False
+    return all(square.at(r, c) == v for r, c, v in base.filled())
 
 
 def embed_in_square(grid: PartialGrid) -> PartialGrid:
@@ -346,7 +356,7 @@ def parse_grid(text: str | bytes) -> PartialGrid:
     if cols == 0:
         # Zero-width rows have no tokens, so they are not serialized at all.
         return PartialGrid(SudokuGeometry(p, q), rows, 0, ((),) * rows,
-                           "latin" if p == 1 or q == 1 else "sudoku", None)
+                           _default_flavor(p, q), None)
     body = lines[2:]
     if len(body) < rows:
         raise GridFormatError(f"expected {rows} grid lines, found {len(body)}")
@@ -391,13 +401,8 @@ def parse_grid(text: str | bytes) -> PartialGrid:
             part_rows.append(ids)
         partition = tuple(part_rows)
 
-    if partition is not None:
-        flavor = "gerechte"
-    elif p == 1 or q == 1:
-        flavor = "latin"
-    else:
-        flavor = "sudoku"
-    return PartialGrid(SudokuGeometry(p, q), rows, cols, tuple(cells), flavor, partition)
+    return PartialGrid(SudokuGeometry(p, q), rows, cols, tuple(cells),
+                       _default_flavor(p, q, partition), partition)
 
 
 def serialize_grid(grid: PartialGrid) -> str:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .bipartite import BipartiteMultigraph, max_matching
-from .grid import PartialGrid, _constraint_keys, big_cell_of
+from .grid import FLAVORS, PartialGrid, _constraint_keys, big_cell_of
 
 Cell = tuple[int, int]
 # Most candidate cells one exact alpha search takes on before refusing.
@@ -45,7 +45,7 @@ class RyserReport:
 
 def _flavor_of(grid: PartialGrid, flavor: Optional[str]) -> str:
     chosen = flavor if flavor is not None else grid.flavor
-    if chosen not in ("latin", "sudoku", "gerechte"):
+    if chosen not in FLAVORS:
         raise ValueError(f"unknown flavor {chosen!r}")
     if chosen == "gerechte" and grid.partition is None:
         raise ValueError("gerechte flavor needs a partition")

@@ -255,15 +255,14 @@ def serialize_outline(o: OutlineLatinSquare) -> str:
     return "\n".join(out) + "\n"
 
 
-def expand_outline(o: OutlineLatinSquare,
-                   geometry: SudokuGeometry | None = None,
-                   flavor: str = "latin") -> PartialGrid:
+def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
     """Recover a full latin square whose amalgamation is the given outline.
 
     Requires a unit symbol composition.  Every merged row block is split
     into unit rows with one equitable coloring (see _block_slices), then
     every merged column block; each split preserves validity, so the result
-    is read off directly from the all-unit array.
+    is read off directly from the all-unit array.  It is a latin-flavor grid
+    with 1 x n boxes; callers that need a box structure re-wrap its cells.
     """
     if any(part != 1 for part in o.sym_comp):
         raise OutlineError("expansion requires a unit symbol composition")
@@ -289,5 +288,4 @@ def expand_outline(o: OutlineLatinSquare,
                 raise OutlineError("expansion did not reach singleton cells")
             row.append(cell[0])
         cells.append(tuple(row))
-    geom = geometry if geometry is not None else SudokuGeometry(1, n)
-    return PartialGrid(geom, n, n, tuple(cells), flavor, None)
+    return PartialGrid(SudokuGeometry(1, n), n, n, tuple(cells), "latin", None)

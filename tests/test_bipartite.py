@@ -165,6 +165,46 @@ def test_extend_matching_rejects_bad_seed():
         extend_matching(g, [(0, 0), (1, 0)])
 
 
+def test_extend_matching_searches_once_per_free_vertex(monkeypatch):
+    # A free vertex with no augmenting path gains none when others augment,
+    # so one search per vertex the seed leaves free is enough.
+    roots = []
+    augment = bipartite._augment_from
+
+    def counted(root, *args):
+        roots.append(root)
+        return augment(root, *args)
+
+    monkeypatch.setattr(bipartite, "_augment_from", counted)
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_multigraph(rng)
+        seed = _first_compatible_edges(g)[: rng.randint(0, g.left_count)]
+        roots.clear()
+        extend_matching(g, seed)
+        seeded = {u for u, _ in seed}
+        assert roots == [u for u in range(g.left_count) if u not in seeded]
+
+
+def _first_compatible_edges(g):
+    """A matching of g: each edge in order, kept when both ends are still free."""
+    seed, lefts, rights = [], set(), set()
+    for u, w in g.edges:
+        if u not in lefts and w not in rights:
+            seed.append((u, w))
+            lefts.add(u)
+            rights.add(w)
+    return seed
+
+
+def test_extend_matching_keeps_seeded_rights_and_is_maximum():
+    for g, _ in criterion_2_graphs():
+        seed = _first_compatible_edges(g)
+        extended = extend_matching(g, seed)
+        assert {w for _, w in seed} <= {w for _, w in extended.pairs}
+        assert len(extended.pairs) == len(max_matching(g).pairs)
+
+
 def chain_graph(n, reverse=False):
     """Left i joins right i and i + 1, except left 0, which joins right 1 only.
 

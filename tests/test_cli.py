@@ -57,6 +57,18 @@ def test_complete_brute_method(tmp_path, capsys):
     assert main(["complete", str(path), "--method", "brute"]) == 1
 
 
+def test_complete_falls_back_to_exhaustive_search(tmp_path, capsys):
+    # Evans' grid is not a corner rectangle, so the default method hands it
+    # to the oracle and reports the oracle's verdict as --method brute does.
+    path = tmp_path / "evans.grid"
+    path.write_text(serialize_grid(gen_evans_small(2, 2)))
+    assert main(["complete", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "falling back to exhaustive search" in captured.err
+    assert "incompletable (exhaustive search)" in captured.err
+
+
 def test_complete_node_limit_gives_up(tmp_path, capsys):
     path = tmp_path / "empty9.grid"
     path.write_text("sudoku v1\n3 3 9 9\n" + "\n".join([" ".join(["."] * 9)] * 9) + "\n")

@@ -129,6 +129,40 @@ def test_distribute_forced_band():
     assert dist.col_fills[(2, 2)] == (1, 3)
 
 
+def test_distribute_splits_every_empty_big_line_exactly():
+    # For each empty big column J, every row of a full band takes q symbols
+    # there and the band takes each symbol once; the leftover rows and the
+    # leftover block together take each symbol once.  The same holds for
+    # columns in each empty big row, with p symbols per column.
+    rng = random.Random(12)
+    checked = 0
+    for p, q in ((2, 3), (3, 2), (3, 4), (4, 3)):
+        n = p * q
+        for case in range(8):
+            r, s = rng.randint(1, n), rng.randint(1, n)
+            grid = gen_random_rectangle(p, q, r, s, case)
+            dist = distribute_free(grid, plan_medium_cells(grid))
+            for fills, block, lines, cross, height, width in (
+                    (dist.row_fills, dist.block_row_fills, r, s, p, q),
+                    (dist.col_fills, dist.block_col_fills, s, r, q, p)):
+                full = lines - lines % height
+                targets = range(-(-cross // width) + 1, height + 1)
+                for target in targets:
+                    for band in range(full // height):
+                        band_lines = range(band * height + 1, (band + 1) * height + 1)
+                        assert all(len(fills[(i, target)]) == width for i in band_lines)
+                        assert sorted(k for i in band_lines
+                                      for k in fills[(i, target)]) == list(range(1, n + 1))
+                        checked += 1
+                    if full < lines:
+                        leftover = [k for i in range(full + 1, lines + 1)
+                                    for k in fills[(i, target)]]
+                        assert sorted(leftover + list(block[target])) == list(range(1, n + 1))
+                        checked += 1
+                assert set(block) == (set(targets) if full < lines else set())
+    assert checked > 100
+
+
 def test_assemble_worked_instance_gives_expected_square():
     plan = plan_medium_cells(WORKED)
     dist = distribute_free(WORKED, plan)
