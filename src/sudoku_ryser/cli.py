@@ -18,6 +18,7 @@ from .grid import (
     FLAVORS,
     GridFormatError,
     PartialGrid,
+    embed_in_square,
     parse_grid,
     serialize_grid,
     validate_partial,
@@ -122,6 +123,8 @@ def _cmd_check(args) -> int:
         ob = verdict.certificate
         print(f"incompletable at stage {ob.stage} ({ob.kind})")
         return EXIT_FAIL
+    if grid.partition is None:  # a partition covers only the grid's own cells
+        grid = embed_in_square(grid)
     report = hall.hall_condition(grid, flavor=args.flavor, gate=args.gate)
     if report.gave_up:
         print(f"gave up: more than {args.gate} empty cells", file=sys.stderr)
@@ -175,7 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     group = p_check.add_mutually_exclusive_group(required=True)
     group.add_argument("--ryser", action="store_true")
-    group.add_argument("--hall", action="store_true")
+    group.add_argument("--hall", action="store_true",
+                       help="Hall's Condition for the grid embedded in the top left "
+                            "of an empty n x n square (a gerechte grid is checked "
+                            "as given)")
     group.add_argument("--matchings", action="store_true")
     p_check.add_argument("--flavor", choices=FLAVORS, default=None)
     p_check.add_argument("--gate", type=int, default=18)

@@ -4,8 +4,10 @@ The independence number alpha(L, sigma, Q) is the size of a largest set of
 cells of Q, pairwise in distinct rows and columns (and big cells or parts,
 depending on flavor), all of whose lists contain sigma.  Hall's Inequality
 for Q asks that these numbers summed over all symbols reach |Q|; Hall's
-Condition asks this for every subset.  Checking is exact and exhaustive,
-which is why it is gated to desk-scale inputs.
+Condition asks this for every subset.  Checking is exact: every subset is
+covered, though whole subtrees of the search are certified by one bound
+rather than walked.  The worst case is still exponential, which is why it is
+gated to desk-scale inputs.
 
 On a grid this is the list-assigned-graph condition for the conflict graph
 of the cells, in which two cells are adjacent when they share a row, a
@@ -155,8 +157,13 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     column or the flavor's unit) under their lists, so hall_condition_graph
     decides it with the one exact independence search.  Enumeration is
     depth first in lexicographic order, so a reported witness is the
-    lexicographically first failing subset.  More empty cells than the gate
-    means giving up.
+    lexicographically first failing subset.  A subtree is certified rather
+    than walked when greedy independent sets of its root S, grown over the
+    later cells, leave at most (their total - |S|) cells unplaced, or when
+    S's exact alpha sum exceeds |S| by the number of later cells: either
+    gives every subset of the subtree an alpha sum of at least its size.
+    Its subsets still count in subsets_checked, which is 2**e whenever the
+    condition holds.  More empty cells than the gate means giving up.
     """
     flavor = _flavor_of(grid, flavor)
     empties = sorted(grid.empty_cells())
@@ -223,6 +230,19 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     independent set is extended by the one new vertex when it fits, and only
     if these sets fall short of the subset size are the exact alphas
     computed, each cached per color and per subset of that color's vertices.
+
+    Below a subset S with largest position i, the subsets S | T, T a subset
+    of the later vertices R, are certified at once when either bound holds:
+    - with greedy sets G_c of total g, walk R in order, each vertex joining
+      the first of its colors whose grown set has none of its neighbours,
+      and let u count the vertices that join none.  If g - |S| >= u, then
+      sum_c alpha_c(S | T) >= g + |T| - u >= |S| + |T|, since each set stays
+      independent within S | T.
+    - with the exact sum lhs, if lhs - |S| >= |R|, then
+      sum_c alpha_c(S | T) >= lhs >= |S| + |T|, since no alpha shrinks as
+      the subset grows.
+    A certified subtree adds its 2**|R| - 1 subsets to subsets_checked, so
+    the count, and the first failing subset, are those of a full walk.
     """
     verts = list(vertices)
     if len(verts) > gate:
@@ -242,6 +262,20 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
 
     checked = 1  # the empty subset, trivially fine
 
+    def certified(start: int, sets: dict, slack: int) -> bool:
+        """Whether the greedy sets, grown over vertices start.., miss at most slack."""
+        sets = dict(sets)
+        for j in range(start, len(verts)):
+            for color in vlists[j]:
+                if not sets[color] & adj[j]:
+                    sets[color] |= 1 << j
+                    break
+            else:
+                slack -= 1
+                if slack < 0:
+                    return False
+        return True
+
     def dfs(start: int, mask: int, greedy: dict, greedy_total: int):
         nonlocal checked
         for i in range(start, len(verts)):
@@ -253,11 +287,18 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
                     child[color] |= 1 << i
                     child_total += 1
             checked += 1
+            rest = len(verts) - 1 - i  # |R|, the vertices after i
             if child_total < size:
                 lhs = sum(alpha(color, child_mask) for color in colors)
                 if lhs < size:
                     subset = tuple(v for j, v in enumerate(verts) if child_mask >> j & 1)
                     return subset, lhs, size
+                skip = lhs - size >= rest
+            else:
+                skip = certified(i + 1, child, child_total - size)
+            if skip:
+                checked += (1 << rest) - 1
+                continue
             found = dfs(i + 1, child_mask, child, child_total)
             if found is not None:
                 return found

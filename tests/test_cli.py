@@ -104,6 +104,14 @@ def test_check_hall_gate(tmp_path, capsys):
     assert main(["check", "--hall", str(path), "--gate", "18"]) == 3
 
 
+def test_check_hall_embeds_a_rectangle(ryser_fail_file, capsys):
+    # The 2 x 2 latin rectangle has no empty cell; in the 3 x 3 square it
+    # sits in, (1,3) and (2,3) both list only symbol 3.
+    assert main(["check", "--hall", ryser_fail_file]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("fails") and "(1,3) (2,3)" in out
+
+
 def test_check_matchings(worked_file, capsys):
     assert main(["check", "--matchings", worked_file]) == 0
     assert "completable" in capsys.readouterr().out

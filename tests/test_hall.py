@@ -345,3 +345,23 @@ def test_hall_condition_graph_matches_reference():
                                       dict(zip(names, lists)), gate)
         assert _report_tuple(report) == (holds, witness, checked, gave_up)
     assert failing > 0
+
+
+def test_hall_condition_graph_matches_reference_with_skipped_subtrees():
+    # 9 or 10 vertices whose lists take 2 to 4 of 4 colours: most subsets
+    # pass the greedy screen with room to spare, so the search certifies
+    # whole subtrees, while denser graphs still fail somewhere.
+    rng = random.Random(9)
+    holding = failing = 0
+    while holding < 40 or failing < 10:
+        count = rng.randint(9, 10)
+        density = rng.uniform(0.2, 0.9)
+        edges = {(a, b) for a, b in itertools.combinations(range(count), 2)
+                 if rng.random() < density}
+        lists = [frozenset(rng.sample(range(1, 5), rng.randint(2, 4))) for _ in range(count)]
+        expected = _reference_condition(
+            count, lambda a, b: (min(a, b), max(a, b)) in edges, lists)
+        report = hall_condition_graph(range(count), sorted(edges), dict(enumerate(lists)))
+        assert _report_tuple(report) == expected
+        holding += expected[0]
+        failing += not expected[0]
