@@ -123,7 +123,12 @@ def _cmd_check(args) -> int:
         ob = verdict.certificate
         print(f"incompletable at stage {ob.stage} ({ob.kind})")
         return EXIT_FAIL
-    if grid.partition is None:  # a partition covers only the grid's own cells
+    if grid.rows < grid.n or grid.cols < grid.n:
+        if (args.flavor or grid.flavor) == "gerechte":
+            # The file format gives parts only to the grid's own cells.
+            print("check --hall needs a gerechte grid to be the full n x n square",
+                  file=sys.stderr)
+            return EXIT_USAGE
         grid = embed_in_square(grid)
     report = hall.hall_condition(grid, flavor=args.flavor, gate=args.gate)
     if report.gave_up:
@@ -180,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ryser", action="store_true")
     group.add_argument("--hall", action="store_true",
                        help="Hall's Condition for the grid embedded in the top left "
-                            "of an empty n x n square (a gerechte grid is checked "
-                            "as given)")
+                            "of an empty n x n square (a gerechte grid must be the "
+                            "full square)")
     group.add_argument("--matchings", action="store_true")
     p_check.add_argument("--flavor", choices=FLAVORS, default=None)
     p_check.add_argument("--gate", type=int, default=18)

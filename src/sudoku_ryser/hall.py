@@ -6,8 +6,12 @@ depending on flavor), all of whose lists contain sigma.  Hall's Inequality
 for Q asks that these numbers summed over all symbols reach |Q|; Hall's
 Condition asks this for every subset.  Checking is exact: every subset is
 covered, though whole subtrees of the search are certified by one bound
-rather than walked.  The worst case is still exponential, which is why it is
-gated to desk-scale inputs.
+rather than walked.  The search starts with that bound at its root: when a
+first-fit pass gives every cell a colour from its list, no two conflicting
+cells alike, this proper list colouring certifies all subsets at once, since
+each colour class is an independent set of cells listing that colour and so
+the classes give every subset S an alpha sum of at least |S|.  The worst
+case is still exponential, which is why it is gated to desk-scale inputs.
 
 On a grid this is the list-assigned-graph condition for the conflict graph
 of the cells, in which two cells are adjacent when they share a row, a
@@ -162,7 +166,11 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     later cells, leave at most (their total - |S|) cells unplaced, or when
     S's exact alpha sum exceeds |S| by the number of later cells: either
     gives every subset of the subtree an alpha sum of at least its size.
-    Its subsets still count in subsets_checked, which is 2**e whenever the
+    The root comes first: when first-fit gives every empty cell one of its
+    symbols with no two conflicting cells alike, the symbol classes are
+    independent sets that give each subset an alpha sum of at least its
+    size, so the condition holds without any subset being walked.  Certified
+    subsets still count in subsets_checked, which is 2**e whenever the
     condition holds.  More empty cells than the gate means giving up.
     """
     flavor = _flavor_of(grid, flavor)
@@ -241,8 +249,12 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     - with the exact sum lhs, if lhs - |S| >= |R|, then
       sum_c alpha_c(S | T) >= lhs >= |S| + |T|, since no alpha shrinks as
       the subset grows.
-    A certified subtree adds its 2**|R| - 1 subsets to subsets_checked, so
-    the count, and the first failing subset, are those of a full walk.
+    The first bound is tried once at the root, S empty with g = u = 0 and R
+    every vertex, before the walk: it holds when the greedy walk gives each
+    vertex a colour, that is, a proper list colouring, whose colour classes
+    certify every subset at once.  A certified subtree adds its 2**|R| - 1
+    subsets to subsets_checked, so the count, and the first failing subset,
+    are those of a full walk.
     """
     verts = list(vertices)
     if len(verts) > gate:
@@ -304,5 +316,7 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
                 return found
         return None
 
+    if certified(0, dict.fromkeys(colors, 0), 0):  # the root, S empty
+        return HallReport(True, None, 1 << len(verts), False)
     witness = dfs(0, 0, dict.fromkeys(colors, 0), 0)
     return HallReport(witness is None, witness, checked, False)

@@ -112,6 +112,26 @@ def test_check_hall_embeds_a_rectangle(ryser_fail_file, capsys):
     assert out.startswith("fails") and "(1,3) (2,3)" in out
 
 
+def test_check_hall_needs_a_full_gerechte_square(tmp_path, capsys):
+    # The file gives parts only to the rectangle's own cells, so the cells
+    # it would be embedded with have none: a usage error, not "holds".
+    path = tmp_path / "gerechte.grid"
+    path.write_text("sudoku v1\n1 3 2 2\n1 2\n2 1\npartition\n1 1\n2 2\n")
+    assert main(["check", "--hall", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "full n x n square" in captured.err
+    # Under another flavor the parts are not needed, and the rectangle is
+    # embedded as a grid without a partition is.
+    assert main(["check", "--hall", str(path), "--flavor", "latin"]) == 1
+    assert "(1,3) (2,3)" in capsys.readouterr().out
+    square = tmp_path / "square.grid"
+    square.write_text("sudoku v1\n1 3 3 3\n1 2 .\n. . .\n. . .\n"
+                      "partition\n1 1 2\n1 2 2\n3 3 3\n")
+    assert main(["check", "--hall", str(square)]) == 0
+    assert capsys.readouterr().out.startswith("holds")
+
+
 def test_check_matchings(worked_file, capsys):
     assert main(["check", "--matchings", worked_file]) == 0
     assert "completable" in capsys.readouterr().out

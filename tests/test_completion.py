@@ -625,3 +625,31 @@ def test_band_matcher_agrees_with_hopcroft_karp():
                         assert not set(got[i]) & (set(lines.row_symbols(i)) | banned)
                     filled += 1
     assert filled > failed
+
+
+def test_corner_kinds_verify_and_the_oracle_confirms_them():
+    # The corner stages fail only from (3,3) up, and rarely: about one draw
+    # in 300 ends in corner-must and one in 1,000 in corner-flow.  A corner
+    # needs a partial band and a partial stack, so no side is a multiple of
+    # its box side.  Draws cycle through the four shapes until every corner
+    # kind has turned up; each corner verdict must re-verify, and the oracle
+    # must find the embedded square incompletable.
+    rng = random.Random(2024)
+    shapes = [(3, 3), (2, 4), (3, 4), (4, 3)]
+    wanted = {"corner-double-must", "corner-must", "corner-flow"}
+    seen = set()
+    draws = 0
+    while seen != wanted:
+        assert draws < 4_000, f"only {sorted(seen)} after {draws} draws"
+        p, q = shapes[draws % len(shapes)]
+        draws += 1
+        n = p * q
+        r = rng.choice([side for side in range(1, n) if side % p])
+        s = rng.choice([side for side in range(1, n) if side % q])
+        grid = gen_random_valid_rectangle(p, q, r, s, rng.randrange(10 ** 9))
+        verdict = complete(grid)
+        if verdict.completable or verdict.certificate.kind not in wanted:
+            continue
+        assert verify_obstruction(grid, verdict.certificate)
+        assert brute_force_complete(embed_in_square(grid)).outcome == "incompletable"
+        seen.add(verdict.certificate.kind)
