@@ -6,12 +6,8 @@ depending on flavor), all of whose lists contain sigma.  Hall's Inequality
 for Q asks that these numbers summed over all symbols reach |Q|; Hall's
 Condition asks this for every subset.  Checking is exact: every subset is
 covered, though whole subtrees of the search are certified by one bound
-rather than walked.  The search starts with that bound at its root: when a
-first-fit pass gives every cell a colour from its list, no two conflicting
-cells alike, this proper list colouring certifies all subsets at once, since
-each colour class is an independent set of cells listing that colour and so
-the classes give every subset S an alpha sum of at least |S|.  The worst
-case is still exponential, which is why it is gated to desk-scale inputs.
+rather than walked.  The worst case is still exponential, which is why it is
+gated to desk-scale inputs.
 
 On a grid this is the list-assigned-graph condition for the conflict graph
 of the cells, in which two cells are adjacent when they share a row, a
@@ -82,21 +78,29 @@ def list_assignment(grid: PartialGrid, flavor: Optional[str] = None) -> dict[Cel
 def _max_independent(cand: int, adj: list[int]) -> int:
     """Size of a largest independent set of the vertices in the bit mask cand.
 
-    Branch and bound on the lowest remaining vertex: take it (dropping its
-    neighbours) or leave it; a branch ends when even every remaining vertex
+    Branch and bound on the lowest remaining vertex v.  With at most one
+    neighbour left, v is taken without branching: some largest set holds it,
+    since swapping that neighbour for v keeps a set independent.  Otherwise
+    the branch that takes v (dropping its neighbours) runs first and then
+    the one that leaves it.  A branch ends when even every remaining vertex
     could not beat the best set found.
     """
     best = 0
 
     def bb(rest: int, size: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if size + rest.bit_count() <= best:
-            return
-        low = rest & -rest
-        bb(rest & ~low & ~adj[low.bit_length() - 1], size + 1)
-        bb(rest & ~low, size)
+        while rest:
+            if size + rest.bit_count() <= best:
+                return
+            low = rest & -rest
+            near = adj[low.bit_length() - 1] & rest
+            rest &= ~low
+            if near & (near - 1):
+                bb(rest & ~near, size + 1)
+            else:
+                rest &= ~near
+                size += 1
+        best = max(best, size)
 
     bb(cand, 0)
     return best
@@ -166,11 +170,7 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     later cells, leave at most (their total - |S|) cells unplaced, or when
     S's exact alpha sum exceeds |S| by the number of later cells: either
     gives every subset of the subtree an alpha sum of at least its size.
-    The root comes first: when first-fit gives every empty cell one of its
-    symbols with no two conflicting cells alike, the symbol classes are
-    independent sets that give each subset an alpha sum of at least its
-    size, so the condition holds without any subset being walked.  Certified
-    subsets still count in subsets_checked, which is 2**e whenever the
+    Its subsets still count in subsets_checked, which is 2**e whenever the
     condition holds.  More empty cells than the gate means giving up.
     """
     flavor = _flavor_of(grid, flavor)
@@ -237,50 +237,46 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     subset is screened greedily first: per color, the parent's greedy
     independent set is extended by the one new vertex when it fits, and only
     if these sets fall short of the subset size are the exact alphas
-    computed, each cached per color and per subset of that color's vertices.
+    computed, each cached by the subset's vertices that list the color, so
+    colors listed by the same vertices of the subset share one entry.
 
     Below a subset S with largest position i, the subsets S | T, T a subset
     of the later vertices R, are certified at once when either bound holds:
     - with greedy sets G_c of total g, walk R in order, each vertex joining
-      the first of its colors whose grown set has none of its neighbours,
-      and let u count the vertices that join none.  If g - |S| >= u, then
+      the first of its colors, in sorted order, whose grown set has none of
+      its neighbours, and let u count the vertices that join none.  If g - |S| >= u, then
       sum_c alpha_c(S | T) >= g + |T| - u >= |S| + |T|, since each set stays
       independent within S | T.
     - with the exact sum lhs, if lhs - |S| >= |R|, then
       sum_c alpha_c(S | T) >= lhs >= |S| + |T|, since no alpha shrinks as
       the subset grows.
-    The first bound is tried once at the root, S empty with g = u = 0 and R
-    every vertex, before the walk: it holds when the greedy walk gives each
-    vertex a colour, that is, a proper list colouring, whose colour classes
-    certify every subset at once.  A certified subtree adds its 2**|R| - 1
-    subsets to subsets_checked, so the count, and the first failing subset,
-    are those of a full walk.
+    Since u <= |R|, the first bound needs no walk when g - |S| >= |R|.  A
+    certified subtree adds its 2**|R| - 1 subsets to subsets_checked, so
+    the count, and the first failing subset, are those of a full walk.
     """
     verts = list(vertices)
     if len(verts) > gate:
         return HallReport(True, None, 0, True)
+    count = len(verts)
     adj = _adjacency(verts, edges)
     vlists = [frozenset(lists.get(v, ())) for v in verts]
     colors = sorted({c for lst in vlists for c in lst})
-    holders = {color: sum(1 << i for i, lst in enumerate(vlists) if color in lst)
-               for color in colors}
-    memo: dict = {}
-
-    def alpha(color, mask: int) -> int:
-        key = (color, mask & holders[color])
-        if key not in memo:
-            memo[key] = _max_independent(key[1], adj)
-        return memo[key]
-
+    index = {color: k for k, color in enumerate(colors)}
+    # per position: its neighbours, the indices of its colors and its bit
+    walk = [(adj[i], tuple(sorted(index[c] for c in lst)), 1 << i)
+            for i, lst in enumerate(vlists)]
+    holders = [sum(1 << i for i, lst in enumerate(vlists) if color in lst)
+               for color in colors]
+    memo: dict[int, int] = {}  # alpha of a vertex subset
     checked = 1  # the empty subset, trivially fine
 
-    def certified(start: int, sets: dict, slack: int) -> bool:
+    def certified(start: int, sets: list[int], slack: int) -> bool:
         """Whether the greedy sets, grown over vertices start.., miss at most slack."""
-        sets = dict(sets)
-        for j in range(start, len(verts)):
-            for color in vlists[j]:
-                if not sets[color] & adj[j]:
-                    sets[color] |= 1 << j
+        sets = sets[:]
+        for near, ks, bit in walk[start:]:
+            for k in ks:
+                if not sets[k] & near:
+                    sets[k] |= bit
                     break
             else:
                 slack -= 1
@@ -288,26 +284,34 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
                     return False
         return True
 
-    def dfs(start: int, mask: int, greedy: dict, greedy_total: int):
+    def dfs(start: int, mask: int, greedy: list[int], greedy_total: int):
         nonlocal checked
-        for i in range(start, len(verts)):
-            child_mask = mask | 1 << i
-            size = child_mask.bit_count()
-            child, child_total = dict(greedy), greedy_total
-            for color in vlists[i]:
-                if not child[color] & adj[i]:
-                    child[color] |= 1 << i
+        size = mask.bit_count() + 1  # that of every child subset
+        for i in range(start, count):
+            near, ks, bit = walk[i]
+            child_mask = mask | bit
+            child, child_total = greedy[:], greedy_total
+            for k in ks:
+                if not child[k] & near:
+                    child[k] |= bit
                     child_total += 1
             checked += 1
-            rest = len(verts) - 1 - i  # |R|, the vertices after i
+            rest = count - 1 - i  # |R|, the vertices after i
             if child_total < size:
-                lhs = sum(alpha(color, child_mask) for color in colors)
+                lhs = 0
+                for held in holders:
+                    sub = child_mask & held
+                    alpha = memo.get(sub)
+                    if alpha is None:
+                        alpha = memo[sub] = _max_independent(sub, adj)
+                    lhs += alpha
                 if lhs < size:
                     subset = tuple(v for j, v in enumerate(verts) if child_mask >> j & 1)
                     return subset, lhs, size
                 skip = lhs - size >= rest
             else:
-                skip = certified(i + 1, child, child_total - size)
+                slack = child_total - size
+                skip = slack >= rest or certified(i + 1, child, slack)
             if skip:
                 checked += (1 << rest) - 1
                 continue
@@ -316,7 +320,5 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
                 return found
         return None
 
-    if certified(0, dict.fromkeys(colors, 0), 0):  # the root, S empty
-        return HallReport(True, None, 1 << len(verts), False)
-    witness = dfs(0, 0, dict.fromkeys(colors, 0), 0)
+    witness = dfs(0, 0, [0] * len(colors), 0)
     return HallReport(witness is None, witness, checked, False)

@@ -368,51 +368,20 @@ def test_hall_condition_graph_matches_reference_with_skipped_subtrees():
         failing += not expected[0]
 
 
-def test_root_colouring_certifies_a_pattern_corner_without_exact_search(monkeypatch):
-    # First-fit colours all 16 empty cells of this (2,3) pattern corner, so
-    # no subset is searched, yet every one of them is counted.
-    rows = [[(3 * (i % 2) + i // 2 + j) % 6 + 1 for j in range(5)] for i in range(4)]
-    square = embed_in_square(grid_from_rows(2, 3, rows))
-    calls = []
-    search = hall_module._max_independent
-    monkeypatch.setattr(hall_module, "_max_independent",
-                        lambda cand, adj: calls.append(cand) or search(cand, adj))
-    report = hall_condition(square)
-    assert _report_tuple(report) == (True, None, 2 ** 16, False)
-    assert calls == []
-
-
-def _first_fit_colours(count, adjacent, lists):
-    """Whether first-fit in position order, lowest colour first, colours every vertex."""
-    classes = {}
-    for v in range(count):
-        color = next((c for c in sorted(lists[v])
-                      if not any(adjacent(u, v) for u in classes.get(c, ()))), None)
-        if color is None:
-            return False
-        classes.setdefault(color, []).append(v)
-    return True
-
-
-def test_hall_condition_graph_matches_reference_past_a_failed_root_colouring():
-    # Graphs where the condition holds but first-fit leaves a vertex
-    # uncoloured go on to the subset search, whose report must still be
-    # that of a full walk.
-    rng = random.Random(10)
-    found = 0
-    while found < 20:
-        count = rng.randint(8, 9)
-        density = rng.uniform(0.2, 0.9)
-        edges = {(a, b) for a, b in itertools.combinations(range(count), 2)
-                 if rng.random() < density}
-        lists = [frozenset(rng.sample(range(1, 4), rng.randint(2, 3))) for _ in range(count)]
-
-        def adjacent(a, b):
-            return (min(a, b), max(a, b)) in edges
-
-        if _first_fit_colours(count, adjacent, lists):
-            continue
-        expected = _reference_condition(count, adjacent, lists)
-        report = hall_condition_graph(range(count), sorted(edges), dict(enumerate(lists)))
-        assert _report_tuple(report) == expected
-        found += expected[0]
+def test_max_independent_matches_brute_force():
+    # Sparse graphs leave many vertices with at most one neighbour, which
+    # are taken without branching; dense ones take the branch and bound.
+    rng = random.Random(21)
+    for _ in range(300):
+        count = rng.randint(0, 10)
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        adj = [0] * count
+        for a, b in itertools.combinations(range(count), 2):
+            if rng.random() < density:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        cand = rng.getrandbits(count) if count else 0
+        best = max(sub.bit_count() for sub in range(cand + 1)
+                   if not sub & ~cand
+                   and not any(sub >> i & 1 and adj[i] & sub for i in range(count)))
+        assert hall_module._max_independent(cand, adj) == best
