@@ -66,8 +66,6 @@ from .outline import (
     OutlineLatinSquare,
     amalgamate,
     expand_outline,
-    parse_outline,
-    serialize_outline,
     split_front,
     validate_outline,
 )

@@ -2,9 +2,9 @@
 
 Exit codes: 0 completable / holds / valid, 1 incompletable / fails /
 invalid, 2 usage or format error, 3 gave up (gate or node limit), 4
-internal error (a construction bug or exhausted recursion; never a
-verdict).  Grid output goes to stdout in the grid file format; diagnostics
-go to stderr.
+internal error (a construction bug, such as an assembled outline that
+fails validation, or exhausted recursion; never a verdict).  Grid output
+goes to stdout in the grid file format; diagnostics go to stderr.
 """
 from __future__ import annotations
 

@@ -46,7 +46,6 @@ from .bipartite import (
 from .grid import (
     PartialGrid,
     SudokuGeometry,
-    ValidationReport,
     anchors,
     extends,
     validate_partial,
@@ -553,12 +552,14 @@ def _axis_cells(ax: _Axis, share: dict, fills: dict, block_fills: dict, own: tup
 
 
 def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
-                     dist: Distribution) -> Union[OutlineLatinSquare, Obstruction]:
+                     dist: Distribution) -> OutlineLatinSquare:
     """Lay the rectangle, medium cells and distributions out as an outline square.
 
     Unit rows and columns keep the original cells; leftover blocks absorb
     their complements; fully empty big cells take every symbol once.  The
-    outline is validated before it is returned.
+    outline is validated before it is returned: a plan and distribution
+    built from the grid always give a valid one, so an invalid outline is a
+    construction bug and raises RuntimeError.
     """
     row, col = _axes(grid)
     shape = row.shape
@@ -596,9 +597,8 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
         for oi in range(1, len(row_parts) + 1)
     )
     outline = OutlineLatinSquare(row_parts, col_parts, (1,) * shape.n, grid_cells)
-    report = validate_outline(outline)
-    if not report.ok:
-        return Obstruction("outline-invalid", report, kind="outline")
+    if not validate_outline(outline).ok:
+        raise RuntimeError("assembled outline fails validation; construction bug")
     return outline
 
 
@@ -631,10 +631,7 @@ def complete(grid: PartialGrid) -> Verdict:
     if isinstance(plan, Obstruction):
         return Verdict(False, plan)
     dist = distribute_free(grid, plan)
-    outline = assemble_outline(grid, plan, dist)
-    if isinstance(outline, Obstruction):
-        return Verdict(False, outline)
-    latin = expand_outline(outline)
+    latin = expand_outline(assemble_outline(grid, plan, dist))
     square = PartialGrid(geom, geom.n, geom.n, latin.cells, "sudoku", None)
 
     final = validate_partial(square)
@@ -726,6 +723,4 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     if ob.kind == "ryser":
         ryser = ryser_counts(grid, grid.n)
         return ryser.counts[ob.symbol] < ryser.bound
-    if ob.stage == "outline-invalid":
-        return isinstance(ob.detail, ValidationReport) and not ob.detail.ok
     return False

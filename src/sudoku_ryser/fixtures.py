@@ -1,10 +1,15 @@
-"""Brute-force completion oracle, incompletable constructions, random instances."""
+"""Brute-force completion oracle, incompletable constructions, random instances.
+
+The oracle and the random rectangle generator share one backtracking search,
+_backtrack, which keeps its path on an explicit stack: a deep grid costs
+memory, never Python recursion.
+"""
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .grid import (
     PartialGrid,
@@ -23,99 +28,99 @@ class OracleResult:
     nodes_expanded: int
 
 
-def brute_force_complete(grid: PartialGrid, node_limit: int = 10_000_000,
-                         tie_break: str = "coordinate") -> OracleResult:
+def _backtrack(keys_of: list, used: dict, n: int, fewest_first: bool,
+               arrange: Optional[Callable[[list[int]], None]],
+               budget: int) -> tuple[str, Optional[list[int]], int]:
+    """Give cells 0..len(keys_of)-1 symbols 1..n by depth-first search.
+
+    keys_of[cell] are the constraint keys of a cell and used[key] is the bit
+    mask of the symbols taken in that group (bit v for symbol v); the search
+    updates used in place.  Each step fills the next cell in index order or,
+    with fewest_first, the first cell with the fewest symbols left, so a cell
+    with none backtracks at once.  A cell's symbols are tried in ascending
+    order, after arrange (such as rng.shuffle) has reordered them in place.
+    Each assignment is one node.
+
+    Returns (outcome, values, nodes): "found" with values[cell] the symbol of
+    each cell, "incompletable" when no fill exists, or "gaveUp" once more
+    than budget nodes are needed.
+    """
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    values = [0] * len(keys_of)  # 0: not filled
+    path: list[list] = []  # [cell, options, index of the next option to try]
+    nodes = 0
+    while True:
+        depth = len(path)  # in index order, cells 0..depth-1 are the filled ones
+        pool = (range(len(keys_of)) if fewest_first
+                else range(depth, min(depth + 1, len(keys_of))))
+        cell, free, fewest = None, 0, n + 1
+        for c in pool:
+            if values[c]:
+                continue
+            mask = full
+            for key in keys_of[c]:
+                mask &= ~used[key]
+            count = mask.bit_count()
+            if count < fewest:
+                cell, free, fewest = c, mask, count
+                if not count:
+                    break
+        if cell is None:
+            return "found", values, nodes
+        options = [v for v in range(1, n + 1) if free >> v & 1]
+        if arrange:
+            arrange(options)
+        path.append([cell, options, 0])
+
+        while path:  # withdraw the deepest assignment and find its next option
+            frame = path[-1]
+            cell, options, i = frame
+            if values[cell]:
+                bit = 1 << values[cell]
+                for key in keys_of[cell]:
+                    used[key] ^= bit
+                values[cell] = 0
+            if i < len(options):
+                break
+            path.pop()
+        else:
+            return "incompletable", None, nodes
+        nodes += 1
+        if nodes > budget:
+            return "gaveUp", None, nodes
+        frame[2] = i + 1
+        values[cell] = options[i]
+        bit = 1 << options[i]
+        for key in keys_of[cell]:
+            used[key] |= bit
+
+
+def brute_force_complete(grid: PartialGrid, node_limit: int = 10_000_000) -> OracleResult:
     """Exhaustive backtracking search for a completion of the grid.
 
-    Cells are chosen most-constrained first, ties broken by coordinate (or
-    reversed coordinate with tie_break="reverse"); a cell with no candidates
-    prunes immediately.  The search is deterministic, so identical inputs
-    give identical outcomes and node counts.
+    Cells are chosen most-constrained first, ties broken by coordinate, and
+    symbols are tried in ascending order; a cell with no candidates prunes
+    immediately.  The search is deterministic, so identical inputs give
+    identical outcomes and node counts.
     """
     if not validate_partial(grid).ok:
         raise ValueError("oracle input is invalid")
-    n = grid.n
-    full = (1 << (n + 1)) - 2  # bits 1..n
-
-    used: dict = {}
+    empties = grid.empty_cells()
+    keys_of = [_constraint_keys(grid, r, c) for r, c in empties]
+    used = {key: 0 for keys in keys_of for key in keys}
     for r, c, v in grid.filled():
         for key in _constraint_keys(grid, r, c):
-            used[key] = used.get(key, 0) | (1 << v)
-    empties = grid.empty_cells()
-    for r, c in empties:
-        for key in _constraint_keys(grid, r, c):
-            used.setdefault(key, 0)
-
-    keys_of = {(r, c): _constraint_keys(grid, r, c) for r, c in empties}
-    assignment: dict[tuple[int, int], int] = {}
-    solution: dict[tuple[int, int], int] = {}
-    nodes = 0
-    reverse = tie_break == "reverse"
-
-    def candidates(cell: tuple[int, int]) -> int:
-        mask = full
-        for key in keys_of[cell]:
-            mask &= ~used[key]
-        return mask
-
-    def pick_cell() -> Optional[tuple[tuple[int, int], int]]:
-        best = None
-        best_count = n + 1
-        pool = empties if not reverse else list(reversed(empties))
-        for cell in pool:
-            if cell in assignment:
-                continue
-            mask = candidates(cell)
-            count = bin(mask).count("1")
-            if count < best_count:
-                best, best_count = (cell, mask), count
-                if count == 0:
-                    break
-        return best
-
-    def search() -> Optional[str]:
-        nonlocal nodes
-        if len(assignment) == len(empties):
-            solution.update(assignment)
-            return "found"
-        chosen = pick_cell()
-        if chosen is None:
-            solution.update(assignment)
-            return "found"
-        cell, mask = chosen
-        if mask == 0:
-            return None
-        v = 1
-        while mask:
-            if mask & (1 << v):
-                mask &= ~(1 << v)
-                nodes += 1
-                if nodes > node_limit:
-                    return "gaveUp"
-                assignment[cell] = v
-                for key in keys_of[cell]:
-                    used[key] |= 1 << v
-                result = search()
-                for key in keys_of[cell]:
-                    used[key] &= ~(1 << v)
-                del assignment[cell]
-                if result is not None:
-                    return result
-            v += 1
-        return None
-
-    outcome = search()
-    if outcome == "found":
-        cells = [list(row) for row in grid.cells]
-        for (r, c), v in solution.items():
-            cells[r - 1][c - 1] = v
-        square = PartialGrid(grid.geometry, grid.rows, grid.cols,
-                             tuple(tuple(row) for row in cells),
-                             grid.flavor, grid.partition)
-        return OracleResult("found", square, nodes)
-    if outcome == "gaveUp":
-        return OracleResult("gaveUp", None, nodes)
-    return OracleResult("incompletable", None, nodes)
+            used[key] = used.get(key, 0) | 1 << v
+    outcome, values, nodes = _backtrack(keys_of, used, grid.n, True, None, node_limit)
+    if outcome != "found":
+        return OracleResult(outcome, None, nodes)
+    cells = [list(row) for row in grid.cells]
+    for (r, c), v in zip(empties, values):
+        cells[r - 1][c - 1] = v
+    square = PartialGrid(grid.geometry, grid.rows, grid.cols,
+                         tuple(tuple(row) for row in cells),
+                         grid.flavor, grid.partition)
+    return OracleResult("found", square, nodes)
 
 
 @dataclass(frozen=True)
@@ -234,14 +239,13 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
 
     Unlike gen_random_rectangle this fills the region directly, so it can
     produce rectangles that no full square extends.  Each attempt is a
-    backtracking search that tries each cell's allowed symbols in a
-    shuffled order.  The first fills the cells in row-major order and is cut
-    off after FIRST_BUDGET assignments; so a draw it finishes is the one
-    plain row-major backtracking makes.  That order can wander for minutes
-    on some n = 12 shapes, so attempt k >= 1 fills the most constrained cell
-    first and is cut off after k * NODES_PER_CELL assignments per cell.
-    Every attempt continues the same random stream, and the budget grows
-    until one finishes, so a rectangle is always returned.
+    backtracking search that tries each cell's symbols in a shuffled order.
+    The first fills the cells in row-major order, so a draw it finishes
+    within FIRST_BUDGET assignments is the one plain row-major backtracking
+    makes.  That order can wander for minutes on some n = 12 shapes, so
+    attempt k >= 1 fills the most constrained cell first, within
+    k * NODES_PER_CELL assignments per cell.  All attempts draw from one
+    random stream, and the budget grows until one finishes.
     """
     rng = random.Random(seed)
     geom = SudokuGeometry(p, q)
@@ -250,51 +254,13 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
         raise ValueError("rectangle larger than the order")
     base = empty_grid(p, q, rows=r, cols=s)
     keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
-
     for attempt in itertools.count():
         budget = NODES_PER_CELL * len(keys_of) * attempt if attempt else FIRST_BUDGET
-        used = {key: 0 for keys in keys_of for key in keys}  # bit v: symbol v taken
-        values = [0] * len(keys_of)
-        order = list(range(len(keys_of)))  # order[k:] are the cells left to fill
-        nodes = 0
-
-        def taken(cell: int) -> int:
-            mask = 0
-            for key in keys_of[cell]:
-                mask |= used[key]
-            return mask
-
-        def fill(k: int) -> Optional[bool]:
-            """True when filled, False when no option fits, None when cut off."""
-            nonlocal nodes
-            if k == len(order):
-                return True
-            if attempt:
-                pick = max(range(k, len(order)), key=lambda t: taken(order[t]).bit_count())
-                order[k], order[pick] = order[pick], order[k]
-            cell = order[k]
-            mask = taken(cell)
-            options = [v for v in range(1, n + 1) if not mask >> v & 1]
-            rng.shuffle(options)
-            for v in options:
-                nodes += 1
-                if nodes > budget:
-                    return None
-                values[cell] = v
-                bit = 1 << v
-                for key in keys_of[cell]:
-                    used[key] |= bit
-                result = fill(k + 1)
-                if result is not False:
-                    return result
-                for key in keys_of[cell]:
-                    used[key] ^= bit
-            return False
-
-        result = fill(0)
-        if result:
+        used = {key: 0 for keys in keys_of for key in keys}
+        outcome, values, _ = _backtrack(keys_of, used, n, attempt > 0, rng.shuffle, budget)
+        if outcome == "found":
             break
-        if result is False:
+        if outcome == "incompletable":
             raise RuntimeError("random rectangle generation failed")
     rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
     return PartialGrid(geom, r, s, rows, base.flavor, None)

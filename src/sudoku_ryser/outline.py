@@ -202,59 +202,6 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     return _from_lines(o, axis, comp[:target] + (1, m - 1) + comp[target + 1:], lines)
 
 
-def parse_outline(text: str) -> OutlineLatinSquare:
-    """Parse the outline text format (testing convenience).
-
-    Line 1 is ``outline v1``; lines 2-4 give the three compositions as
-    ``S: a b c``, ``T: ...``, ``U: ...``; then one line per outline row with
-    cells separated by ``|`` and symbols within a cell separated by ``,``.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "outline v1":
-        raise OutlineError("missing 'outline v1' header")
-    if len(lines) < 4:
-        raise OutlineError("missing composition lines")
-    comps = []
-    for expect, ln in zip(("S:", "T:", "U:"), lines[1:4]):
-        if not ln.startswith(expect):
-            raise OutlineError(f"expected line starting with {expect!r}, got {ln!r}")
-        try:
-            comps.append(tuple(int(tok) for tok in ln[2:].split()))
-        except ValueError as exc:
-            raise OutlineError(f"bad composition line {ln!r}") from exc
-    row_comp, col_comp, sym_comp = comps
-    body = lines[4:]
-    if len(body) != len(row_comp):
-        raise OutlineError(f"expected {len(row_comp)} cell rows, got {len(body)}")
-    cells = []
-    for ln in body:
-        parts = [chunk.strip() for chunk in ln.split("|")]
-        if len(parts) != len(col_comp):
-            raise OutlineError(f"expected {len(col_comp)} cells per row in {ln!r}")
-        row = []
-        for chunk in parts:
-            if not chunk:
-                row.append(())
-                continue
-            try:
-                row.append(tuple(sorted(int(tok) for tok in chunk.split(","))))
-            except ValueError as exc:
-                raise OutlineError(f"bad cell {chunk!r}") from exc
-        cells.append(tuple(row))
-    return OutlineLatinSquare(row_comp, col_comp, sym_comp, tuple(cells))
-
-
-def serialize_outline(o: OutlineLatinSquare) -> str:
-    """Canonical text form for parse_outline."""
-    out = ["outline v1",
-           "S: " + " ".join(str(part) for part in o.row_comp),
-           "T: " + " ".join(str(part) for part in o.col_comp),
-           "U: " + " ".join(str(part) for part in o.sym_comp)]
-    for row in o.cells:
-        out.append(" | ".join(",".join(str(k) for k in cell) for cell in row))
-    return "\n".join(out) + "\n"
-
-
 def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
     """Recover a full latin square whose amalgamation is the given outline.
 

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 from sudoku_ryser import bipartite, cli, completion, fixtures, grid, hall, outline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODS = SimpleNamespace(grid=grid, bipartite=bipartite, outline=outline,
+                       completion=completion, hall=hall, fixtures=fixtures, cli=cli)
 
 
 def _run_module(monkeypatch):
@@ -25,13 +27,11 @@ def _run_module(monkeypatch):
 
 def test_tracer_wraps_and_restores_the_library(monkeypatch):
     run = _run_module(monkeypatch)
-    mods = SimpleNamespace(grid=grid, bipartite=bipartite, outline=outline,
-                           completion=completion, hall=hall, fixtures=fixtures, cli=cli)
-    assert set(vars(mods)) == set(run.MODULES)
-    before = {name: dict(vars(module)) for name, module in vars(mods).items()}
+    assert set(vars(MODS)) == set(run.MODULES)
+    before = {name: dict(vars(module)) for name, module in vars(MODS).items()}
     tracer = run.Tracer()
     try:
-        run.install_tracing(tracer, mods)
+        run.install_tracing(tracer, MODS)
         assert tracer._restore
         assert all(getattr(module, attr) is not fn for module, attr, fn in tracer._restore)
         verdict = completion.complete(grid.grid_from_rows(2, 2, [[1, 2], [3, 4], [2, 1]]))
@@ -44,5 +44,19 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
                    for name, _, _, parent, _ in spans)
     finally:
         tracer.unwrap()
-    for name, module in vars(mods).items():
+    for name, module in vars(MODS).items():
         assert dict(vars(module)) == before[name], name
+
+
+def test_tracer_counts_the_oracle_nodes(monkeypatch):
+    run = _run_module(monkeypatch)
+    tracer = run.Tracer()
+    try:
+        run.install_tracing(tracer, MODS)
+        square = grid.embed_in_square(grid.grid_from_rows(2, 2, [[1, 2], [3, 4], [2, 1]]))
+        result = fixtures.brute_force_complete(square)
+    finally:
+        tracer.unwrap()
+    assert result.outcome == "found" and result.nodes_expanded > 0
+    assert "fixtures.oracle" in {span[0] for span in tracer.spans}
+    assert tracer.counts["fixtures.oracle.nodes"] == result.nodes_expanded

@@ -51,6 +51,21 @@ def test_internal_error_is_not_incompletable(worked_file, capsys, monkeypatch, e
     assert "internal error" in capsys.readouterr().err
 
 
+def test_invalid_assembled_outline_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "corner.grid"
+    path.write_text(serialize_grid(grid_from_rows(2, 2, [[1, 2], [3, 4]])))
+    honest = completion.distribute_free
+
+    def tampered(grid, plan):
+        dist = honest(grid, plan)
+        dist.row_fills[(1, 2)] = (3, 3)  # row 1 would hold symbol 3 twice
+        return dist
+
+    monkeypatch.setattr(completion, "distribute_free", tampered)
+    assert main(["complete", str(path)]) == EXIT_INTERNAL
+    assert "construction bug" in capsys.readouterr().err
+
+
 def test_complete_brute_method(tmp_path, capsys):
     path = tmp_path / "evans.grid"
     path.write_text(serialize_grid(gen_evans_small(2, 2)))
@@ -162,6 +177,12 @@ def test_gen_random_deterministic(capsys):
     assert main(["gen", "random", "--p", "2", "--q", "2", "--r", "2", "--s", "2",
                  "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_gen_random_square_deeper_than_the_recursion_limit(capsys):
+    assert main(["gen", "random", "--p", "1", "--q", "34", "--r", "34", "--s", "34"]) == 0
+    square = parse_grid(capsys.readouterr().out)
+    assert square.is_fully_filled() and validate_partial(square).ok
 
 
 def test_verify(tmp_path, capsys):

@@ -179,10 +179,8 @@ def test_assemble_tampered_plan_flags_outline():
     dist = distribute_free(WORKED, plan)
     tampered = MediumCellPlan(dict(plan.horizontal), dict(plan.vertical))
     tampered.horizontal[(1, 1)] = (3,)  # duplicates 3 inside the big cell
-    result = assemble_outline(WORKED, tampered, dist)
-    assert isinstance(result, Obstruction)
-    assert result.stage == "outline-invalid"
-    assert not result.detail.ok
+    with pytest.raises(RuntimeError, match="construction bug"):
+        assemble_outline(WORKED, tampered, dist)
 
 
 def test_complete_theorem2_shape_always_succeeds():

@@ -55,15 +55,27 @@ def test_oracle_deterministic():
     assert first.nodes_expanded == second.nodes_expanded
 
 
-def test_oracle_incompletable_agrees_across_tie_breaks():
+def test_oracle_finds_the_classic_grids_incompletable():
     from sudoku_ryser.grid import embed_in_square
 
     clash = embed_in_square(grid_from_rows(2, 3, [[1, 2], [3, 4], [2, 1], [4, 3]]))
     for grid in (gen_evans_small(2, 2), gen_evans_small(2, 3),
                  gen_fig6(4, 2, "column"), gen_fig6(4, 3, "diagonal"), clash):
-        a = brute_force_complete(grid, tie_break="coordinate")
-        b = brute_force_complete(grid, tie_break="reverse")
-        assert a.outcome == b.outcome == "incompletable"
+        assert brute_force_complete(grid).outcome == "incompletable"
+
+
+def reduced_cyclic_latin(n):
+    """The cyclic latin square of order n with only row 1 and column 1 kept."""
+    return grid_from_rows(1, n, [[(i + j) % n + 1 if i == 0 or j == 0 else None
+                                  for j in range(n)] for i in range(n)])
+
+
+def test_oracle_fills_a_grid_deeper_than_the_recursion_limit():
+    grid = reduced_cyclic_latin(34)  # 1,089 empty cells
+    result = brute_force_complete(grid)
+    assert result.outcome == "found"
+    assert validate_partial(result.square).ok and result.square.is_fully_filled()
+    assert extends(grid, result.square)
 
 
 def test_evans_small_layout_2_2():
@@ -226,6 +238,11 @@ def test_random_valid_rectangle_restarts_past_a_stall(p, q, r, s, seed):
     assert (grid.rows, grid.cols) == (r, s)
     assert grid.is_fully_filled() and validate_partial(grid).ok
     assert gen_random_valid_rectangle(p, q, r, s, seed) == grid
+
+
+def test_random_valid_rectangle_deeper_than_the_recursion_limit():
+    grid = gen_random_valid_rectangle(1, 34, 34, 34, 1)  # 1,156 cells
+    assert grid.is_fully_filled() and validate_partial(grid).ok
 
 
 def test_random_latin_square():

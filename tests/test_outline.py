@@ -11,8 +11,6 @@ from sudoku_ryser.outline import (
     OutlineLatinSquare,
     amalgamate,
     expand_outline,
-    parse_outline,
-    serialize_outline,
     split_front,
     validate_outline,
 )
@@ -217,23 +215,11 @@ def test_validate_outline_keeps_its_report_on_the_outline():
     assert o == fresh and hash(o) == hash(fresh) and repr(o) == repr(fresh)
 
 
-def test_outline_text_round_trip():
-    o = amalgamate(L4, (2, 2), (3, 1), (1, 1, 1, 1))
-    text = serialize_outline(o)
-    assert text.splitlines()[0] == "outline v1"
-    assert text.splitlines()[1] == "S: 2 2"
-    assert parse_outline(text) == o
-
-
-def test_parse_outline_errors():
-    with pytest.raises(OutlineError):
-        parse_outline("grid v1\n")
-    with pytest.raises(OutlineError):
-        parse_outline("outline v1\nS: 2\nT: 2\nU: 1 1\n1,1\n1,1\n")  # row count
-    with pytest.raises(OutlineError):
-        parse_outline("outline v1\nS: 2\nT: 1 1\nU: 1 1\n1,2\n")  # cell count
-    with pytest.raises(OutlineError):
-        parse_outline("outline v1\nS: 2\nT: 2\nU: 1 1\n1,x,2,2\n")
+def test_outline_rejects_a_cell_array_of_the_wrong_shape():
+    with pytest.raises(OutlineError, match="height"):
+        OutlineLatinSquare((2,), (2,), (1, 1), (((1, 1),), ((2, 2),)))
+    with pytest.raises(OutlineError, match="width"):
+        OutlineLatinSquare((2,), (1, 1), (1, 1), (((1, 2),),))
 
 
 def test_expand_round_trip():
