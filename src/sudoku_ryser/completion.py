@@ -26,7 +26,10 @@ s x r rectangle whose rows, bands and partially covered big column are the
 original's columns, stacks and partially covered big row, so the column
 side (bottom graphs, column coverage, column distribution) is the row side
 applied to the transpose.  Only the doubly covered corner big cell is
-solved jointly, on the rectangle itself.
+solved jointly, on the rectangle itself.  One complete() builds each axis
+once: plan_medium_cells builds both, and its plan hands them on to
+distribute_free and assemble_outline.  verify_obstruction builds its own,
+since it is the independent recheck.
 """
 from __future__ import annotations
 
@@ -66,11 +69,16 @@ class MediumCellPlan:
 
     horizontal maps (big row index, small row offset) to the symbols placed
     in that row's slice of the partially covered big column; vertical is the
-    column mirror for the partially covered big row.
+    column mirror for the partially covered big row.  A plan made by
+    plan_medium_cells also keeps the grid's row and column axes in
+    _axis_pair, so distribute_free and assemble_outline on that same grid
+    object reuse them instead of building them again.
     """
 
     horizontal: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     vertical: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    _axis_pair: Optional[tuple[_Axis, _Axis]] = field(default=None, init=False, repr=False,
+                                                      compare=False)
 
 
 @dataclass
@@ -189,6 +197,14 @@ def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
 def _axes(grid: PartialGrid) -> tuple[_Axis, _Axis]:
     """Row axis, then column axis: the order in which every stage checks them."""
     return _axis(grid, _ROW_NAMES), _axis(_transpose(grid), _COL_NAMES)
+
+
+def _plan_axes(grid: PartialGrid, plan: MediumCellPlan) -> tuple[_Axis, _Axis]:
+    """The axes plan_medium_cells built, if it built them for this grid object."""
+    pair = plan._axis_pair
+    if pair is not None and pair[0].grid is grid:
+        return pair
+    return _axes(grid)
 
 
 def _band_rows(shape: _Shape, alpha: int) -> range:
@@ -319,13 +335,15 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     every placement count forces into the corner are matched first.  The
     placement counts come from the sizes of each symbol's coverage graph,
     which is built only to certify a failure.  Each row's and column's
-    symbol set is built once, with its axis, and read by every graph.
+    symbol set is built once, with its axis, and read by every graph; the
+    plan hands both axes on to distribute_free and assemble_outline.
     """
     axes = _axes(grid)
     shape = axes[0].shape
     if shape.p == 1 or shape.q == 1:
         raise ValueError("medium-cell planning needs p >= 2 and q >= 2")
     plan = MediumCellPlan()
+    plan._axis_pair = axes
     shares = (plan.horizontal, plan.vertical)
 
     for ax, share in zip(axes, shares):
@@ -509,7 +527,7 @@ def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
     Failures here indicate a bug: plan_medium_cells has already certified
     the per-symbol placement counts that make these colorings work out.
     """
-    row, col = _axes(grid)
+    row, col = _plan_axes(grid, plan)
     row_fills, block_row_fills = _distribute_rows(row, plan.horizontal)
     col_fills, block_col_fills = _distribute_rows(col, plan.vertical)
     return Distribution(row_fills=row_fills, block_row_fills=block_row_fills,
@@ -561,7 +579,7 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
     built from the grid always give a valid one, so an invalid outline is a
     construction bug and raises RuntimeError.
     """
-    row, col = _axes(grid)
+    row, col = _plan_axes(grid, plan)
     shape = row.shape
     row_out, col_out = _outline_axis(row.shape), _outline_axis(col.shape)
     (row_parts, row_block, row_big), (col_parts, col_block, col_big) = row_out, col_out

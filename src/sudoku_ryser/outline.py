@@ -39,10 +39,15 @@ def _check_composition(comp: Composition, n: int, name: str) -> None:
 class OutlineLatinSquare:
     """An s x t array of symbol multisets with row/column/symbol compositions.
 
-    Cell multisets are stored as sorted tuples.  Validity against the three
-    counting conditions is checked by validate_outline, not on construction;
-    since the outline cannot change, validate_outline keeps its report in
-    _report and returns that on later calls.
+    Cell multisets are tuples, kept in the order given.  Every outline the
+    library builds stores them sorted, and expansion relies on that only for
+    its output: it reads each cell in stored order, so an outline with
+    sorted cells splits into sorted slices and always expands to the same
+    square, while unsorted cells still expand to a valid one, possibly a
+    different one.  Validity against the three counting conditions is
+    checked by validate_outline, not on construction; since the outline
+    cannot change, validate_outline keeps its report in _report and returns
+    that on later calls.
     """
 
     row_comp: Composition
@@ -170,23 +175,26 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
     the cross-axis blocks to the symbols, one edge per symbol instance in
     the block; color class c becomes slice c.  Every degree in that graph
     is a multiple of m, so each class takes an exact 1/m share at every
-    vertex and the counting conditions hold for every slice.
+    vertex and the counting conditions hold for every slice.  The edges
+    follow the block's cells in stored order, so a slice cell keeps that
+    order: sorted cells give sorted slices.
     """
     edges = [(b, k - 1) for b, cell in enumerate(block) for k in cell]
     graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, symbols + 1)),
                                 tuple(edges))
     coloring = equitable_edge_coloring(graph, m)
-    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m)]
+    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m + 1)]  # 0 unused
     for (b, k0), c in zip(edges, coloring.color_of):
-        slices[c - 1][b].append(k0 + 1)
-    return [tuple(tuple(sorted(cell)) for cell in slice_) for slice_ in slices]
+        slices[c][b].append(k0 + 1)
+    return [tuple(map(tuple, slice_)) for slice_ in slices[1:]]
 
 
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     """Split the first merged part on the given axis into a unit slice and the rest.
 
     The unit slice is the first slice of the part's equitable m-coloring
-    (see _block_slices); the other m - 1 slices stay merged.
+    (see _block_slices); the other m - 1 slices stay merged.  Both come
+    out with sorted cells, whatever the order of the outline's cells.
     """
     if axis not in ("row", "column"):
         raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
@@ -197,6 +205,7 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     m = comp[target]
     lines = list(_lines(o, axis))
     unit, *rest = _block_slices(lines[target], m, len(o.sym_comp))
+    unit = tuple(tuple(sorted(cell)) for cell in unit)
     merged = tuple(tuple(sorted(chain(*cells))) for cells in zip(*rest))
     lines[target:target + 1] = [unit, merged]
     return _from_lines(o, axis, comp[:target] + (1, m - 1) + comp[target + 1:], lines)

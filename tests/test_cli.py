@@ -88,6 +88,7 @@ def test_complete_node_limit_gives_up(tmp_path, capsys):
     path = tmp_path / "empty9.grid"
     path.write_text("sudoku v1\n3 3 9 9\n" + "\n".join([" ".join(["."] * 9)] * 9) + "\n")
     assert main(["complete", str(path), "--method", "brute", "--node-limit", "3"]) == 3
+    assert "gave up: node limit exhausted" in capsys.readouterr().err
 
 
 def test_check_ryser(ryser_fail_file, capsys):

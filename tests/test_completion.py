@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -179,6 +180,20 @@ def test_assemble_tampered_plan_flags_outline():
     dist = distribute_free(WORKED, plan)
     tampered = MediumCellPlan(dict(plan.horizontal), dict(plan.vertical))
     tampered.horizontal[(1, 1)] = (3,)  # duplicates 3 inside the big cell
+    with pytest.raises(RuntimeError, match="construction bug"):
+        assemble_outline(WORKED, tampered, dist)
+
+
+@pytest.mark.parametrize("side", ["horizontal", "vertical"])
+@pytest.mark.parametrize("bad", [(9, 1), (0, 1), (-3, 2)])
+def test_assemble_plan_entry_outside_the_outline_flags_outline(side, bad):
+    # A plan entry whose big row or column lies outside the outline, at or
+    # below 0 included, loses its symbols, and the outline fails validation.
+    plan = plan_medium_cells(WORKED)
+    dist = distribute_free(WORKED, plan)
+    tampered = MediumCellPlan(dict(plan.horizontal), dict(plan.vertical))
+    share = getattr(tampered, side)
+    share[bad] = share.pop(next(iter(share)))
     with pytest.raises(RuntimeError, match="construction bug"):
         assemble_outline(WORKED, tampered, dist)
 
@@ -368,6 +383,65 @@ def test_plan_builds_band_and_coverage_graphs_only_to_certify(monkeypatch):
                                      [1, 2, 3, 4], [3, 4, 1, 2]])
     assert plan_medium_cells(coverage).kind == "row-coverage"
     assert built == ["_coverage_graph"]
+
+
+ROW_COVERAGE = grid_from_rows(3, 2, [[2, 1, 4, 3], [4, 3, 6, 5], [5, 6, 2, 1],
+                                    [1, 2, 3, 4], [3, 4, 1, 2]])
+SIDE_ALPHA = grid_from_rows(3, 3, [[6, 4, 2, 5, 3], [3, 8, 7, 1, 9], [1, 5, 9, 7, 8],
+                                   [9, 7, 5, 2, 4], [2, 3, 4, 6, 5], [8, 6, 1, 3, 7],
+                                   [4, 9, 3, 8, 1]])
+
+
+def count_axes(monkeypatch) -> list[str]:
+    """Record the line label of every axis completion builds from now on."""
+    built: list[str] = []
+    axis = completion._axis
+
+    def counted(grid, names):
+        built.append(names[0])
+        return axis(grid, names)
+
+    monkeypatch.setattr(completion, "_axis", counted)
+    return built
+
+
+def test_complete_builds_each_axis_once(monkeypatch):
+    # plan_medium_cells hands its axes on to distribute_free and
+    # assemble_outline, so one complete() builds the row axis and the column
+    # axis once each, whether it completes or stops at a plan obstruction.
+    built = count_axes(monkeypatch)
+    for grid, kind in ((WORKED, None), (gen_random_rectangle(3, 3, 7, 8, 4), None),
+                       (gen_random_rectangle(4, 3, 5, 7, 2), None),
+                       (ROW_COVERAGE, "row-coverage"), (SIDE_ALPHA, "side-alpha")):
+        built.clear()
+        verdict = complete(grid)
+        assert verdict.completable == (kind is None)
+        assert kind is None or verdict.certificate.kind == kind
+        assert built == ["row", "col"]
+
+
+def test_distribution_and_assembly_build_axes_for_a_plan_without_them(monkeypatch):
+    # A plan made by hand, or one used with another grid object (even an
+    # equal one), carries no axes for that grid: distribution and assembly
+    # build them and give what the plan's own axes give.
+    built = count_axes(monkeypatch)
+    aligned = grid_from_rows(2, 2, [[1, 2], [3, 4]])
+    for grid in (WORKED, aligned, gen_random_rectangle(3, 3, 7, 8, 4),
+                 gen_random_rectangle(3, 4, 5, 7, 6)):
+        plan = plan_medium_cells(grid)
+        dist = distribute_free(grid, plan)
+        expected = assemble_outline(grid, plan, dist)
+        twin = dataclasses.replace(grid)
+        assert twin == grid and twin is not grid
+        for other_grid, other_plan in ((grid, MediumCellPlan(dict(plan.horizontal),
+                                                             dict(plan.vertical))),
+                                       (twin, plan)):
+            built.clear()
+            other_dist = distribute_free(other_grid, other_plan)
+            assert other_dist == dist
+            assert assemble_outline(other_grid, other_plan, other_dist) == expected
+            assert built == ["row", "col"] * 2
+    assert plan_medium_cells(aligned) == MediumCellPlan()  # so a bare plan was tried too
 
 
 def test_corner_coverage_instance_completable_with_care():

@@ -281,3 +281,44 @@ def test_expand_colors_each_merged_part_once(monkeypatch):
     assert amalgamate(expand_outline(o), S, T, (1,) * 36) == o
     assert colors == [6, 5, 12, 12, 35]
     assert splits == []
+
+
+def test_block_slices_keep_cells_ascending():
+    # Expansion no longer sorts a slice: its cells come out in the order the
+    # block's cells are read, and every library-built outline stores them sorted.
+    rng = random.Random(41)
+    for n in (4, 6, 9, 12):
+        for case in range(3):
+            U = (1,) * n
+            o = amalgamate(random_latin_square(n, 10 * n + case), random_composition(rng, n),
+                           random_composition(rng, n), U)
+            for axis, comp in (("row", o.row_comp), ("column", o.col_comp)):
+                for m, block in zip(comp, outline._lines(o, axis)):
+                    for slice_ in outline._block_slices(block, m, n):
+                        assert all(list(cell) == sorted(cell) for cell in slice_)
+
+
+def test_expand_outline_with_unsorted_cells():
+    rng = random.Random(43)
+    reordered = splits = 0
+    for n in (4, 6, 9):
+        for case in range(3):
+            S, T, U = random_composition(rng, n), random_composition(rng, n), (1,) * n
+            o = amalgamate(random_latin_square(n, 20 * n + case), S, T, U)
+            cells = tuple(tuple(tuple(sorted(cell, reverse=True)) for cell in row)
+                          for row in o.cells)
+            reordered += cells != o.cells
+            unsorted = OutlineLatinSquare(S, T, U, cells)
+            expanded = expand_outline(unsorted)
+            assert validate_partial(expanded).ok
+            assert amalgamate(expanded, S, T, U) == o
+            # split_front sorts both its unit slice and the merged rest.
+            for axis, comp in (("row", S), ("column", T)):
+                if max(comp) >= 2:
+                    split = split_front(unsorted, axis)
+                    assert validate_outline(split).ok
+                    target = next(idx for idx, part in enumerate(comp) if part >= 2)
+                    new_lines = outline._lines(split, axis)[target:target + 2]
+                    assert all(list(cell) == sorted(cell) for line in new_lines for cell in line)
+                    splits += 1
+    assert reordered >= 6 and splits >= 6
