@@ -1,12 +1,15 @@
 """Bipartite multigraphs: equitable edge-coloring, matching, Hall certificates.
 
+Every matching grows by one augmenting-path search, _augment_from.  When
+no augmenting path is left, the left vertices reachable by alternating
+paths from a short one form a Hall violator.
+
 Everything here is deterministic for a fixed input ordering: vertices and
 edges are always visited in index order, so repeated runs return identical
 colorings and matchings.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -181,72 +184,14 @@ def _flip_chain(start: int, a: int, b: int, at: list[int], busy: list[int],
 
 
 def max_matching(g: BipartiteMultigraph) -> Matching:
-    """Maximum-cardinality matching (Hopcroft-Karp), deterministic.
+    """Maximum-cardinality matching, deterministic.
 
-    The depth-first phase keeps its path on explicit stacks, so long
-    augmenting paths cannot exhaust the interpreter's recursion limit.
+    A greedy pass gives each left vertex, in index order, its first free
+    neighbor; then each vertex still free gets one augmenting search (see
+    extend_matching).
     """
-    left_n = g.left_count
     adj = _left_adjacency(g)
-    match_l: list[Optional[int]] = [None] * left_n
-    match_r: list[Optional[int]] = [None] * g.right_count
-    dist = [-1] * left_n
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(left_n):
-            if match_l[u] is None:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = -1
-        found = False
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                nxt = match_r[w]
-                if nxt is None:
-                    found = True
-                elif dist[nxt] == -1:
-                    dist[nxt] = dist[u] + 1
-                    queue.append(nxt)
-        return found
-
-    def dfs(root: int) -> None:
-        """Augment along the first layered path from the free vertex root, if any.
-
-        lefts[i] is left by rights[i] to reach lefts[i + 1]; a vertex whose
-        neighbors are exhausted leaves the layering (dist -1).
-        """
-        lefts, rights, todo = [root], [], [iter(adj[root])]
-        while todo:
-            u = lefts[-1]
-            for w in todo[-1]:
-                nxt = match_r[w]
-                if nxt is None:
-                    rights.append(w)
-                    for a, b in zip(lefts, rights):
-                        match_l[a] = b
-                        match_r[b] = a
-                    return
-                if dist[nxt] == dist[u] + 1:
-                    lefts.append(nxt)
-                    rights.append(w)
-                    todo.append(iter(adj[nxt]))
-                    break
-            else:
-                dist[u] = -1
-                lefts.pop()
-                todo.pop()
-                if rights:
-                    rights.pop()
-
-    while bfs():
-        for u in range(left_n):
-            if match_l[u] is None:
-                dfs(u)
-    pairs = tuple((u, match_l[u]) for u in range(left_n) if match_l[u] is not None)
-    return Matching(pairs)
+    return _augment_each_free(adj, *_greedy(adj, 1, g.right_count))
 
 
 def extend_matching(g: BipartiteMultigraph,
@@ -270,34 +215,37 @@ def extend_matching(g: BipartiteMultigraph,
             raise ValueError(f"initial pair ({u}, {w}) is not an edge")
         owner[w] = u
         held[u].add(w)
-    for u in range(g.left_count):
-        if not held[u]:
+    return _augment_each_free(adj, owner, held)
+
+
+def _augment_each_free(adj: list[list[int]], owner: list[int],
+                       held: list[set[int]]) -> Matching:
+    """One augmenting search from each free left vertex, in index order."""
+    for u, got in enumerate(held):
+        if not got:
             _augment_from(u, adj, owner, held)
     return Matching(tuple((u, w) for u, got in enumerate(held) for w in got))
 
 
 def _violator_from_matching(g: BipartiteMultigraph, m: Matching) -> HallViolator:
     """Certificate extraction: left vertices reachable by alternating paths
-    from unmatched left vertices form a deficient set."""
-    match_l = {u: None for u in range(g.left_count)}
-    match_r: dict[int, int] = {}
+    from unmatched left vertices form a deficient set.  For a maximum m
+    this set is the same whichever maximum matching m is."""
+    owner = [-1] * g.right_count
     for u, w in m.pairs:
-        match_l[u] = w
-        match_r[w] = u
-    reach_l = {u for u in range(g.left_count) if match_l[u] is None}
-    reach_r: set[int] = set()
+        owner[w] = u
     adj = _left_adjacency(g)
-    queue = deque(sorted(reach_l))
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in reach_r:
-                continue
-            reach_r.add(w)
-            nxt = match_r.get(w)
-            if nxt is not None and nxt not in reach_l:
-                reach_l.add(nxt)
-                queue.append(nxt)
+    reach_l = set(range(g.left_count)).difference(u for u, _ in m.pairs)
+    reach_r: set[int] = set()
+    todo = list(reach_l)
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in reach_r:
+                reach_r.add(w)
+                v = owner[w]
+                if v >= 0 and v not in reach_l:
+                    reach_l.add(v)
+                    todo.append(v)
     return HallViolator(frozenset(reach_l), frozenset(reach_r))
 
 
@@ -327,6 +275,22 @@ def capacitated_matching(adj: list[list[int]], capacity: int,
     replicated graph: every right neighbor of theirs is held by one of them,
     and u holds fewer than capacity.
     """
+    owner, held = _greedy(adj, capacity, right_count)
+    for u in range(len(adj)):
+        while len(held[u]) < capacity:
+            reached = _augment_from(u, adj, owner, held)
+            if reached is not None:
+                return HallViolator(
+                    frozenset(v * capacity + c for v in reached for c in range(capacity)),
+                    frozenset(w for v in reached for w in adj[v]))
+    return [sorted(got) for got in held]
+
+
+def _greedy(adj: list[list[int]], capacity: int,
+            right_count: int) -> tuple[list[int], list[set[int]]]:
+    """Each left vertex, in index order, takes its first free neighbors, up to
+    capacity.  Returns owner (the left vertex holding each right vertex, or
+    -1) and held (the right vertices each left vertex holds)."""
     owner = [-1] * right_count
     held: list[set[int]] = []
     for u, hood in enumerate(adj):
@@ -338,14 +302,7 @@ def capacitated_matching(adj: list[list[int]], capacity: int,
                 owner[w] = u
                 got.add(w)
         held.append(got)
-    for u in range(len(adj)):
-        while len(held[u]) < capacity:
-            reached = _augment_from(u, adj, owner, held)
-            if reached is not None:
-                return HallViolator(
-                    frozenset(v * capacity + c for v in reached for c in range(capacity)),
-                    frozenset(w for v in reached for w in adj[v]))
-    return [sorted(got) for got in held]
+    return owner, held
 
 
 def _augment_from(root: int, adj: list[list[int]], owner: list[int],

@@ -148,6 +148,23 @@ def test_violator_iff_deficient():
             assert verify_violator(g, result)
 
 
+def test_violator_does_not_depend_on_the_maximum_matching():
+    # extend_matching from an empty seed skips the greedy pass and often
+    # finds another maximum matching than max_matching; both give the same
+    # alternating-path set, so a change of matcher cannot move a violator.
+    rng = random.Random(5)
+    differ = 0
+    for _ in range(400):
+        g = random_multigraph(rng, max_side=6, max_edges=14)
+        greedy, kuhn = max_matching(g), extend_matching(g)
+        assert len(greedy.pairs) == len(kuhn.pairs)
+        if len(greedy.pairs) < g.left_count:
+            differ += greedy != kuhn
+            assert (bipartite._violator_from_matching(g, greedy)
+                    == bipartite._violator_from_matching(g, kuhn))
+    assert differ > 20, differ
+
+
 def test_extend_matching_preserves_right_saturation():
     g = BipartiteMultigraph((0, 1, 2), (0, 1, 2),
                             ((0, 0), (0, 1), (1, 0), (2, 1), (2, 2)))
@@ -209,8 +226,8 @@ def chain_graph(n, reverse=False):
     """Left i joins right i and i + 1, except left 0, which joins right 1 only.
 
     With reverse=True the left side is listed from n - 1 down to 0, so that
-    Hopcroft-Karp's first phase leaves left 0 free and its second phase must
-    follow the whole chain.
+    max_matching's greedy pass leaves left n - 1 (chain vertex 0) free and
+    its one augmenting search must follow the whole chain.
     """
     label = (lambda i: n - 1 - i) if reverse else (lambda i: i)
     edges = [(label(0), 1)]

@@ -653,11 +653,11 @@ def test_transposition_swaps_rows_and_columns():
                                                             strengthen=strengthen)))
 
 
-def test_band_matcher_agrees_with_hopcroft_karp():
+def test_band_matcher_agrees_with_saturating_matching():
     # Every full band and full stack of random valid rectangles, under both
     # edge rules: the capacitated matcher that plan_medium_cells and
-    # matchings_exist run saturates exactly when Hopcroft-Karp saturates the
-    # replica graph, gives every row (column) b symbols it lacks with no
+    # matchings_exist run saturates exactly when saturating_matching saturates
+    # the replica graph, gives every row (column) b symbols it lacks with no
     # symbol twice in the band, and otherwise returns a violator of the side
     # (bottom) graph.  Rectangles are drawn until 20 bands have failed.
     rng = random.Random(31)

@@ -20,7 +20,7 @@ GOLDEN = {
     (3, 3): "a92253f05006c7a9dada41d1815acf5e57a58568abc4209f563ebf537fec934c",
     (3, 4): "fbc1a15c02c09a79dfbc75892087c11b2df53bc8315e6be2e6ddf92771769f0c",
     (4, 3): "121a1097891f6c2e4a51eaae1f15b2db341517eb19a57d4da1cccae90e445077",
-    (4, 4): "1c6a84d496d21b4d99e6835d86bddd6f7f30ba05ff32d6ade09989c459111fc3",
+    (4, 4): "256e0a90d196c99d23a2cbdc75c887716108e3ce91537f340cfbefe221200a0d",
     "latin": "7a818074ad38ebc4e9982b0e30f79f437593116f546e9171990341d444cdd3d0",
 }
 
