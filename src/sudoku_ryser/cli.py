@@ -236,7 +236,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GridFormatError, FileNotFoundError, ValueError) as exc:
+    except (GridFormatError, OSError, ValueError) as exc:  # an unreadable file is OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # RecursionError included

@@ -213,8 +213,13 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
 
 
-def test_missing_file_exit_code(capsys):
-    assert main(["verify", "/nonexistent/x.grid"]) == 2
+def test_missing_file_exit_code(tmp_path, capsys):
+    # A missing file and a directory are both unreadable input (exit 2),
+    # never "incompletable" (exit 1) or a traceback.
+    for path in ("/nonexistent/x.grid", str(tmp_path)):
+        for command in (["complete"], ["check", "--ryser"], ["verify"]):
+            assert main(command + [path]) == 2, (command, path)
+            assert capsys.readouterr().err.startswith("error: "), (command, path)
 
 
 def test_usage_error_exit_code(capsys):
