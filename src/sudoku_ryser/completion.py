@@ -725,7 +725,8 @@ def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Ob
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     """Independently recheck an obstruction against the grid it came from."""
     if ob.stage == "input-invalid":
-        return not validate_partial(grid).ok or not grid.is_fully_filled()
+        return (not validate_partial(grid).ok or not grid.is_fully_filled()
+                or grid.rows > grid.n or grid.cols > grid.n)
     axes = _axes(grid)
     for ax in axes:
         if ob.kind == ax.band_kind:

@@ -31,6 +31,7 @@ from sudoku_ryser.grid import (
     embed_in_square,
     empty_grid,
     grid_from_rows,
+    parse_grid,
     validate_partial,
 )
 from sudoku_ryser.outline import validate_outline
@@ -221,13 +222,17 @@ def test_complete_empty_and_full():
 
 
 def test_complete_rejects_invalid_input():
-    verdict = complete(grid_from_rows(2, 2, [[1, 1]]))
-    assert not verdict.completable
-    assert verdict.certificate.stage == "input-invalid"
-    holes = empty_grid(2, 2).with_cell(1, 1, 1)
-    verdict = complete(holes)
-    assert not verdict.completable
-    assert verdict.certificate.stage == "input-invalid"
+    # A repeated symbol, a hole, and empty rectangles with more rows or
+    # columns than the order; verify_obstruction accepts each obstruction.
+    oversized = [parse_grid(f"sudoku v1\n{header}\n")
+                 for header in ("2 2 5 0", "1 4 5 0", "2 2 0 5")]
+    grids = [grid_from_rows(2, 2, [[1, 1]]), empty_grid(2, 2).with_cell(1, 1, 1)] + oversized
+    for grid, kind in zip(grids, ("invalid", "not-filled") + ("oversized",) * 3):
+        verdict = complete(grid)
+        assert not verdict.completable
+        assert verdict.certificate.stage == "input-invalid"
+        assert verdict.certificate.kind == kind
+        assert verify_obstruction(grid, verdict.certificate)
 
 
 def test_complete_routes_latin_for_flat_boxes():
