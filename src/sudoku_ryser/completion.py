@@ -14,11 +14,13 @@ Every stage that can fail on honest input returns a checkable Obstruction;
 when all stages pass, the expansion is guaranteed to produce a valid square,
 so the staged pipeline doubles as the completability decision.
 
-Latin rectangles (p = 1 or q = 1) skip the stages before the outline:
-complete_latin_rectangle lays the rectangle and its rows' and columns'
-missing symbols out as an outline square directly, and the same expansion
-completes it.  Ryser's bound N(k) >= r + s - n enters only there, as what
-keeps the symbol multiplicities of that outline's corner non-negative.
+Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline:
+complete_latin_rectangle follows Ryser's proof, extending the rows to full
+width and then adding the missing rows, each step one block split
+(outline._block_slices) that colours every empty cell once, and checks
+the finished square.  Ryser's bound N(k) >= r + s - n enters only there,
+as what keeps each symbol's degree in the first step within the colour
+count.
 
 Axis convention: every construction that has a row and a column version is
 written once, for rows.  Transposing a (p,q) r x s rectangle gives a (q,p)
@@ -677,20 +679,35 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
     return True
 
 
-def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
-    """Complete an r x s latin rectangle to an n x n latin square.
+def _missing(line: Iterable[int], n: int) -> tuple[int, ...]:
+    """The symbols of 1..n that a line lacks, ascending."""
+    present = set(line)
+    return tuple(k for k in range(1, n + 1) if k not in present)
 
-    The rectangle becomes an outline square with unit symbols: its r rows
-    and s columns stay unit lines, the other n - r rows merge into one block
-    and the other n - s columns into another.  Row i's block cell holds the
-    n - s symbols row i misses, column j's holds the n - r symbols column j
-    misses, and the corner where the two blocks cross holds each symbol k
-    N(k) + n - r - s times, N(k) being its count in the rectangle.  That
-    multiplicity is N(k) minus Ryser's bound r + s - n, so it is
-    non-negative exactly when the bound holds; the three counting
-    conditions then hold by construction and expand_outline recovers a
-    square.  When the bound fails the first failing symbol is the
-    obstruction.
+
+def _unit_cells(slice_: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The symbols of a slice whose every cell must hold exactly one."""
+    if any(len(cell) != 1 for cell in slice_):
+        raise RuntimeError("a colour class is not one symbol per cell; construction bug")
+    return [cell[0] for cell in slice_]
+
+
+def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
+    """Complete an r x s latin rectangle to an n x n latin square, as in Ryser's proof.
+
+    Step 1 extends the rows to full width.  Joining each row to the n - s
+    symbols it misses gives a graph in which every row has degree n - s and
+    symbol k has degree r - N(k), N(k) being its count in the rectangle;
+    that is at most n - s exactly when Ryser's bound N(k) >= r + s - n
+    holds.  One (n - s)-colouring of it (outline._block_slices) then gives
+    each row one symbol per colour and each symbol at most one row, so
+    colour class c is new column s + c.  Step 2 adds the missing rows the
+    same way: in the r x n result every column misses n - r symbols and
+    every symbol is missing from n - r columns, and each colour class of
+    that regular graph is one new row.  Each empty cell is coloured once.
+    When the bound fails the first failing symbol is the obstruction.  A
+    slice cell without exactly one symbol, or a square that is not latin or
+    does not extend the rectangle, is a construction bug: RuntimeError.
     """
     r, s = grid.rows, grid.cols
     work = PartialGrid(SudokuGeometry(1, n), r, s, grid.cells, "latin", None)
@@ -703,23 +720,23 @@ def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Ob
         k = ryser.failing[0]
         return Obstruction("ryser", k, kind="ryser", symbol=k)
 
-    symbols = range(1, n + 1)
-
-    def missing(present: set[int]) -> tuple[int, ...]:
-        return tuple(k for k in symbols if k not in present)
-
-    def parts(units: int) -> Composition:
-        return (1,) * units + ((n - units,) if units < n else ())
-
-    cells = []
-    for i in range(1, r + 1):
-        row = tuple((v,) for v in work.cells[i - 1])
-        cells.append(row + ((missing(work.row_symbols(i)),) if s < n else ()))
+    rows = [list(row) for row in work.cells]
+    if s < n:
+        block = tuple(_missing(row, n) for row in rows)
+        for slice_ in _block_slices(block, n - s, n):
+            for row, k in zip(rows, _unit_cells(slice_)):
+                row.append(k)
     if r < n:
-        block = tuple(missing(work.col_symbols(j)) for j in range(1, s + 1))
-        corner = tuple(k for k in symbols for _ in range(ryser.counts[k] - ryser.bound))
-        cells.append(block + ((corner,) if s < n else ()))
-    return expand_outline(OutlineLatinSquare(parts(r), parts(s), (1,) * n, tuple(cells)))
+        columns = zip(*rows) if rows else [()] * n
+        block = tuple(_missing(column, n) for column in columns)
+        rows.extend(_unit_cells(slice_) for slice_ in _block_slices(block, n - r, n))
+
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise RuntimeError("completed latin square has the wrong shape; construction bug")
+    square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
+    if not validate_partial(square).ok or not extends(work, square):
+        raise RuntimeError("completed latin square fails validation; construction bug")
+    return square
 
 
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:

@@ -173,11 +173,14 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
 
     The slices come from one equitable m-edge-coloring of the graph joining
     the cross-axis blocks to the symbols, one edge per symbol instance in
-    the block; color class c becomes slice c.  Every degree in that graph
-    is a multiple of m, so each class takes an exact 1/m share at every
-    vertex and the counting conditions hold for every slice.  The edges
-    follow the block's cells in stored order, so a slice cell keeps that
-    order: sorted cells give sorted slices.
+    the block; color class c becomes slice c.  When every degree in that
+    graph is a multiple of m, each class takes an exact 1/m share at every
+    vertex and the counting conditions hold for every slice.  Degrees of
+    at most m are allowed too: each class then takes each such vertex at
+    most once, so a symbol of degree at most m lands at most once in any
+    slice, and a cell of degree m gets exactly one symbol in each.  The
+    edges follow the block's cells in stored order, so a slice cell keeps
+    that order: sorted cells give sorted slices.
     """
     edges = [(b, k - 1) for b, cell in enumerate(block) for k in cell]
     graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, symbols + 1)),

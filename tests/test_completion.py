@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sudoku_ryser import completion, outline
+from sudoku_ryser import cli, completion, outline
 from sudoku_ryser.bipartite import HallViolator, Matching, saturating_matching, verify_violator
 from sudoku_ryser.completion import (
     MediumCellPlan,
@@ -32,6 +32,7 @@ from sudoku_ryser.grid import (
     empty_grid,
     grid_from_rows,
     parse_grid,
+    serialize_grid,
     validate_partial,
 )
 from sudoku_ryser.outline import validate_outline
@@ -294,33 +295,69 @@ def test_complete_latin_rectangle_exhaustive_n4():
             assert validate_partial(result).ok and extends(grid, result)
 
 
-def test_complete_latin_rectangle_expands_one_outline(monkeypatch):
-    # r < n and s < n: one merged row block and one merged column block, so
-    # exactly two colorings and no matching of the completion module.
-    colors, matchings = [], []
+def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
+    # Ryser's order: an (n - s)-colouring extends the rows, then an
+    # (n - r)-colouring adds the missing rows; no matching, no outline, and
+    # one coloured edge per empty cell.
+    colors, calls = [], []
     coloring = outline.equitable_edge_coloring
 
     def counted_coloring(graph, k):
-        colors.append(k)
+        colors.append((k, len(graph.edges)))
         return coloring(graph, k)
 
     def counted(name):
         fn = getattr(completion, name)
 
         def call(*args, **kwargs):
-            matchings.append(name)
+            calls.append(name)
             return fn(*args, **kwargs)
         return call
 
     monkeypatch.setattr(outline, "equitable_edge_coloring", counted_coloring)
-    for name in ("saturating_matching", "extend_matching"):
+    for name in ("saturating_matching", "extend_matching", "expand_outline"):
         monkeypatch.setattr(completion, name, counted(name))
     grid = grid_from_rows(1, 7, cyclic_rows(7, 3, 2, shift=2))
     result = complete_latin_rectangle(grid, 7)
     assert isinstance(result, PartialGrid)
     assert validate_partial(result).ok and extends(grid, result)
-    assert colors == [4, 5]
-    assert matchings == []
+    assert [k for k, _ in colors] == [5, 4]
+    assert sum(edges for _, edges in colors) == 7 * 7 - 3 * 2
+    # The edge shapes, where one step or both are skipped, and the empty rectangle.
+    for r, s in ((6, 2), (3, 6), (1, 6), (6, 1), (6, 6), (5, 5), (0, 0)):
+        colors.clear()
+        grid = grid_from_rows(1, 6, cyclic_rows(6, r, s, shift=5)) if r else empty_grid(1, 6, 0, 0)
+        result = complete_latin_rectangle(grid, 6)
+        assert isinstance(result, PartialGrid) and extends(grid, result)
+        assert sum(edges for _, edges in colors) == 6 * 6 - r * s, (r, s)
+    assert calls == []
+
+
+def _corrupt_block_slices(monkeypatch, corrupt):
+    """Make completion's block split return one corrupted slice per call."""
+    block_slices = completion._block_slices
+
+    def corrupted(block, m, symbols):
+        slices = block_slices(block, m, symbols)
+        slices[0] = corrupt(slices[0])
+        return slices
+
+    monkeypatch.setattr(completion, "_block_slices", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda slice_: (slice_[0] + slice_[1],) + slice_[1:],  # a two-symbol cell
+    lambda slice_: (slice_[1],) + slice_[1:],  # a symbol repeated in the slice's line
+], ids=["two-symbol-cell", "repeated-symbol"])
+def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
+    _corrupt_block_slices(monkeypatch, corrupt)
+    for p, q in ((1, 4), (4, 1)):
+        grid = grid_from_rows(p, q, [[1, 2], [2, 1]])
+        with pytest.raises(RuntimeError, match="construction bug"):
+            complete(grid)
+        path = tmp_path / f"latin_{p}_{q}.grid"
+        path.write_text(serialize_grid(grid))
+        assert cli.main(["complete", str(path)]) == cli.EXIT_INTERNAL
 
 
 def test_corner_needs_joint_choice():
