@@ -105,7 +105,11 @@ def _cmd_complete(args) -> int:
 def _cmd_check(args) -> int:
     grid = _load(args.file)
     if args.ryser:
-        report = hall.ryser_counts(grid, grid.n)
+        rectangle = _is_corner_rectangle(grid)
+        if rectangle is None:
+            print("ryser check needs a corner rectangle", file=sys.stderr)
+            return EXIT_USAGE
+        report = hall.ryser_counts(rectangle, grid.n)
         for k in sorted(report.counts):
             mark = "" if report.counts[k] >= report.bound else f" < {report.bound}"
             if mark or args.verbose:

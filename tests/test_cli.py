@@ -104,6 +104,24 @@ def test_check_ryser_ok(tmp_path, capsys):
     assert main(["check", "--ryser", str(path)]) == 0
 
 
+def test_check_ryser_reads_the_filled_corner(tmp_path, capsys):
+    # A 4 x 4 file holding only cell (1,1) is a 1 x 1 rectangle, whose bound
+    # 1 + 1 - 4 every symbol meets, not a 4 x 4 one whose bound is 4.
+    path = tmp_path / "sparse.grid"
+    path.write_text(serialize_grid(grid_from_rows(1, 4, [[1, 0, 0, 0]] + [[0] * 4] * 3)))
+    assert main(["check", "--ryser", "--verbose", str(path)]) == 0
+    assert "symbol 1: N=1\n" in capsys.readouterr().out
+    assert main(["complete", str(path)]) == 0
+
+
+def test_check_ryser_needs_a_corner_rectangle(tmp_path, capsys):
+    path = tmp_path / "scattered.grid"
+    path.write_text(serialize_grid(grid_from_rows(1, 4, [[1, 0, 0, 0], [0, 0, 0, 2]])))
+    assert main(["check", "--ryser", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "corner rectangle" in captured.err and captured.out == ""
+
+
 def test_check_hall(tmp_path, capsys):
     grid = grid_from_rows(2, 2, [[1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     path = tmp_path / "blocked.grid"
