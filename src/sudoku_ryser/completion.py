@@ -679,17 +679,22 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
     return True
 
 
-def _missing(line: Iterable[int], n: int) -> tuple[int, ...]:
-    """The symbols of 1..n that a line lacks, ascending."""
-    present = set(line)
-    return tuple(k for k in range(1, n + 1) if k not in present)
+def _missing(line: Iterable[int], symbols: set[int]) -> tuple[int, ...]:
+    """The symbols a line lacks, ascending."""
+    return tuple(sorted(symbols.difference(line)))
 
 
 def _unit_cells(slice_: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The symbols of a slice whose every cell must hold exactly one."""
-    if any(len(cell) != 1 for cell in slice_):
-        raise RuntimeError("a colour class is not one symbol per cell; construction bug")
-    return [cell[0] for cell in slice_]
+    """The symbols of a slice whose every cell must hold exactly one.
+
+    A cell of any other size is a construction bug, so it raises
+    RuntimeError rather than the unpacking's ValueError, which callers such
+    as the CLI read as bad input.
+    """
+    try:
+        return [k for (k,) in slice_]
+    except ValueError:
+        raise RuntimeError("a colour class is not one symbol per cell; construction bug") from None
 
 
 def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
@@ -720,19 +725,18 @@ def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Ob
         k = ryser.failing[0]
         return Obstruction("ryser", k, kind="ryser", symbol=k)
 
+    symbols = set(range(1, n + 1))
     rows = [list(row) for row in work.cells]
     if s < n:
-        block = tuple(_missing(row, n) for row in rows)
+        block = tuple(_missing(row, symbols) for row in rows)
         for slice_ in _block_slices(block, n - s, n):
             for row, k in zip(rows, _unit_cells(slice_)):
                 row.append(k)
     if r < n:
         columns = zip(*rows) if rows else [()] * n
-        block = tuple(_missing(column, n) for column in columns)
+        block = tuple(_missing(column, symbols) for column in columns)
         rows.extend(_unit_cells(slice_) for slice_ in _block_slices(block, n - r, n))
 
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise RuntimeError("completed latin square has the wrong shape; construction bug")
     square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
     if not validate_partial(square).ok or not extends(work, square):
         raise RuntimeError("completed latin square fails validation; construction bug")
