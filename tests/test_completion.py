@@ -333,8 +333,15 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     assert calls == []
 
 
-def _corrupt_block_slices(monkeypatch, corrupt):
-    """Make completion's block split return one corrupted slice per call."""
+@pytest.mark.parametrize("corrupt", [
+    lambda slice_: (slice_[0] + slice_[1],) + slice_[1:],  # a two-symbol cell
+    lambda slice_: (slice_[1],) + slice_[1:],  # the first new line repeats a symbol
+], ids=["two-symbol-cell", "repeated-symbol"])
+def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
+    # Both steps, then step 1 alone (r = n), then step 2 alone (s = n), so
+    # that the last step's corruption reaches the final square check.
+    rectangles = ([[1, 2], [2, 1]], [[1, 2], [2, 1], [3, 4], [4, 3]],
+                  [[1, 2, 3, 4], [2, 1, 4, 3]])
     block_slices = completion._block_slices
 
     def corrupted(block, m, symbols):
@@ -343,19 +350,11 @@ def _corrupt_block_slices(monkeypatch, corrupt):
         return slices
 
     monkeypatch.setattr(completion, "_block_slices", corrupted)
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda slice_: (slice_[0] + slice_[1],) + slice_[1:],  # a two-symbol cell
-    lambda slice_: (slice_[1],) + slice_[1:],  # a symbol repeated in the slice's line
-], ids=["two-symbol-cell", "repeated-symbol"])
-def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
-    _corrupt_block_slices(monkeypatch, corrupt)
-    for p, q in ((1, 4), (4, 1)):
-        grid = grid_from_rows(p, q, [[1, 2], [2, 1]])
+    for (p, q), rows in itertools.product(((1, 4), (4, 1)), rectangles):
+        grid = grid_from_rows(p, q, rows)
         with pytest.raises(RuntimeError, match="construction bug"):
             complete(grid)
-        path = tmp_path / f"latin_{p}_{q}.grid"
+        path = tmp_path / "latin.grid"
         path.write_text(serialize_grid(grid))
         assert cli.main(["complete", str(path)]) == cli.EXIT_INTERNAL
 
