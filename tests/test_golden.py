@@ -1,4 +1,5 @@
-"""complete()'s outputs on fixed inputs, pinned by one hash per input group.
+"""complete()'s and validate_partial's outputs on fixed inputs, pinned by one
+hash per input group.
 
 A change that claims to leave every output byte-identical (a speed-up, a
 refactor) must leave GOLDEN as it is.  A change that alters a square or an
@@ -11,6 +12,7 @@ import random
 from sudoku_ryser.bipartite import HallViolator
 from sudoku_ryser.completion import complete
 from sudoku_ryser.fixtures import gen_random_rectangle, gen_random_valid_rectangle
+from sudoku_ryser.grid import PartialGrid, SudokuGeometry, validate_partial
 
 SHAPES = ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
 DRAWS = 24  # per shape
@@ -63,3 +65,109 @@ def test_complete_outputs_match_the_recorded_hash():
     digests = {group: hashlib.sha256(repr(group_records).encode()).hexdigest()
                for group, group_records in records.items()}
     assert digests == GOLDEN
+
+
+# Larger latin corners, by geometry: the shapes that skip one Ryser step or
+# both, and a 30 x 30 corner that misses six symbols (fails Ryser's bound).
+LATIN_CORNERS = ((18, 12), (36, 20), (20, 36), (36, 36), (1, 35), (35, 1), (0, 0), (30, 30))
+GOLDEN_LATIN = {
+    (1, 36): "5e8c583c7c05a7d19efc56b6d11b4bb399fe955ef4524c9365c3f342f74634f3",
+    (36, 1): "632b9f0596da5f03ee994056153610ef9b8ccddb817169d207d898d4624d94f4",
+}
+
+
+def _latin_corner(p, q, r, s, seed):
+    """The r x s corner of a cyclic latin square of order pq with its rows,
+    columns and symbols permuted, except that a 30 x 30 corner is a whole
+    cyclic square of order 30."""
+    n = p * q
+    rng = random.Random(seed)
+    if (r, s) == (30, 30):
+        rows = [[(i + j) % 30 + 1 for j in range(30)] for i in range(30)]
+    else:
+        row_of, col_of, sym = (rng.sample(range(n), n) for _ in range(3))
+        rows = [[sym[(row_of[i] + col_of[j]) % n] + 1 for j in range(s)] for i in range(r)]
+    return PartialGrid(SudokuGeometry(p, q), r, s, tuple(map(tuple, rows)), "latin")
+
+
+def test_large_latin_corners_match_the_recorded_hash():
+    digests = {}
+    for p, q in GOLDEN_LATIN:
+        records = [_record(_latin_corner(p, q, r, s, 10000 * p + 100 * r + s))
+                   for r, s in LATIN_CORNERS]
+        assert [record[1] for record in records] == [True] * 7 + [False]
+        digests[(p, q)] = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digests == GOLDEN_LATIN
+
+
+GOLDEN_VALIDATE = {
+    "latin": "6a10401fb082182b1a815bbf574caec400708b6e6454a542bbc35d7606cc3b28",
+    "sudoku": "f314ea39b7bce5ffa72adcf66d7c30ed4986a7814101364acf0d58613aa1559f",
+    "gerechte": "fca6507774e4b3f298d15ea5b1f225126c69a6980f662609d13f1518dfcea296",
+}
+
+
+def _faulty(rng, p, q, rows, cols, flavor):
+    """A corner of a relabelled (p,q) pattern square with some cells blanked
+    and up to three overwritten with symbols in 0..n + 1; a gerechte grid
+    gets the box partition with relabelled part ids."""
+    n = p * q
+    relabel = rng.sample(range(1, n + 1), n)
+    cells = [[relabel[(q * (i % p) + i // p + j) % n] for j in range(cols)]
+             for i in range(rows)]
+    for _ in range(rng.randint(0, rows * cols)):
+        cells[rng.randrange(rows)][rng.randrange(cols)] = None
+    for _ in range(rng.randint(0, 3) if rows and cols else 0):
+        cells[rng.randrange(rows)][rng.randrange(cols)] = rng.randint(0, n + 1)
+    partition = None
+    if flavor == "gerechte":
+        ids = rng.sample(range(1, n + 1), n)
+        partition = tuple(tuple(ids[(i // p) * p + j // q] for j in range(cols))
+                          for i in range(rows))
+    return PartialGrid(SudokuGeometry(p, q), rows, cols, tuple(map(tuple, cells)), flavor,
+                       partition)
+
+
+def _validate_corpus(flavor):
+    """Seeded faulty grids of one flavour, then hand-made edge cases: empty
+    and zero-width or zero-height grids and, per flavour, grids that reach
+    past the square, a missing partition or uneven parts."""
+    rng = random.Random(f"validate-{flavor}")
+    shapes = ((1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+    if flavor == "sudoku":
+        shapes = shapes[2:]
+    for p, q in shapes:
+        n = p * q
+        for _ in range(20):
+            yield _faulty(rng, p, q, rng.randint(0, n), rng.randint(0, n), flavor)
+        for rows, cols in ((0, 0), (0, n), (n, 0), (n, n)):
+            yield _faulty(rng, p, q, rows, cols, flavor)
+    geom = SudokuGeometry(2, 2)
+    if flavor == "latin":
+        yield PartialGrid(geom, 5, 2, ((1, 2), (2, 1), (3, 4), (4, 3), (1, 5)), flavor)
+    if flavor == "sudoku":
+        yield PartialGrid(geom, 5, 5, ((1, 2, 3, 4, None),) + ((None,) * 5,) * 4, flavor)
+        yield PartialGrid(geom, 5, 4, ((None,) * 4,) * 4 + ((1, None, None, None),), flavor)
+    if flavor == "gerechte":
+        yield PartialGrid(geom, 2, 2, ((1, 2), (1, None)), flavor)
+        yield PartialGrid(geom, 4, 4, ((None,) * 4,) * 4, flavor,
+                          ((1, 1, 1, 1), (1, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4)))
+
+
+def _validation_record(grid):
+    try:
+        return (grid.cells, grid.partition, validate_partial(grid))
+    except ValueError as exc:
+        return (grid.cells, grid.partition, type(exc).__name__, str(exc))
+
+
+def test_validate_reports_match_the_recorded_hash():
+    digests = {}
+    for flavor in GOLDEN_VALIDATE:
+        records = [_validation_record(grid) for grid in _validate_corpus(flavor)]
+        reports = [record[2] for record in records if len(record) == 3]
+        assert any(report.ok for report in reports)
+        kinds = {v.kind for report in reports for v in report.violations}
+        assert {"range", "row", "column"} <= kinds, (flavor, kinds)
+        digests[flavor] = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digests == GOLDEN_VALIDATE

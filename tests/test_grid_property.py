@@ -25,7 +25,8 @@ def naive_ok(grid: PartialGrid) -> bool:
 @st.composite
 def faulty_grids(draw):
     """A corner of a relabelled pattern square, some cells blanked, some
-    overwritten with symbols from 0..n + 1 (clashes and out-of-range ones)."""
+    overwritten with symbols from 0..n + 1 (clashes and out-of-range ones).
+    A gerechte grid gets the box partition with relabelled part ids."""
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n = p * q
     rows, cols = draw(st.integers(0, n)), draw(st.integers(0, n))
@@ -38,9 +39,15 @@ def faulty_grids(draw):
             cells[i][j] = None
         for (i, j), v in draw(st.lists(st.tuples(spots, st.integers(0, n + 1)), max_size=3)):
             cells[i][j] = v
-    flavor = "latin" if p == 1 or q == 1 else draw(st.sampled_from(("latin", "sudoku")))
+    flavors = ("latin", "gerechte") if p == 1 or q == 1 else ("latin", "sudoku", "gerechte")
+    flavor = draw(st.sampled_from(flavors))
+    partition = None
+    if flavor == "gerechte":
+        ids = draw(st.permutations(range(1, n + 1)))
+        partition = tuple(tuple(ids[(i // p) * p + j // q] for j in range(cols))
+                          for i in range(rows))
     return PartialGrid(SudokuGeometry(p, q), rows, cols,
-                       tuple(tuple(row) for row in cells), flavor)
+                       tuple(tuple(row) for row in cells), flavor, partition)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
