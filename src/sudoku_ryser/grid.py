@@ -7,6 +7,7 @@ shared grids are safe to use concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 EMPTY_TOKEN = "."
@@ -155,7 +156,7 @@ class PartialGrid:
                 for j, v in enumerate(row) if v is None]
 
     def is_fully_filled(self) -> bool:
-        return all(v is not None for row in self.cells for v in row)
+        return all(None not in row for row in self.cells)
 
     def row_symbols(self, row: int) -> set[int]:
         return {v for v in self.cells[row - 1] if v is not None}
@@ -227,7 +228,8 @@ def extends(base: PartialGrid, square: PartialGrid) -> bool:
     """True when every filled cell of base appears unchanged in square."""
     if square.rows < base.rows or square.cols < base.cols:
         return False
-    return all(square.at(r, c) == v for r, c, v in base.filled())
+    return all(v is None or v == w
+               for row, wide in zip(base.cells, square.cells) for v, w in zip(row, wide))
 
 
 def embed_in_square(grid: PartialGrid) -> PartialGrid:
@@ -243,6 +245,12 @@ def embed_in_square(grid: PartialGrid) -> PartialGrid:
     return PartialGrid(grid.geometry, n, n, cells, grid.flavor, None)
 
 
+def _repeats(line, distinct: int) -> bool:
+    """True when a line's filled cells, `distinct` different values among
+    them (None counted as one when present), hold some symbol twice."""
+    return distinct < len(line) and distinct - (None in line) < len(line) - line.count(None)
+
+
 def validate_partial(grid: PartialGrid) -> ValidationReport:
     """Check every uniqueness constraint the grid's flavor implies.
 
@@ -250,67 +258,54 @@ def validate_partial(grid: PartialGrid) -> ValidationReport:
     row, column, big cell or part (groups and symbols in ascending order,
     coordinates in row-major order); ok is True exactly when there are none.
 
-    One pass keeps the symbols of each row, column and unit (big cell or
-    part) as a bit mask, symbol v being bit v, and notes every (group,
-    symbol) that repeats; the coordinates of the repeats are gathered by a
-    second walk only when there are any.  The big cell of 0-based (i, j) is
-    numbered (i // p) * p + j // q.
+    A row, column or unit (big cell or part) has a duplicate exactly when
+    its set of symbols is smaller than its number of filled cells, and a
+    symbol outside 1..n is left over when 1..n is taken from the set of all
+    cells.  Only when either check finds something are the cells walked,
+    with each cell's unit id, to gather the report.  The big cell of 0-based
+    (i, j) is numbered (i // p) * p + j // q.
     """
     n, p, q = grid.n, grid.geometry.p, grid.geometry.q
+    cells = grid.cells
     violations: list[Violation] = []
-    units: Optional[list] = None  # per row, each cell's unit id
+    lines: list = [*cells, *zip(*cells)]
     if grid.flavor == "sudoku":
         if grid.rows > n or grid.cols > n:
             for r, c, v in grid.filled():
                 if 1 <= v <= n:
                     big_cell_of(grid.geometry, r, c)  # raises outside the square
-        bands = [[b * p + j // q for j in range(grid.cols)]
-                 for b in range(-(-grid.rows // p))]
-        units = [bands[i // p] for i in range(grid.rows)]
-    elif grid.flavor == "gerechte":
-        units = grid.partition
-
-    clashes: set[tuple] = set()  # (0 row | 1 column | 2 unit, group, symbol)
-    col_seen = [0] * grid.cols
-    unit_seen: dict = {}
-    for i, row in enumerate(grid.cells):
-        seen = 0
-        unit_row = units[i] if units is not None else None
-        for j, v in enumerate(row):
-            if v is None:
-                continue
-            if not 1 <= v <= n:
-                violations.append(Violation("range", ((i + 1, j + 1),), v))
-                continue
-            bit = 1 << v
-            if seen & bit:
-                clashes.add((0, i, v))
-            if col_seen[j] & bit:
-                clashes.add((1, j, v))
-            seen |= bit
-            col_seen[j] |= bit
-            if unit_row is not None:
-                u = unit_row[j]
-                mask = unit_seen.get(u, 0)
-                if mask & bit:
-                    clashes.add((2, u, v))
-                unit_seen[u] = mask | bit
-
-    if clashes:
-        coords: dict[tuple, list[tuple[int, int]]] = {key: [] for key in clashes}
-        for i, row in enumerate(grid.cells):
+        lines += [[v for row in cells[i:i + p] for v in row[j:j + q]]
+                  for i in range(0, grid.rows, p) for j in range(0, grid.cols, q)]
+    elif grid.flavor == "gerechte" and grid.partition is not None:
+        parts: dict = {}
+        for pids, row in zip(grid.partition, cells):
+            for pid, v in zip(pids, row):
+                parts.setdefault(pid, []).append(v)
+        lines += parts.values()
+    sizes = list(map(len, map(set, lines)))
+    stray = set(chain.from_iterable(cells)).difference(range(1, n + 1), (None,))
+    if stray or (sizes != list(map(len, lines)) and any(map(_repeats, lines, sizes))):
+        units: Optional[list] = None  # per row, each cell's unit id
+        if grid.flavor == "sudoku":
+            units = [[(i // p) * p + j // q for j in range(grid.cols)] for i in range(grid.rows)]
+        elif grid.flavor == "gerechte":
+            units = grid.partition
+        coords: dict[tuple, list[tuple[int, int]]] = {}  # (0 row | 1 column | 2 unit, group, symbol)
+        for i, row in enumerate(cells):
             for j, v in enumerate(row):
-                if v is None or not 1 <= v <= n:
+                if v is None:
+                    continue
+                if not 1 <= v <= n:
+                    violations.append(Violation("range", ((i + 1, j + 1),), v))
                     continue
                 keys = [(0, i, v), (1, j, v)]
                 if units is not None:
                     keys.append((2, units[i][j], v))
                 for key in keys:
-                    if key in coords:
-                        coords[key].append((i + 1, j + 1))
+                    coords.setdefault(key, []).append((i + 1, j + 1))
         kinds = ("row", "column", "bigcell" if grid.flavor == "sudoku" else "part")
-        for key in sorted(coords):
-            violations.append(Violation(kinds[key[0]], tuple(coords[key]), key[2]))
+        violations.extend(Violation(kinds[key[0]], tuple(coords[key]), key[2])
+                          for key in sorted(coords) if len(coords[key]) > 1)
 
     if grid.flavor == "gerechte":
         if grid.partition is None:
