@@ -14,13 +14,13 @@ Every stage that can fail on honest input returns a checkable Obstruction;
 when all stages pass, the expansion is guaranteed to produce a valid square,
 so the staged pipeline doubles as the completability decision.
 
-Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline:
-complete_latin_rectangle follows Ryser's proof, extending the rows to full
-width and then adding the missing rows, each step one block split
-(outline._block_slices) that colours every empty cell once, and checks
-the finished square.  Ryser's bound N(k) >= r + s - n enters only there,
-as what keeps each symbol's degree in the first step within the colour
-count.
+Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline and
+follow Ryser's proof (_ryser_complete): the rows are extended to full
+width, then the missing rows are added, each step one colouring
+(outline._block_colors) whose colour classes are the new columns or rows,
+so each empty cell is coloured once and its symbol written straight in.
+Ryser's bound N(k) >= r + s - n enters only there, as what keeps each
+symbol's degree in the first step within the colour count.
 
 Axis convention: every construction that has a row and a column version is
 written once, for rows.  Transposing a (p,q) r x s rectangle gives a (q,p)
@@ -59,6 +59,7 @@ from .hall import ryser_counts
 from .outline import (
     Composition,
     OutlineLatinSquare,
+    _block_colors,
     _block_slices,
     expand_outline,
     validate_outline,
@@ -641,7 +642,7 @@ def complete(grid: PartialGrid) -> Verdict:
                                           kind="oversized"))
 
     if geom.p == 1 or geom.q == 1:
-        res = complete_latin_rectangle(grid, geom.n)
+        res = _ryser_complete(grid, geom.n)
         if isinstance(res, Obstruction):
             return Verdict(False, res)
         square = PartialGrid(geom, geom.n, geom.n, res.cells, grid.flavor, None)
@@ -654,11 +655,8 @@ def complete(grid: PartialGrid) -> Verdict:
     latin = expand_outline(assemble_outline(grid, plan, dist))
     square = PartialGrid(geom, geom.n, geom.n, latin.cells, "sudoku", None)
 
-    final = validate_partial(square)
-    if not final.ok:
-        raise RuntimeError("expanded square fails validation; construction bug")
-    if not extends(grid, square):
-        raise RuntimeError("expanded square does not extend the input; construction bug")
+    if not validate_partial(square).ok or not extends(grid, square):
+        raise RuntimeError("expanded square is not a completion of the input; construction bug")
     return Verdict(True, square)
 
 
@@ -684,61 +682,62 @@ def _missing(line: Iterable[int], symbols: set[int]) -> tuple[int, ...]:
     return tuple(sorted(symbols.difference(line)))
 
 
-def _unit_cells(slice_: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The symbols of a slice whose every cell must hold exactly one.
-
-    A cell of any other size is a construction bug, so it raises
-    RuntimeError rather than the unpacking's ValueError, which callers such
-    as the CLI read as bad input.
-    """
-    try:
-        return [k for (k,) in slice_]
-    except ValueError:
-        raise RuntimeError("a colour class is not one symbol per cell; construction bug") from None
-
-
 def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
     """Complete an r x s latin rectangle to an n x n latin square, as in Ryser's proof.
+
+    Raises ValueError unless the rectangle is fully filled and latin, then
+    runs _ryser_complete, which complete() calls on its own checked input.
+    """
+    work = PartialGrid(SudokuGeometry(1, n), grid.rows, grid.cols, grid.cells, "latin", None)
+    if not validate_partial(work).ok or not work.is_fully_filled():
+        raise ValueError("input is not a fully filled latin rectangle")
+    return _ryser_complete(work, n)
+
+
+def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
+    """Ryser's two steps on an r x s rectangle already checked to be latin and full.
 
     Step 1 extends the rows to full width.  Joining each row to the n - s
     symbols it misses gives a graph in which every row has degree n - s and
     symbol k has degree r - N(k), N(k) being its count in the rectangle;
     that is at most n - s exactly when Ryser's bound N(k) >= r + s - n
-    holds.  One (n - s)-colouring of it (outline._block_slices) then gives
-    each row one symbol per colour and each symbol at most one row, so
-    colour class c is new column s + c.  Step 2 adds the missing rows the
-    same way: in the r x n result every column misses n - r symbols and
-    every symbol is missing from n - r columns, and each colour class of
-    that regular graph is one new row.  Each empty cell is coloured once.
-    When the bound fails the first failing symbol is the obstruction.  A
-    slice cell without exactly one symbol, or a square that is not latin or
-    does not extend the rectangle, is a construction bug: RuntimeError.
+    holds.  One (n - s)-colouring of it (outline._block_colors) then gives
+    each row one symbol per colour and each symbol at most one row, so the
+    symbol of colour c is written into new column s + c.  Step 2 adds the
+    missing rows the same way: in the r x n result every column misses
+    n - r symbols and every symbol is missing from n - r columns, and the
+    symbol of colour c goes into new row r + c.  Each empty cell is
+    coloured once; new cells start at 0, so one left unwritten fails the
+    final validation.  When the bound fails the first failing symbol is the
+    obstruction.  A square that is not latin or does not extend the
+    rectangle is a construction bug: RuntimeError.
     """
     r, s = grid.rows, grid.cols
-    work = PartialGrid(SudokuGeometry(1, n), r, s, grid.cells, "latin", None)
-    report = validate_partial(work)
-    if not report.ok or not work.is_fully_filled():
-        raise ValueError("input is not a fully filled latin rectangle")
-
-    ryser = ryser_counts(work, n)
+    ryser = ryser_counts(grid, n)
     if not ryser.ok:
         k = ryser.failing[0]
         return Obstruction("ryser", k, kind="ryser", symbol=k)
 
     symbols = set(range(1, n + 1))
-    rows = [list(row) for row in work.cells]
+    rows = [list(row) for row in grid.cells]
     if s < n:
         block = tuple(_missing(row, symbols) for row in rows)
-        for slice_ in _block_slices(block, n - s, n):
-            for row, k in zip(rows, _unit_cells(slice_)):
-                row.append(k)
+        colors = iter(_block_colors(block, n - s, n))
+        for row, cell in zip(rows, block):
+            row += [0] * (n - s)
+            for k, c in zip(cell, colors):
+                row[s + c - 1] = k
     if r < n:
-        columns = zip(*rows) if rows else [()] * n
-        block = tuple(_missing(column, symbols) for column in columns)
-        rows.extend(_unit_cells(slice_) for slice_ in _block_slices(block, n - r, n))
+        block = tuple(_missing(column, symbols) for column in (zip(*rows) if rows else [()] * n))
+        colors = iter(_block_colors(block, n - r, n))
+        new_rows = [[0] * n for _ in range(n - r)]
+        for j, cell in enumerate(block):
+            for k, c in zip(cell, colors):
+                new_rows[c - 1][j] = k
+        rows += new_rows
 
     square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
-    if not validate_partial(square).ok or not extends(work, square):
+    if not validate_partial(square).ok or not extends(grid, square):
         raise RuntimeError("completed latin square fails validation; construction bug")
     return square
 

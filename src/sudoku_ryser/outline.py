@@ -9,7 +9,7 @@ for every slice, so the fully split array is again a latin square.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional
 
 from .bipartite import BipartiteMultigraph, equitable_edge_coloring
@@ -159,37 +159,38 @@ def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...
     return o.cells if axis == "row" else tuple(zip(*o.cells))
 
 
-def _from_lines(o: OutlineLatinSquare, axis: str, comp: Composition,
-                lines: list) -> OutlineLatinSquare:
-    """The outline with the given lines and composition on one axis."""
-    if axis == "row":
-        return OutlineLatinSquare(comp, o.col_comp, o.sym_comp, tuple(lines))
-    return OutlineLatinSquare(o.row_comp, comp, o.sym_comp, tuple(zip(*lines)))
+def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> tuple[int, ...]:
+    """The colour in 1..m of each symbol instance of one merged part of size m.
 
-
-def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
-                  symbols: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Split one merged part of size m into m unit slices, in color order.
-
-    The slices come from one equitable m-edge-coloring of the graph joining
-    the cross-axis blocks to the symbols, one edge per symbol instance in
-    the block; color class c becomes slice c.  When every degree in that
-    graph is a multiple of m, each class takes an exact 1/m share at every
-    vertex and the counting conditions hold for every slice.  Degrees of
-    at most m are allowed too: each class then takes each such vertex at
-    most once, so a symbol of degree at most m lands at most once in any
-    slice, and a cell of degree m gets exactly one symbol in each.  The
-    edges follow the block's cells in stored order, so a slice cell keeps
-    that order: sorted cells give sorted slices.
+    The colours, listed cell by cell in stored order, come from one
+    equitable m-edge-coloring of the graph joining the cells (cross-axis
+    blocks) to the symbols, one edge per symbol instance; colour class c is
+    unit line c of the part.  When every degree in that graph is a multiple
+    of m, each class takes an exact 1/m share at every vertex and the
+    counting conditions hold for every line.  Degrees of at most m are
+    allowed too: each class takes such a vertex at most once, so a symbol
+    of degree at most m lands at most once in any line, and a cell of
+    degree m gets exactly one symbol of each colour.
     """
     edges = [(b, k - 1) for b, cell in enumerate(block) for k in cell]
     graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, symbols + 1)),
                                 tuple(edges))
-    coloring = equitable_edge_coloring(graph, m)
-    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m + 1)]  # 0 unused
-    for (b, k0), c in zip(edges, coloring.color_of):
-        slices[c][b].append(k0 + 1)
-    return [tuple(map(tuple, slice_)) for slice_ in slices[1:]]
+    return equitable_edge_coloring(graph, m).color_of
+
+
+def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
+                  symbols: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Split one merged part of size m into m unit slices, in colour order.
+
+    Slice c holds colour class c of _block_colors.  A slice cell keeps the
+    block's cell order, so sorted cells give sorted slices.
+    """
+    colors = iter(_block_colors(block, m, symbols))
+    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m)]
+    for b, cell in enumerate(block):
+        for k, c in zip(cell, colors):
+            slices[c - 1][b].append(k)
+    return [tuple(map(tuple, slice_)) for slice_ in slices]
 
 
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
@@ -211,17 +212,24 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     unit = tuple(tuple(sorted(cell)) for cell in unit)
     merged = tuple(tuple(sorted(chain(*cells))) for cells in zip(*rest))
     lines[target:target + 1] = [unit, merged]
-    return _from_lines(o, axis, comp[:target] + (1, m - 1) + comp[target + 1:], lines)
+    comp = comp[:target] + (1, m - 1) + comp[target + 1:]
+    if axis == "row":
+        return OutlineLatinSquare(comp, o.col_comp, o.sym_comp, tuple(lines))
+    return OutlineLatinSquare(o.row_comp, comp, o.sym_comp, tuple(zip(*lines)))
 
 
 def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
     """Recover a full latin square whose amalgamation is the given outline.
 
     Requires a unit symbol composition.  Every merged row block is split
-    into unit rows with one equitable coloring (see _block_slices), then
-    every merged column block; each split preserves validity, so the result
-    is read off directly from the all-unit array.  It is a latin-flavor grid
-    with 1 x n boxes; callers that need a box structure re-wrap its cells.
+    into unit rows (see _block_slices).  Then every unit row's cell in a
+    column part of size m holds m symbols, one per colour of that part's
+    equitable coloring (see _block_colors), and the symbol of colour c is
+    written straight into the part's column c of the square.  Each split
+    preserves validity, so a cell of another size, or a square cell left
+    empty, is a construction bug and raises RuntimeError.  The result is a
+    latin-flavor grid with 1 x n boxes; callers that need a box structure
+    re-wrap its cells.
     """
     if any(part != 1 for part in o.sym_comp):
         raise OutlineError("expansion requires a unit symbol composition")
@@ -230,21 +238,19 @@ def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
         raise OutlineError(f"outline is invalid: {report.violations[:3]}")
 
     n = o.n
-    current = o
-    for axis in ("row", "column"):
-        comp = current.row_comp if axis == "row" else current.col_comp
-        lines: list = []
-        for m, line in zip(comp, _lines(current, axis)):
-            lines.extend(_block_slices(line, m, n) if m >= 2 else (line,))
-        current = _from_lines(current, axis, (1,) * n, lines)
-
-    cells = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = current.cells[i][j]
-            if len(cell) != 1:
-                raise OutlineError("expansion did not reach singleton cells")
-            row.append(cell[0])
-        cells.append(tuple(row))
-    return PartialGrid(SudokuGeometry(1, n), n, n, tuple(cells), "latin", None)
+    rows: list = []
+    for m, line in zip(o.row_comp, o.cells):
+        rows.extend(_block_slices(line, m, n) if m >= 2 else (line,))
+    square = [[0] * n for _ in range(n)]
+    offset = 0
+    for m, column in zip(o.col_comp, zip(*rows)):
+        colors = iter(_block_colors(column, m, n)) if m >= 2 else repeat(1)
+        for row, cell in zip(square, column):
+            if len(cell) != m:
+                raise RuntimeError("expansion did not reach singleton cells; construction bug")
+            for k, c in zip(cell, colors):
+                row[offset + c - 1] = k
+        offset += m
+    if any(0 in row for row in square):
+        raise RuntimeError("expansion left a cell empty; construction bug")
+    return PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, square)), "latin", None)

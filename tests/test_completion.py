@@ -334,22 +334,22 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda slice_: (slice_[0] + slice_[1],) + slice_[1:],  # a two-symbol cell
-    lambda slice_: (slice_[1],) + slice_[1:],  # the first new line repeats a symbol
+    lambda colors: [colors[1]] + colors[1:],  # a cell gets two symbols of one colour
+    lambda colors: [colors[1], colors[0]] + colors[2:],  # a new line repeats a symbol
 ], ids=["two-symbol-cell", "repeated-symbol"])
 def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
     # Both steps, then step 1 alone (r = n), then step 2 alone (s = n), so
-    # that the last step's corruption reaches the final square check.
+    # that the last step's corruption reaches the final square check.  Each
+    # step colours a block whose first cell has two symbols, so the two
+    # corruptions change the first cell's colours.
     rectangles = ([[1, 2], [2, 1]], [[1, 2], [2, 1], [3, 4], [4, 3]],
                   [[1, 2, 3, 4], [2, 1, 4, 3]])
-    block_slices = completion._block_slices
+    block_colors = completion._block_colors
 
     def corrupted(block, m, symbols):
-        slices = block_slices(block, m, symbols)
-        slices[0] = corrupt(slices[0])
-        return slices
+        return corrupt(list(block_colors(block, m, symbols)))
 
-    monkeypatch.setattr(completion, "_block_slices", corrupted)
+    monkeypatch.setattr(completion, "_block_colors", corrupted)
     for (p, q), rows in itertools.product(((1, 4), (4, 1)), rectangles):
         grid = grid_from_rows(p, q, rows)
         with pytest.raises(RuntimeError, match="construction bug"):
@@ -357,6 +357,52 @@ def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corr
         path = tmp_path / "latin.grid"
         path.write_text(serialize_grid(grid))
         assert cli.main(["complete", str(path)]) == cli.EXIT_INTERNAL
+
+
+@pytest.mark.parametrize("split, rows", [
+    ("row", [[1, 2], [3, 4]]),
+    ("column", [[1, 2], [3, 4]]),
+    ("row", [[1, 3, 2], [2, 4, 1]]),
+    ("column", [[1, 2], [3, 4], [2, 1]]),
+])
+def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split, rows):
+    # Recolour the first symbol instance of the first colouring that the
+    # expansion's row split, or its column split, makes.  A wrong row split
+    # leaves a cell of the wrong size for the column split; a wrong column
+    # split gives a cell two symbols of one colour.
+    grid = grid_from_rows(2, 2, rows)
+    plan = plan_medium_cells(grid)
+    o = assemble_outline(grid, plan, distribute_free(grid, plan))
+    row_splits = sum(m >= 2 for m in o.row_comp)
+    target = 0 if split == "row" else row_splits
+    assert target < row_splits + sum(m >= 2 for m in o.col_comp)
+    block_colors, expand = outline._block_colors, completion.expand_outline
+    state = {"expanding": False, "calls": 0}
+
+    def corrupted(block, m, symbols):
+        colors = list(block_colors(block, m, symbols))
+        if state["expanding"]:
+            if state["calls"] == target:
+                colors[0] = colors[0] % m + 1
+            state["calls"] += 1
+        return colors
+
+    def expanding(outline_square):
+        state.update(expanding=True, calls=0)
+        try:
+            return expand(outline_square)
+        finally:
+            state["expanding"] = False
+
+    monkeypatch.setattr(outline, "_block_colors", corrupted)
+    monkeypatch.setattr(completion, "expand_outline", expanding)
+    with pytest.raises(RuntimeError, match="construction bug"):
+        expanding(o)
+    with pytest.raises(RuntimeError, match="construction bug"):
+        complete(grid)
+    path = tmp_path / "sudoku.grid"
+    path.write_text(serialize_grid(grid))
+    assert cli.main(["complete", str(path)]) == cli.EXIT_INTERNAL
 
 
 def test_corner_needs_joint_choice():
