@@ -730,11 +730,10 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
     if r < n:
         block = tuple(_missing(column, symbols) for column in (zip(*rows) if rows else [()] * n))
         colors = iter(_block_colors(block, n - r, n))
-        new_rows = [[0] * n for _ in range(n - r)]
+        rows += [[0] * n for _ in range(n - r)]
         for j, cell in enumerate(block):
             for k, c in zip(cell, colors):
-                new_rows[c - 1][j] = k
-        rows += new_rows
+                rows[r + c - 1][j] = k
 
     square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
     if not validate_partial(square).ok or not extends(grid, square):

@@ -246,8 +246,8 @@ def embed_in_square(grid: PartialGrid) -> PartialGrid:
 
 
 def _repeats(line, distinct: int) -> bool:
-    """True when a line's filled cells, `distinct` different values among
-    them (None counted as one when present), hold some symbol twice."""
+    """True when the filled cells of a line hold some symbol twice; distinct
+    is the size of the line's set, which holds None if a cell is empty."""
     return distinct < len(line) and distinct - (None in line) < len(line) - line.count(None)
 
 

@@ -247,7 +247,7 @@ def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
         colors = iter(_block_colors(column, m, n)) if m >= 2 else repeat(1)
         for row, cell in zip(square, column):
             if len(cell) != m:
-                raise RuntimeError("expansion did not reach singleton cells; construction bug")
+                raise RuntimeError("a cell holds the wrong number of symbols; construction bug")
             for k, c in zip(cell, colors):
                 row[offset + c - 1] = k
         offset += m

@@ -257,3 +257,12 @@ def test_extends_helper():
                                  [2, 1, 4, 3], [4, 3, 2, 1]])
     assert extends(base, good)
     assert not extends(grid_from_rows(2, 2, [[2, 1]]), good)
+    # Empty base cells match anything; a mismatch in a later row, a base
+    # wider or taller than the square, or an empty square cell does not.
+    assert extends(grid_from_rows(2, 2, [[0, 2, 0], [3, 0, 1]]), good)
+    assert extends(grid_from_rows(2, 2, [[0, 0]]), empty_grid(2, 2))
+    assert extends(empty_grid(2, 2, 0, 0), good) and extends(good, good)
+    assert not extends(grid_from_rows(2, 2, [[1, 0], [4, 0]]), good)
+    assert not extends(grid_from_rows(2, 2, [[1], [3], [2], [4], [1]]), good)
+    assert not extends(grid_from_rows(2, 2, [[1, 2, 3, 4, 0]]), good)
+    assert not extends(base, empty_grid(2, 2))
