@@ -80,12 +80,13 @@ def _cmd_complete(args) -> int:
     if method == "brute":
         return _brute_force(grid, args.node_limit)
 
-    rectangle = _is_corner_rectangle(grid)
+    # The pipeline reads no partition, so a gerechte grid never takes the corner path.
+    rectangle = None if grid.partition is not None else _is_corner_rectangle(grid)
     if rectangle is None:
         if method in ("thm2", "thm3"):
-            print("not a corner rectangle; use --method brute", file=sys.stderr)
+            print("not a partition-free corner rectangle; use --method brute", file=sys.stderr)
             return EXIT_USAGE
-        print("not a corner rectangle; falling back to exhaustive search",
+        print("not a partition-free corner rectangle; falling back to exhaustive search",
               file=sys.stderr)
         return _brute_force(grid, args.node_limit)
 
@@ -116,9 +117,9 @@ def _cmd_check(args) -> int:
                 print(f"symbol {k}: N={report.counts[k]}{mark}")
         return EXIT_OK if report.ok else EXIT_FAIL
     if args.matchings:
-        rectangle = _is_corner_rectangle(grid)
+        rectangle = None if grid.partition is not None else _is_corner_rectangle(grid)
         if rectangle is None:
-            print("matchings check needs a corner rectangle", file=sys.stderr)
+            print("matchings check needs a partition-free corner rectangle", file=sys.stderr)
             return EXIT_USAGE
         verdict = completion.complete(rectangle)
         if verdict.completable:

@@ -30,8 +30,9 @@ side (bottom graphs, column coverage, column distribution) is the row side
 applied to the transpose.  Only the doubly covered corner big cell is
 solved jointly, on the rectangle itself.  One complete() builds each axis
 once: plan_medium_cells builds both, and its plan hands them on to
-distribute_free and assemble_outline.  verify_obstruction builds its own,
-since it is the independent recheck.
+distribute_free.  assemble_outline needs no axis: it reads each outline
+cell from its one source.  verify_obstruction builds its own, since it is
+the independent recheck.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ from .grid import (
 )
 from .hall import ryser_counts
 from .outline import (
-    Composition,
     OutlineLatinSquare,
     _block_colors,
     _block_slices,
@@ -74,8 +74,8 @@ class MediumCellPlan:
     in that row's slice of the partially covered big column; vertical is the
     column mirror for the partially covered big row.  A plan made by
     plan_medium_cells also keeps the grid's row and column axes in
-    _axis_pair, so distribute_free and assemble_outline on that same grid
-    object reuse them instead of building them again.
+    _axis_pair, so distribute_free on that same grid object reuses them
+    instead of building them again.
     """
 
     horizontal: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
@@ -200,14 +200,6 @@ def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
 def _axes(grid: PartialGrid) -> tuple[_Axis, _Axis]:
     """Row axis, then column axis: the order in which every stage checks them."""
     return _axis(grid, _ROW_NAMES), _axis(_transpose(grid), _COL_NAMES)
-
-
-def _plan_axes(grid: PartialGrid, plan: MediumCellPlan) -> tuple[_Axis, _Axis]:
-    """The axes plan_medium_cells built, if it built them for this grid object."""
-    pair = plan._axis_pair
-    if pair is not None and pair[0].grid is grid:
-        return pair
-    return _axes(grid)
 
 
 def _band_rows(shape: _Shape, alpha: int) -> range:
@@ -339,7 +331,7 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     placement counts come from the sizes of each symbol's coverage graph,
     which is built only to certify a failure.  Each row's and column's
     symbol set is built once, with its axis, and read by every graph; the
-    plan hands both axes on to distribute_free and assemble_outline.
+    plan hands both axes on to distribute_free.
     """
     axes = _axes(grid)
     shape = axes[0].shape
@@ -529,95 +521,65 @@ def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
 
     Failures here indicate a bug: plan_medium_cells has already certified
     the per-symbol placement counts that make these colorings work out.
+    It reuses the axes plan_medium_cells built, if it built them for this
+    grid object.
     """
-    row, col = _plan_axes(grid, plan)
+    pair = plan._axis_pair
+    row, col = pair if pair is not None and pair[0].grid is grid else _axes(grid)
     row_fills, block_row_fills = _distribute_rows(row, plan.horizontal)
     col_fills, block_col_fills = _distribute_rows(col, plan.vertical)
     return Distribution(row_fills=row_fills, block_row_fills=block_row_fills,
                         col_fills=col_fills, block_col_fills=block_col_fills)
 
 
-def _outline_axis(shape: _Shape) -> tuple[Composition, Optional[int], dict[int, int]]:
-    """Row composition of the outline plus outline indices of its merged lines.
-
-    The parts are the r unit rows, the leftover block (when p does not
-    divide r) and one part per empty big row.  Also returns the block's
-    outline index (None without one) and each empty big row's index.
-    """
-    parts = [1] * shape.r
-    block = None
-    if not shape.p_divides:
-        parts.append(shape.a)
-        block = len(parts)
-    big: dict[int, int] = {}
-    for I in shape.empty_big_rows:
-        parts.append(shape.p)
-        big[I] = len(parts)
-    return tuple(parts), block, big
-
-
-def _axis_cells(ax: _Axis, share: dict, fills: dict, block_fills: dict, own: tuple,
-                cross: tuple) -> Iterable[tuple[int, int, Iterable[int]]]:
-    """Outline cells one axis fills, as (own index, cross index, symbols).
-
-    own and cross are the _outline_axis results of this axis and the other.
-    """
-    _, own_block, _ = own
-    _, cross_block, cross_big = cross
-    for (alpha, x), syms in share.items():
-        yield (alpha - 1) * ax.shape.p + x, cross_block, syms
-    for (i, target), syms in fills.items():
-        yield i, cross_big[target], syms
-    for target, syms in block_fills.items():
-        yield own_block, cross_big[target], syms
-
-
 def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
                      dist: Distribution) -> OutlineLatinSquare:
     """Lay the rectangle, medium cells and distributions out as an outline square.
 
-    Unit rows and columns keep the original cells; leftover blocks absorb
-    their complements; fully empty big cells take every symbol once.  The
-    outline is validated before it is returned: a plan and distribution
-    built from the grid always give a valid one, so an invalid outline is a
-    construction bug and raises RuntimeError.
+    Built row by row, each cell read from its one source, already ascending:
+    unit rows and columns keep the original cells or take their medium-cell
+    share or distributed fill, leftover blocks absorb their complements, and
+    fully empty big cells take every symbol once.  A missing entry leaves
+    its cell short.  The outline is validated before it is returned: a plan
+    and distribution built from the grid always give a valid one, so an
+    invalid outline is a construction bug and raises RuntimeError.
     """
-    row, col = _plan_axes(grid, plan)
-    shape = row.shape
-    row_out, col_out = _outline_axis(row.shape), _outline_axis(col.shape)
-    (row_parts, row_block, row_big), (col_parts, col_block, col_big) = row_out, col_out
-    cells: dict[tuple[int, int], list[int]] = {}
+    shape = _shape(grid)
+    p, q, n, r, s = shape.p, shape.q, shape.n, shape.r, shape.s
+    big_cols = shape.empty_big_cols
+    col_block = not shape.q_divides
+    cells = []
+    for i, given in enumerate(grid.cells, 1):
+        row = [() if v is None else (v,) for v in given]
+        if col_block:
+            row.append(plan.horizontal.get(((i - 1) // p + 1, (i - 1) % p + 1), ()))
+        row.extend(dist.row_fills.get((i, J), ()) for J in big_cols)
+        cells.append(tuple(row))
+    if not shape.p_divides:
+        row = [plan.vertical.get(((j - 1) // q + 1, (j - 1) % q + 1), ())
+               for j in range(1, s + 1)]
+        if col_block:
+            alpha, beta = shape.full_bands + 1, shape.s_star // q + 1
+            corner = grid.big_cell_symbols(alpha, beta)
+            for x in range(1, r - shape.r_star + 1):
+                corner.update(plan.horizontal.get((alpha, x), ()))
+            for y in range(1, s - shape.s_star + 1):
+                corner.update(plan.vertical.get((beta, y), ()))
+            row.append(tuple(k for k in range(1, n + 1) if k not in corner))
+        row.extend(dist.block_row_fills.get(J, ()) for J in big_cols)
+        cells.append(tuple(row))
+    every = tuple(range(1, n + 1))
+    for I in shape.empty_big_rows:
+        row = [dist.col_fills.get((j, I), ()) for j in range(1, s + 1)]
+        if col_block:
+            row.append(dist.block_col_fills.get(I, ()))
+        row.extend(every for _ in big_cols)
+        cells.append(tuple(row))
 
-    def add(oi: int, oj: int, symbols) -> None:
-        cells.setdefault((oi, oj), []).extend(symbols)
-
-    for i, j, v in grid.filled():
-        add(i, j, (v,))
-    for oi, oj, syms in _axis_cells(row, plan.horizontal, dist.row_fills,
-                                    dist.block_row_fills, row_out, col_out):
-        add(oi, oj, syms)
-    for oj, oi, syms in _axis_cells(col, plan.vertical, dist.col_fills,
-                                    dist.block_col_fills, col_out, row_out):
-        add(oi, oj, syms)
-
-    if not shape.p_divides and not shape.q_divides:
-        corner_content = set(row.corner)
-        for ax, share in ((row, plan.horizontal), (col, plan.vertical)):
-            for (alpha, _), syms in share.items():
-                if alpha == ax.shape.full_bands + 1:
-                    corner_content.update(syms)
-        complement = [k for k in range(1, shape.n + 1) if k not in corner_content]
-        add(row_block, col_block, complement)
-
-    for oi in row_big.values():
-        for oj in col_big.values():
-            add(oi, oj, range(1, shape.n + 1))
-
-    grid_cells = tuple(
-        tuple(tuple(sorted(cells.get((oi, oj), ()))) for oj in range(1, len(col_parts) + 1))
-        for oi in range(1, len(row_parts) + 1)
-    )
-    outline = OutlineLatinSquare(row_parts, col_parts, (1,) * shape.n, grid_cells)
+    row_block = () if shape.p_divides else (shape.a,)
+    row_comp = (1,) * r + row_block + (p,) * len(shape.empty_big_rows)
+    col_comp = (1,) * s + ((shape.b,) if col_block else ()) + (q,) * len(big_cols)
+    outline = OutlineLatinSquare(row_comp, col_comp, (1,) * n, tuple(cells))
     if not validate_outline(outline).ok:
         raise RuntimeError("assembled outline fails validation; construction bug")
     return outline

@@ -149,7 +149,11 @@ def alpha_cells(grid: PartialGrid, sigma: int, cells: Iterable[Cell],
 
 def hall_inequality(grid: PartialGrid, cells: Iterable[Cell],
                     flavor: Optional[str] = None) -> tuple[int, int, bool]:
-    """(sum of alphas, |Q|, whether the inequality holds) for one subset."""
+    """(sum of alphas, |Q|, whether the inequality holds) for one subset.
+
+    Raises ValueError when some symbol has more than 26 candidate cells in
+    the subset, the exact-search gate that alpha_cells takes as max_exact.
+    """
     subset, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
     lhs = sum(_alpha(cell_lists, adj, sigma, _MAX_EXACT) for sigma in range(1, grid.n + 1))
     return lhs, len(subset), lhs >= len(subset)

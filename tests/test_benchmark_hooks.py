@@ -38,7 +38,8 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
         assert verdict.completable
         spans = tracer.spans
         names = {span[0] for span in spans}
-        assert {"completion.plan", "completion.dist", "outline.expand"} <= names
+        assert {"completion.plan", "completion.dist", "completion.assemble",
+                "outline.expand"} <= names
         # distribution colours through the outline's block split
         assert any(name == "bipartite.coloring" and spans[parent][0] == "completion.dist"
                    for name, _, _, parent, _ in spans)

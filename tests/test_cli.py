@@ -171,6 +171,36 @@ def test_check_matchings(worked_file, capsys):
     assert "completable" in capsys.readouterr().out
 
 
+@pytest.fixture
+def gerechte_file(tmp_path):
+    # A completable 2 x 2 corner of a 4 x 4 gerechte grid whose parts are the
+    # boxes: the pipeline reads no partition, so it must not decide it.
+    path = tmp_path / "gerechte.grid"
+    path.write_text("sudoku v1\n2 2 4 4\n1 2 . .\n3 4 . .\n. . . .\n. . . .\n"
+                    "partition\n1 1 2 2\n1 1 2 2\n3 3 4 4\n3 3 4 4\n")
+    return str(path)
+
+
+def test_complete_gerechte_corner_goes_to_the_oracle(gerechte_file, capsys):
+    assert main(["complete", gerechte_file]) == 0
+    captured = capsys.readouterr()
+    assert "falling back to exhaustive search" in captured.err
+    square = parse_grid(captured.out)
+    assert square.flavor == "gerechte" and square.partition is not None
+    assert validate_partial(square).ok and square.is_fully_filled()
+    assert square.at(1, 1) == 1 and square.at(2, 2) == 4
+
+
+@pytest.mark.parametrize("argv", [["complete", "--method", "thm2"],
+                                  ["complete", "--method", "thm3"],
+                                  ["check", "--matchings"]])
+def test_corner_methods_refuse_a_gerechte_grid(gerechte_file, capsys, argv):
+    assert main(argv + [gerechte_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "partition-free corner rectangle" in captured.err
+
+
 def test_gen_evans_small(capsys):
     assert main(["gen", "evans-small", "--p", "2", "--q", "2"]) == 0
     grid = parse_grid(capsys.readouterr().out)

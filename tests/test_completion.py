@@ -186,6 +186,36 @@ def test_assemble_tampered_plan_flags_outline():
         assemble_outline(WORKED, tampered, dist)
 
 
+def test_assembled_outlines_have_ascending_cells():
+    # Each outline cell is read from one source, never sorted, so every
+    # source must already be ascending for expansion to stay deterministic.
+    rng = random.Random(16)
+    checked = 0
+    for p, q in ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)):
+        n = p * q
+        sides = [(0, rng.randint(0, n)), (rng.randint(0, n), 0)]
+        sides += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(4)]
+        for r, s in sides:
+            grid = gen_random_rectangle(p, q, r, s, rng.randrange(10 ** 6))
+            plan = plan_medium_cells(grid)
+            o = assemble_outline(grid, plan, distribute_free(grid, plan))
+            assert all(list(cell) == sorted(cell) for row in o.cells for cell in row)
+            checked += 1
+    assert checked == 36
+
+
+def test_assemble_over_an_emptied_cell_is_a_construction_bug():
+    # An empty given cell leaves its outline cell short: validation reports
+    # it, rather than a None reaching the symbol counts.
+    plan = plan_medium_cells(WORKED)
+    dist = distribute_free(WORKED, plan)
+    cells = [list(row) for row in WORKED.cells]
+    cells[1][2] = None
+    emptied = dataclasses.replace(WORKED, cells=tuple(map(tuple, cells)))
+    with pytest.raises(RuntimeError, match="construction bug"):
+        assemble_outline(emptied, plan, dist)
+
+
 @pytest.mark.parametrize("side", ["horizontal", "vertical"])
 @pytest.mark.parametrize("bad", [(9, 1), (0, 1), (-3, 2)])
 def test_assemble_plan_entry_outside_the_outline_flags_outline(side, bad):
@@ -493,9 +523,10 @@ def count_axes(monkeypatch) -> list[str]:
 
 
 def test_complete_builds_each_axis_once(monkeypatch):
-    # plan_medium_cells hands its axes on to distribute_free and
-    # assemble_outline, so one complete() builds the row axis and the column
-    # axis once each, whether it completes or stops at a plan obstruction.
+    # plan_medium_cells hands its axes on to distribute_free, and
+    # assemble_outline builds none, so one complete() builds the row axis and
+    # the column axis once each, whether it completes or stops at a plan
+    # obstruction.
     built = count_axes(monkeypatch)
     for grid, kind in ((WORKED, None), (gen_random_rectangle(3, 3, 7, 8, 4), None),
                        (gen_random_rectangle(4, 3, 5, 7, 2), None),
@@ -507,10 +538,10 @@ def test_complete_builds_each_axis_once(monkeypatch):
         assert built == ["row", "col"]
 
 
-def test_distribution_and_assembly_build_axes_for_a_plan_without_them(monkeypatch):
+def test_distribution_builds_axes_for_a_plan_without_them(monkeypatch):
     # A plan made by hand, or one used with another grid object (even an
-    # equal one), carries no axes for that grid: distribution and assembly
-    # build them and give what the plan's own axes give.
+    # equal one), carries no axes for that grid: distribution builds them and
+    # gives what the plan's own axes give.  Assembly reads no axis.
     built = count_axes(monkeypatch)
     aligned = grid_from_rows(2, 2, [[1, 2], [3, 4]])
     for grid in (WORKED, aligned, gen_random_rectangle(3, 3, 7, 8, 4),
@@ -527,7 +558,7 @@ def test_distribution_and_assembly_build_axes_for_a_plan_without_them(monkeypatc
             other_dist = distribute_free(other_grid, other_plan)
             assert other_dist == dist
             assert assemble_outline(other_grid, other_plan, other_dist) == expected
-            assert built == ["row", "col"] * 2
+            assert built == ["row", "col"]
     assert plan_medium_cells(aligned) == MediumCellPlan()  # so a bare plan was tried too
 
 
