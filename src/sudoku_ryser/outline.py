@@ -8,9 +8,8 @@ for every slice, so the fully split array is again a latin square.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Optional
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .bipartite import BipartiteMultigraph, equitable_edge_coloring
 from .grid import (
@@ -45,17 +44,13 @@ class OutlineLatinSquare:
     sorted cells splits into sorted slices and always expands to the same
     square, while unsorted cells still expand to a valid one, possibly a
     different one.  Validity against the three counting conditions is
-    checked by validate_outline, not on construction; since the outline
-    cannot change, validate_outline keeps its report in _report and returns
-    that on later calls.
+    checked by validate_outline, not on construction.
     """
 
     row_comp: Composition
     col_comp: Composition
     sym_comp: Composition
     cells: tuple[tuple[tuple[int, ...], ...], ...]
-    _report: Optional[ValidationReport] = field(default=None, init=False, repr=False,
-                                                compare=False)
 
     def __post_init__(self) -> None:
         n = sum(self.row_comp)
@@ -117,11 +112,8 @@ def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
     The report lists row violations, then column violations, then each
     cell's size and range violations; symbols outside 1..u are not counted.
     One pass counts into plain lists: row[k] for the current row and
-    cols[j][k] for column j, index 0 unused.  The report is computed once
-    per outline and kept on it.
+    cols[j][k] for column j, index 0 unused.
     """
-    if o._report is not None:
-        return o._report
     u = len(o.sym_comp)
     sym = (0,) + o.sym_comp
     violations: list[Violation] = []
@@ -149,9 +141,7 @@ def validate_outline(o: OutlineLatinSquare) -> ValidationReport:
             violations.extend(Violation("column", ((j + 1, col[k]),), k)
                               for k in range(1, u + 1) if col[k] != expected[k])
     violations.extend(cell_violations)
-    report = ValidationReport(not violations, tuple(violations))
-    object.__setattr__(o, "_report", report)
-    return report
+    return ValidationReport(not violations, tuple(violations))
 
 
 def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -218,39 +208,57 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     return OutlineLatinSquare(o.row_comp, comp, o.sym_comp, tuple(zip(*lines)))
 
 
+def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -> tuple:
+    """The n x n square of an outline layout with unit symbol parts.
+
+    One _block_colors call splits each merged row part of size m: colour c
+    goes to unit row c, straight into the square in a unit column, else into
+    that row's cell of the column part.  Each column part of size m >= 2 is
+    then split into its columns the same way.  Cells are read in stored
+    order, as splitting off unit slices in turn reads them.  A column part's
+    cell of the wrong size raises RuntimeError; an unwritten cell stays 0.
+    """
+    starts = tuple(accumulate(col_comp, initial=0))
+    parts: list[list] = [[] for _ in col_comp]  # unit-row cells; none for a unit column
+    square: list[list[int]] = []
+    for m, line in zip(row_comp, cells):
+        colors = iter(_block_colors(line, m, n)) if m >= 2 else repeat(1)
+        rows = [[0] * n for _ in range(m)]
+        for start, width, cell, part in zip(starts, col_comp, line, parts):
+            if width == 1:
+                for k, c in zip(cell, colors):
+                    rows[c - 1][start] = k
+            else:
+                part += [[] for _ in rows]
+                for k, c in zip(cell, colors):
+                    part[c - 1 - m].append(k)
+        square += rows
+    for start, width, part in zip(starts, col_comp, parts):
+        colors = iter(_block_colors(part, width, n) if width >= 2 else ())
+        for row, cell in zip(square, part):
+            if len(cell) != width:
+                raise RuntimeError("a cell holds the wrong number of symbols; construction bug")
+            for k, c in zip(cell, colors):
+                row[start + c - 1] = k
+    return tuple(map(tuple, square))
+
+
 def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
     """Recover a full latin square whose amalgamation is the given outline.
 
-    Requires a unit symbol composition.  Every merged row block is split
-    into unit rows (see _block_slices).  Then every unit row's cell in a
-    column part of size m holds m symbols, one per colour of that part's
-    equitable coloring (see _block_colors), and the symbol of colour c is
-    written straight into the part's column c of the square.  Each split
-    preserves validity, so a cell of another size, or a square cell left
-    empty, is a construction bug and raises RuntimeError.  The result is a
-    latin-flavor grid with 1 x n boxes; callers that need a box structure
-    re-wrap its cells.
+    Requires a unit symbol composition and a valid outline, then writes the
+    square as complete() does (_write_square).  A cell of the wrong size, or
+    a square cell left empty, is a construction bug and raises RuntimeError.
+    The result is a latin-flavor grid with 1 x n boxes; callers that need a
+    box structure re-wrap its cells.
     """
     if any(part != 1 for part in o.sym_comp):
         raise OutlineError("expansion requires a unit symbol composition")
     report = validate_outline(o)
     if not report.ok:
         raise OutlineError(f"outline is invalid: {report.violations[:3]}")
-
     n = o.n
-    rows: list = []
-    for m, line in zip(o.row_comp, o.cells):
-        rows.extend(_block_slices(line, m, n) if m >= 2 else (line,))
-    square = [[0] * n for _ in range(n)]
-    offset = 0
-    for m, column in zip(o.col_comp, zip(*rows)):
-        colors = iter(_block_colors(column, m, n)) if m >= 2 else repeat(1)
-        for row, cell in zip(square, column):
-            if len(cell) != m:
-                raise RuntimeError("a cell holds the wrong number of symbols; construction bug")
-            for k, c in zip(cell, colors):
-                row[offset + c - 1] = k
-        offset += m
+    square = _write_square(o.row_comp, o.col_comp, o.cells, n)
     if any(0 in row for row in square):
         raise RuntimeError("expansion left a cell empty; construction bug")
-    return PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, square)), "latin", None)
+    return PartialGrid(SudokuGeometry(1, n), n, n, square, "latin", None)

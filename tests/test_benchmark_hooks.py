@@ -38,11 +38,14 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
         assert verdict.completable
         spans = tracer.spans
         names = {span[0] for span in spans}
-        assert {"completion.plan", "completion.dist", "completion.assemble",
-                "outline.expand"} <= names
-        # distribution colours through the outline's block split
-        assert any(name == "bipartite.coloring" and spans[parent][0] == "completion.dist"
-                   for name, _, _, parent, _ in spans)
+        assert {"completion.plan", "completion.dist"} <= names
+        # complete() writes its square without assembling or expanding an outline
+        assert not {"completion.assemble", "outline.expand"} & names
+        # distribution colours through the outline's block split, and the
+        # writer's colourings are complete()'s own
+        for stage in ("completion.dist", "completion.complete"):
+            assert any(name == "bipartite.coloring" and spans[parent][0] == stage
+                       for name, _, _, parent, _ in spans), stage
     finally:
         tracer.unwrap()
     for name, module in vars(MODS).items():

@@ -97,6 +97,17 @@ def test_check_ryser(ryser_fail_file, capsys):
     assert "symbol 3: N=0 < 1" in out
 
 
+def test_check_ryser_rejects_a_rectangle_that_is_not_latin(tmp_path, capsys):
+    # Row 1 repeats symbol 1: Ryser's counts would all meet their bound, but
+    # the rectangle is invalid, as complete says too.
+    path = tmp_path / "not_latin.grid"
+    path.write_text("sudoku v1\n1 3 2 2\n1 1\n2 3\n")
+    assert main(["check", "--ryser", str(path)]) == 1
+    assert "invalid" in capsys.readouterr().err
+    assert main(["complete", str(path)]) == 1
+    assert "input-invalid" in capsys.readouterr().err
+
+
 def test_check_ryser_ok(tmp_path, capsys):
     grid = grid_from_rows(1, 4, [[1, 2], [2, 1]])
     path = tmp_path / "ok.grid"

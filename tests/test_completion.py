@@ -397,42 +397,104 @@ def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corr
 ])
 def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split, rows):
     # Recolour the first symbol instance of the first colouring that the
-    # expansion's row split, or its column split, makes.  A wrong row split
-    # leaves a cell of the wrong size for the column split; a wrong column
-    # split gives a cell two symbols of one colour.
+    # writer's row split, or its column split, makes.  A wrong row split
+    # leaves a cell of the wrong size for the column split, or a square cell
+    # unwritten; a wrong column split gives a cell two symbols of one colour.
+    # complete() and the public expand_outline share the writer.
     grid = grid_from_rows(2, 2, rows)
     plan = plan_medium_cells(grid)
     o = assemble_outline(grid, plan, distribute_free(grid, plan))
     row_splits = sum(m >= 2 for m in o.row_comp)
     target = 0 if split == "row" else row_splits
     assert target < row_splits + sum(m >= 2 for m in o.col_comp)
-    block_colors, expand = outline._block_colors, completion.expand_outline
-    state = {"expanding": False, "calls": 0}
+    block_colors, write = outline._block_colors, outline._write_square
+    state = {"writing": False, "calls": 0}
 
     def corrupted(block, m, symbols):
         colors = list(block_colors(block, m, symbols))
-        if state["expanding"]:
+        if state["writing"]:
             if state["calls"] == target:
                 colors[0] = colors[0] % m + 1
             state["calls"] += 1
         return colors
 
-    def expanding(outline_square):
-        state.update(expanding=True, calls=0)
+    def writing(*args):
+        state.update(writing=True, calls=0)
         try:
-            return expand(outline_square)
+            return write(*args)
         finally:
-            state["expanding"] = False
+            state["writing"] = False
 
     monkeypatch.setattr(outline, "_block_colors", corrupted)
-    monkeypatch.setattr(completion, "expand_outline", expanding)
+    monkeypatch.setattr(outline, "_write_square", writing)
+    monkeypatch.setattr(completion, "_write_square", writing)
     with pytest.raises(RuntimeError, match="construction bug"):
-        expanding(o)
+        outline.expand_outline(o)
     with pytest.raises(RuntimeError, match="construction bug"):
         complete(grid)
     path = tmp_path / "sudoku.grid"
     path.write_text(serialize_grid(grid))
     assert cli.main(["complete", str(path)]) == cli.EXIT_INTERNAL
+
+
+def _expanded_by_slices(o):
+    """Expansion as one slice list per merged row block, then the column
+    parts: the reference for the writer, which splits straight into cells."""
+    n = o.n
+    rows = []
+    for m, line in zip(o.row_comp, o.cells):
+        rows.extend(outline._block_slices(line, m, n) if m >= 2 else (line,))
+    square = [[0] * n for _ in range(n)]
+    offset = 0
+    for m, column in zip(o.col_comp, zip(*rows)):
+        colors = iter(outline._block_colors(column, m, n)) if m >= 2 else itertools.repeat(1)
+        for row, cell in zip(square, column):
+            for k, c in zip(cell, colors):
+                row[offset + c - 1] = k
+        offset += m
+    return tuple(map(tuple, square))
+
+
+@pytest.mark.parametrize("p, q", ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)))
+def test_complete_writes_the_outline_paths_square(monkeypatch, p, q):
+    # complete() writes its square straight from plan and distribution; the
+    # public outline path, assemble_outline then expand_outline, and an
+    # expansion through slice lists are the references.  All three colour the
+    # same graphs in the same order and give the same square, and complete()
+    # builds and validates no outline square.
+    calls = []
+    coloring = outline.equitable_edge_coloring
+
+    def recording(graph, k):
+        calls.append((k, graph.edges))
+        return coloring(graph, k)
+
+    def forbidden(*args):
+        raise AssertionError("complete() reached the outline path")
+
+    monkeypatch.setattr(outline, "equitable_edge_coloring", recording)
+    rng = random.Random(100 * p + q)
+    n = p * q
+    for _ in range(12):
+        r, s = rng.randint(0, n), rng.randint(0, n)
+        grid = gen_random_rectangle(p, q, r, s, rng.randrange(10 ** 9))
+        with monkeypatch.context() as m:
+            for module, name in ((completion, "OutlineLatinSquare"),
+                                 (completion, "validate_outline"),
+                                 (outline, "validate_outline"), (outline, "_block_slices")):
+                m.setattr(module, name, forbidden)
+            verdict = complete(grid)
+        assert verdict.completable, (r, s)
+        written, calls[:] = calls[:], []
+        plan = plan_medium_cells(grid)
+        o = assemble_outline(grid, plan, distribute_free(grid, plan))
+        staged = len(calls)  # the distribution's colourings
+        assert verdict.certificate.cells == outline.expand_outline(o).cells, (r, s)
+        assert written == calls, (r, s)
+        del calls[staged:]
+        assert verdict.certificate.cells == _expanded_by_slices(o), (r, s)
+        assert written == calls, (r, s)
+        calls.clear()
 
 
 def test_corner_needs_joint_choice():

@@ -204,15 +204,7 @@ def test_expand_rejects_invalid_outline():
         expand_outline(bad)
     assert not validate_outline(bad).ok
     with pytest.raises(OutlineError):
-        expand_outline(bad)  # the kept report rejects it too
-
-
-def test_validate_outline_keeps_its_report_on_the_outline():
-    o = amalgamate(L4, (2, 2), (2, 2), (1, 1, 1, 1))
-    fresh = OutlineLatinSquare(o.row_comp, o.col_comp, o.sym_comp, o.cells)
-    report = validate_outline(o)
-    assert report.ok and validate_outline(o) is report
-    assert o == fresh and hash(o) == hash(fresh) and repr(o) == repr(fresh)
+        expand_outline(bad)
 
 
 def test_outline_rejects_a_cell_array_of_the_wrong_shape():
