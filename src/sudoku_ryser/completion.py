@@ -8,9 +8,10 @@ doubly covered corner big cell are solved jointly.  It then distributes each
 remaining row's and column's missing symbols over the empty big columns and
 rows, and writes the square straight from the outline square's cells
 (_layout, then outline._write_square, expand_outline's writer).
-Distribution is the outline's block split (outline._block_slices): a band's
-rows, with the leftover block as one more cell, are split into one slice per
-empty big column, as expansion splits a merged block into unit lines.
+Distribution colours each band once, as the writer colours a merged block
+(outline._block_colors): the band's rows, with the leftover block as one
+more cell, get one colour per empty big column, and each symbol goes by
+its colour straight into its row's fill for that column.
 Every stage that can fail on honest input returns a checkable Obstruction;
 when all stages pass, the layout is a valid outline and the written square
 is valid, so the staged pipeline doubles as the completability decision.
@@ -37,7 +38,7 @@ the independent recheck.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 from .bipartite import (
@@ -61,7 +62,6 @@ from .hall import ryser_counts
 from .outline import (
     OutlineLatinSquare,
     _block_colors,
-    _block_slices,
     _write_square,
     expand_outline,  # unused here; the benchmark's tracer rebinds this name
     validate_outline,
@@ -450,71 +450,51 @@ def _solve_corner(axes: tuple[_Axis, _Axis], must_h: list[int], must_v: list[int
             {j: sorted(v) for j, v in v_fills.items()})
 
 
-def _line_contents(ax: _Axis, share: dict) -> list[set[int]]:
-    """Symbol set of every row (1-based) once the axis' medium-cell share is placed."""
+def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
+    """Row fills and leftover-block fills of one axis, as ascending tuples.
+
+    Each band is coloured once (outline._block_colors), one colour per empty
+    big column: its cells are the rows' missing symbols once the plan's share
+    is placed and, for the leftover band, the leftover block, which holds
+    symbol k T - (rows missing k) times for T empty big columns.  Colour c
+    fills the c-th empty big column.
+    """
+    shape = ax.shape
+    n, targets = shape.n, shape.empty_big_cols
     contents = [set(line) for line in ax.lines]
     for (alpha, x), syms in share.items():
-        contents[(alpha - 1) * ax.shape.p + x].update(syms)
-    return contents
-
-
-def _distribute_group(members: range, contents: list[set[int]],
-                      block_mult: dict[int, int], targets: tuple[int, ...], n: int,
-                      per_member: int) -> tuple[dict, dict]:
-    """Spread missing symbols of a group of rows over the empty big columns.
-
-    members are row indices with their current symbol sets in contents;
-    block_mult gives the leftover block's per-symbol multiplicity.  Each
-    member's missing symbols, and the block's multiset as one more cell,
-    are split like a merged outline block with one slice per target (see
-    outline._block_slices), so each member gets per_member symbols per
-    target and each symbol lands exactly once per target across the group.
-    """
-    if not targets:
-        for m in members:
-            if len(contents[m]) != n:
-                raise RuntimeError("no room left but symbols remain unplaced")
-        if any(block_mult.values()):
-            raise RuntimeError("leftover block multiplicity with no empty lines")
-        return {}, {}
-    cells = [tuple(k for k in range(1, n + 1) if k not in contents[m]) for m in members]
-    if block_mult:
-        cells.append(tuple(k for k in range(1, n + 1) for _ in range(block_mult[k])))
-    fills: dict[tuple[int, int], tuple[int, ...]] = {}
-    block: dict[int, tuple[int, ...]] = {}
-    for target, slice_ in zip(targets, _block_slices(tuple(cells), len(targets), n)):
-        for m, syms in zip(members, slice_):
-            if len(syms) != per_member:
-                raise RuntimeError(f"member {m} got {len(syms)} symbols for line {target}")
-            fills[(m, target)] = syms
-        if block_mult:
-            block[target] = slice_[-1]
-    return fills, block
-
-
-def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
-    """Row fills and leftover-block fills of one axis, as sorted tuples."""
-    shape = ax.shape
-    contents = _line_contents(ax, share)
-    targets = shape.empty_big_cols
+        contents[(alpha - 1) * shape.p + x].update(syms)
     row_fills: dict[tuple[int, int], tuple[int, ...]] = {}
     block_fills: dict[int, tuple[int, ...]] = {}
-    for alpha in range(1, shape.full_bands + 1):
-        fills, _ = _distribute_group(_band_rows(shape, alpha), contents, {}, targets,
-                                     shape.n, shape.q)
-        row_fills.update(fills)
-    if not shape.p_divides:
-        rows = _band_rows(shape, shape.full_bands + 1)
-        mult: dict[int, int] = {}
-        for k in range(1, shape.n + 1):
-            missing = sum(1 for i in rows if k not in contents[i])
-            m_hat = len(targets) - missing
-            if m_hat < 0:
-                raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
-                                   f"empty big lines across them")
-            mult[k] = m_hat
-        fills, block_fills = _distribute_group(rows, contents, mult, targets, shape.n, shape.q)
-        row_fills.update(fills)
+    for alpha in range(1, shape.full_bands + (not shape.p_divides) + 1):
+        rows = _band_rows(shape, alpha)
+        cells = [tuple(k for k in range(1, n + 1) if k not in contents[i]) for i in rows]
+        leftover = alpha > shape.full_bands
+        if leftover:
+            block: list[int] = []
+            for k in range(1, n + 1):
+                m_hat = len(targets) - sum(1 for i in rows if k not in contents[i])
+                if m_hat < 0:
+                    raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
+                                       f"empty big lines across them")
+                block += [k] * m_hat
+            cells.append(tuple(block))
+        if not targets:
+            if any(len(contents[i]) != n for i in rows):
+                raise RuntimeError("no room left but symbols remain unplaced")
+            continue
+        colors = iter(_block_colors(tuple(cells), len(targets), n))
+        split = [[[] for _ in targets] for _ in cells]  # per cell, its symbols by colour
+        for cell, parts in zip(cells, split):
+            for k, c in zip(cell, colors):
+                parts[c - 1].append(k)
+        for c, J in enumerate(targets):
+            for i, parts in zip(rows, split):
+                if len(parts[c]) != shape.q:
+                    raise RuntimeError(f"member {i} got {len(parts[c])} symbols for line {J}")
+                row_fills[(i, J)] = tuple(parts[c])
+            if leftover:
+                block_fills[J] = tuple(split[-1][c])
     return row_fills, block_fills
 
 
@@ -593,30 +573,43 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
     return outline
 
 
+def _as_built(grid: PartialGrid) -> PartialGrid:
+    """The grid under the rules of the square complete() builds from it.
+
+    That square is latin when a box is one row or column and Sudoku
+    otherwise, whatever the grid's flavor; the pipeline reads no partition,
+    so a gerechte grid is judged as its (p,q) rectangle.
+    """
+    geom = grid.geometry
+    flavor = "latin" if geom.p == 1 or geom.q == 1 else "sudoku"
+    return replace(grid, flavor=flavor, partition=None)
+
+
 def complete(grid: PartialGrid) -> Verdict:
     """Extend a fully filled rectangle to a full square, or explain why not.
 
     Orders with p = 1 or q = 1 reduce to plain latin rectangle completion.
     When p divides r and q divides s no matchings are needed and the
-    pipeline always succeeds.
+    pipeline always succeeds.  The input is validated under the rules of
+    the square built from it (_as_built), not under its own flavor.
     """
-    report = validate_partial(grid)
+    geom = grid.geometry
+    if grid.rows > geom.n or grid.cols > geom.n:
+        return Verdict(False, Obstruction("input-invalid", "rectangle larger than order",
+                                          kind="oversized"))
+    checked = _as_built(grid)
+    report = validate_partial(checked)
     if not report.ok:
         return Verdict(False, Obstruction("input-invalid", report, kind="invalid"))
     if not grid.is_fully_filled():
         return Verdict(False, Obstruction("input-invalid", "rectangle is not fully filled",
                                           kind="not-filled"))
-    geom = grid.geometry
-    if grid.rows > geom.n or grid.cols > geom.n:
-        return Verdict(False, Obstruction("input-invalid", "rectangle larger than order",
-                                          kind="oversized"))
 
-    if geom.p == 1 or geom.q == 1:
+    if checked.flavor == "latin":
         res = _ryser_complete(grid, geom.n)
         if isinstance(res, Obstruction):
             return Verdict(False, res)
-        square = PartialGrid(geom, geom.n, geom.n, res.cells, grid.flavor, None)
-        return Verdict(True, square)
+        return Verdict(True, PartialGrid(geom, geom.n, geom.n, res.cells, "latin", None))
 
     plan = plan_medium_cells(grid)
     if isinstance(plan, Obstruction):
@@ -714,8 +707,8 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     """Independently recheck an obstruction against the grid it came from."""
     if ob.stage == "input-invalid":
-        return (not validate_partial(grid).ok or not grid.is_fully_filled()
-                or grid.rows > grid.n or grid.cols > grid.n)
+        return (grid.rows > grid.n or grid.cols > grid.n
+                or not validate_partial(_as_built(grid)).ok or not grid.is_fully_filled())
     axes = _axes(grid)
     for ax in axes:
         if ob.kind == ax.band_kind:

@@ -173,7 +173,10 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
     """Split one merged part of size m into m unit slices, in colour order.
 
     Slice c holds colour class c of _block_colors.  A slice cell keeps the
-    block's cell order, so sorted cells give sorted slices.
+    block's cell order, so sorted cells give sorted slices.  split_front is
+    its only caller in the library: distribution and _write_square write
+    each symbol straight from its colour, and the tests split through this
+    function as their reference for both.
     """
     colors = iter(_block_colors(block, m, symbols))
     slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m)]

@@ -7,6 +7,7 @@ import pytest
 from sudoku_ryser import cli, completion, outline
 from sudoku_ryser.bipartite import HallViolator, Matching, saturating_matching, verify_violator
 from sudoku_ryser.completion import (
+    Distribution,
     MediumCellPlan,
     Obstruction,
     assemble_outline,
@@ -166,6 +167,74 @@ def test_distribute_splits_every_empty_big_line_exactly():
     assert checked > 100
 
 
+def _distributed_by_slices(grid, plan):
+    """Distribution through one slice list per band (outline._block_slices):
+    the reference for distribute_free, which writes each symbol straight
+    from its colour.  The column side is the row side of the transpose."""
+    dist = Distribution()
+    for g, share, fills, block_fills in (
+            (grid, plan.horizontal, dist.row_fills, dist.block_row_fills),
+            (transpose(grid), plan.vertical, dist.col_fills, dist.block_col_fills)):
+        p, q, n = g.geometry.p, g.geometry.q, g.n
+        contents = [set()] + [g.row_symbols(i) for i in range(1, g.rows + 1)]
+        for (alpha, x), syms in share.items():
+            contents[(alpha - 1) * p + x].update(syms)
+        targets = range(-(-g.cols // q) + 1, p + 1)
+        for start in range(0, g.rows, p):
+            rows = range(start + 1, min(start + p, g.rows) + 1)
+            cells = [tuple(k for k in range(1, n + 1) if k not in contents[i]) for i in rows]
+            leftover = len(rows) < p
+            if leftover:
+                missing = [sum(k in cell for cell in cells) for k in range(n + 1)]
+                cells.append(tuple(k for k in range(1, n + 1)
+                                   for _ in range(len(targets) - missing[k])))
+            if not targets:
+                continue
+            for J, slice_ in zip(targets, outline._block_slices(tuple(cells), len(targets), n)):
+                fills.update(((i, J), cell) for i, cell in zip(rows, slice_))
+                if leftover:
+                    block_fills[J] = slice_[-1]
+    return dist
+
+
+@pytest.mark.parametrize("p, q", ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)))
+def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, q):
+    # distribute_free gives the slice-list reference's Distribution, dict
+    # order included, from the same colourings in the same order: one per
+    # band of each axis that has an empty big line.  The sides cover full
+    # bands only, a leftover band, and axes with no empty big line.
+    calls = []
+    coloring = outline.equitable_edge_coloring
+
+    def recording(graph, k):
+        calls.append((k, graph.edges))
+        return coloring(graph, k)
+
+    monkeypatch.setattr(outline, "equitable_edge_coloring", recording)
+    rng = random.Random(10 * p + q)
+    n = p * q
+    sides = [(p, 0), (p + 1, 1), (n, n), (p + 1, n), (0, q + 1)]
+    sides += [(rng.randint(0, n), rng.randint(0, n)) for _ in range(10)]
+    seen = set()
+    for r, s in sides:
+        grid = gen_random_rectangle(p, q, r, s, rng.randrange(10 ** 9))
+        plan = plan_medium_cells(grid)
+        calls.clear()
+        dist = distribute_free(grid, plan)
+        made, calls[:] = calls[:], []
+        assert repr(dist) == repr(_distributed_by_slices(grid, plan)), (r, s)
+        assert made == calls, (r, s)
+        bands = 0
+        for lines, cross, height, width in ((r, s, p, q), (s, r, q, p)):
+            if -(-cross // width) == height:
+                seen.add("no empty big line")
+            else:
+                bands += -(-lines // height)
+                seen.add("leftover band" if lines % height else "full bands only")
+        assert len(made) == bands, (r, s)
+    assert seen == {"no empty big line", "leftover band", "full bands only"}
+
+
 def test_assemble_worked_instance_gives_expected_square():
     plan = plan_medium_cells(WORKED)
     dist = distribute_free(WORKED, plan)
@@ -254,11 +323,23 @@ def test_complete_empty_and_full():
 
 def test_complete_rejects_invalid_input():
     # A repeated symbol, a hole, and empty rectangles with more rows or
-    # columns than the order; verify_obstruction accepts each obstruction.
+    # columns than the order.  Then latin and gerechte rectangles that their
+    # own flavor allows but that repeat a symbol in a 2 x 2 box, which no
+    # Sudoku square extends, and a grid with filled cells below the square,
+    # oversized whatever its flavor.  verify_obstruction accepts each.
     oversized = [parse_grid(f"sudoku v1\n{header}\n")
                  for header in ("2 2 5 0", "1 4 5 0", "2 2 0 5")]
-    grids = [grid_from_rows(2, 2, [[1, 1]]), empty_grid(2, 2).with_cell(1, 1, 1)] + oversized
-    for grid, kind in zip(grids, ("invalid", "not-filled") + ("oversized",) * 3):
+    boxed = [grid_from_rows(2, 2, rows, flavor="latin") for rows in (
+        [[1, 2], [2, 1]], [[1, 2, 3, 4], [2, 1, 4, 3]], [[1, 2], [2, 1], [3, 4]])]
+    boxed.append(grid_from_rows(2, 2, [[1, 2], [2, 1]], partition=[[1, 1], [2, 2]]))
+    assert all(validate_partial(grid).ok for grid in boxed)
+    tall = [grid_from_rows(2, 2, [[1, 2], [3, 4], [2, 1], [4, 3], [1, 2]], flavor=flavor)
+            for flavor in ("latin", "sudoku")]
+    grids = [grid_from_rows(2, 2, [[1, 1]]), empty_grid(2, 2).with_cell(1, 1, 1)]
+    grids += oversized + boxed + tall
+    kinds = ("invalid", "not-filled") + ("oversized",) * 3 + ("invalid",) * 4 + ("oversized",) * 2
+    assert len(grids) == len(kinds)
+    for grid, kind in zip(grids, kinds):
         verdict = complete(grid)
         assert not verdict.completable
         assert verdict.certificate.stage == "input-invalid"
