@@ -226,6 +226,8 @@ def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, 
         assert made == calls, (r, s)
         bands = 0
         for lines, cross, height, width in ((r, s, p, q), (s, r, q, p)):
+            if not lines:
+                continue
             if -(-cross // width) == height:
                 seen.add("no empty big line")
             else:
