@@ -4,6 +4,13 @@ Every matching grows by one augmenting-path search, _augment_from.  When
 no augmenting path is left, the left vertices reachable by alternating
 paths from a short one form a Hall violator.
 
+Every equitable edge-coloring comes from one core, _color_copies: a proper
+k-coloring of a graph whose vertices are already split into copies of
+degree at most k.  It has two front ends that make the split.
+equitable_edge_coloring splits any BipartiteMultigraph; the outline's
+block colouring (outline._block_colors) splits a merged block straight from
+its cells, building no graph object.
+
 Everything here is deterministic for a fixed input ordering: vertices and
 edges are always visited in index order, so repeated runs return identical
 colorings and matchings.
@@ -91,24 +98,15 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     """Color the edges with k colors so every vertex sees balanced color counts.
 
     Each vertex is split into copies of degree at most k (full copies take
-    exactly k edges), the split graph is properly k-edge-colored (each edge
-    takes the first color free at both its copies, and only when there is
-    none is one made free by alternating-chain recoloring), and copies are
-    merged back.  A full copy then sees every color exactly once, so the
-    merged counts at a vertex of degree d are floor(d/k) or ceil(d/k).
-
-    Bit-set layout of the coloring state: busy[v] has bit c set when color
-    c (1..k) is taken at copy v, and at[v * (k + 1) + c] is the edge holding
-    color c at copy v, or -1.  With full holding bits 1..k, the first color
-    free at both copies u and w is the lowest set bit of
-    full & ~(busy[u] | busy[w]).
+    exactly k edges), the split graph is properly k-edge-colored by
+    _color_copies, and copies are merged back.  A full copy then sees every
+    color exactly once, so the merged counts at a vertex of degree d are
+    floor(d/k) or ceil(d/k).  This is the generic front end of the one
+    colouring core; outline._block_colors is the other, and splits a
+    merged outline block into copies straight from its cells.
     """
     if k < 1:
         raise ValueError("color count must be at least 1")
-    m = len(g.edges)
-    if m == 0:
-        return EdgeColoring(k, ())
-
     # Assign each edge endpoint to a vertex copy in blocks of k; right
     # vertex w is vertex left_count + w here.
     left_n = g.left_count
@@ -127,13 +125,29 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
         room[u] -= 1
         room[w] -= 1
         endpoint.append((current[u], current[w]))
+    return EdgeColoring(k, tuple(_color_copies(endpoint, copies, k)))
 
-    # Proper k-edge-coloring of the split graph (all degrees <= k).
+
+def _color_copies(endpoint: list[tuple[int, int]], copies: int, k: int) -> list[int]:
+    """Proper k-edge-coloring of a split graph whose copies have degree <= k.
+
+    endpoint[e] is the pair of copies (numbered 0..copies-1) that edge e
+    joins.  Edges are colored in order: each takes the first color free at
+    both its copies, and only when there is none is one made free by
+    alternating-chain recoloring (_flip_chain).  Returns each edge's color
+    in 1..k.
+
+    Bit-set layout of the coloring state: busy[v] has bit c set when color
+    c (1..k) is taken at copy v, and at[v * (k + 1) + c] is the edge holding
+    color c at copy v, or -1.  With full holding bits 1..k, the first color
+    free at both copies u and w is the lowest set bit of
+    full & ~(busy[u] | busy[w]).
+    """
     width = k + 1
     at = [-1] * (copies * width)
     busy = [0] * copies
     full = (1 << width) - 2
-    color = [0] * m
+    color = [0] * len(endpoint)
     for e, (cu, cw) in enumerate(endpoint):
         free = full & ~(busy[cu] | busy[cw])
         if free:
@@ -151,7 +165,7 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
         busy[cu] |= bit
         busy[cw] |= bit
         color[e] = pick
-    return EdgeColoring(k, tuple(color))
+    return color
 
 
 def _flip_chain(start: int, a: int, b: int, at: list[int], busy: list[int],

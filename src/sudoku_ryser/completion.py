@@ -705,10 +705,23 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
 
 
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
-    """Independently recheck an obstruction against the grid it came from."""
+    """Independently recheck an obstruction against the grid it came from.
+
+    An input-invalid obstruction holds only when the grid has the fault its
+    kind names: oversized, a side longer than the order; not-filled, an
+    empty cell; invalid, a grid within the order whose validation under
+    complete()'s rules (_as_built) fails with the report given as detail.
+    """
     if ob.stage == "input-invalid":
-        return (grid.rows > grid.n or grid.cols > grid.n
-                or not validate_partial(_as_built(grid)).ok or not grid.is_fully_filled())
+        oversized = grid.rows > grid.n or grid.cols > grid.n
+        if ob.kind == "oversized":
+            return oversized
+        if ob.kind == "not-filled":
+            return not grid.is_fully_filled()
+        if ob.kind == "invalid" and not oversized:
+            report = validate_partial(_as_built(grid))
+            return not report.ok and ob.detail == report
+        return False
     axes = _axes(grid)
     for ax in axes:
         if ob.kind == ax.band_kind:

@@ -406,7 +406,10 @@ def serialize_grid(grid: PartialGrid) -> str:
     out = ["sudoku v1", f"{geom.p} {geom.q} {grid.rows} {grid.cols}"]
     if grid.cols > 0:
         for row in grid.cells:
-            out.append(" ".join(EMPTY_TOKEN if v is None else str(v) for v in row))
+            if None in row:
+                out.append(" ".join(EMPTY_TOKEN if v is None else str(v) for v in row))
+            else:
+                out.append(" ".join(map(str, row)))
     if grid.partition is not None:
         out.append("partition")
         for row in grid.partition:

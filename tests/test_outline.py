@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sudoku_ryser import outline
+from sudoku_ryser.bipartite import BipartiteMultigraph, equitable_edge_coloring
 from sudoku_ryser.fixtures import random_latin_square
 from sudoku_ryser.grid import grid_from_rows, validate_partial
 from sudoku_ryser.outline import (
@@ -257,22 +258,53 @@ def test_expand_round_trip_at_block_sizes(p, q, S, T):
 def test_expand_colors_each_merged_part_once(monkeypatch):
     S, T = (6, 1, 5, 12, 12), (1, 35)
     colors, splits = [], []
-    coloring, split = outline.equitable_edge_coloring, outline.split_front
+    core, split = outline._color_copies, outline.split_front
 
-    def counted_coloring(graph, k):
+    def counted_coloring(endpoint, copies, k):
+        assert endpoint
         colors.append(k)
-        return coloring(graph, k)
+        return core(endpoint, copies, k)
 
     def counted_split(o, axis):
         splits.append(axis)
         return split(o, axis)
 
-    monkeypatch.setattr(outline, "equitable_edge_coloring", counted_coloring)
+    monkeypatch.setattr(outline, "_color_copies", counted_coloring)
     monkeypatch.setattr(outline, "split_front", counted_split)
     o = amalgamate(shuffled_pattern_square(6, 6, seed=1), S, T, (1,) * 36)
     assert amalgamate(expand_outline(o), S, T, (1,) * 36) == o
     assert colors == [6, 5, 12, 12, 35]
     assert splits == []
+
+
+def test_block_colors_are_the_generic_coloring_of_the_block_graph():
+    # _block_colors makes its vertex copies straight from the cells; the
+    # reference is equitable_edge_coloring of the block's graph, one edge
+    # (cell, symbol - 1) per symbol instance in cell order.
+    rng = random.Random(59)
+    cases = [((), 3, 4), (((),), 1, 2), (((), (2, 2, 1), ()), 1, 2)]
+    for _ in range(3000):
+        n, m = rng.randint(1, 10), rng.randint(1, 6)
+        block = tuple(tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3 * m)))
+                      for _ in range(rng.randint(0, 6)))
+        cases.append((block, m, n))
+    seen = set()
+    for block, m, n in cases:
+        edges = tuple((b, k - 1) for b, cell in enumerate(block) for k in cell)
+        graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, n + 1)), edges)
+        expected = list(equitable_edge_coloring(graph, m).color_of)
+        assert outline._block_colors(block, m, n) == expected, (block, m, n)
+        degree = [0] * n
+        for _, w in edges:
+            degree[w] += 1
+        seen.update(name for name, hit in (
+            ("repeated symbol", any(len(set(cell)) < len(cell) for cell in block)),
+            ("cell longer than m", any(len(cell) > m for cell in block)),
+            ("symbol degree above m", max(degree) > m),
+            ("empty cell", () in block),
+            ("empty block", not block),
+            ("m = 1", m == 1)) if hit)
+    assert len(seen) == 6
 
 
 def test_block_slices_keep_cells_ascending():
