@@ -8,7 +8,7 @@ Every equitable edge-coloring comes from one core, _color_copies: a proper
 k-coloring of a graph whose vertices are already split into copies of
 degree at most k.  It has two front ends that make the split.
 equitable_edge_coloring splits any BipartiteMultigraph; the outline's
-block colouring (outline._block_colors) splits a merged block straight from
+block coloring (outline._block_colors) splits a merged block straight from
 its cells, building no graph object.
 
 Everything here is deterministic for a fixed input ordering: vertices and
@@ -102,7 +102,7 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     _color_copies, and copies are merged back.  A full copy then sees every
     color exactly once, so the merged counts at a vertex of degree d are
     floor(d/k) or ceil(d/k).  This is the generic front end of the one
-    colouring core; outline._block_colors is the other, and splits a
+    coloring core; outline._block_colors is the other, and splits a
     merged outline block into copies straight from its cells.
     """
     if k < 1:

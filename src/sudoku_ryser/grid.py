@@ -405,11 +405,15 @@ def serialize_grid(grid: PartialGrid) -> str:
     geom = grid.geometry
     out = ["sudoku v1", f"{geom.p} {geom.q} {grid.rows} {grid.cols}"]
     if grid.cols > 0:
+        # Each symbol's token is made once per grid; a row holding a value
+        # outside 1..n is written token by token with str().
+        tokens = {k: str(k) for k in range(1, geom.n + 1)}
+        tokens[None] = EMPTY_TOKEN
         for row in grid.cells:
-            if None in row:
+            try:
+                out.append(" ".join([tokens[v] for v in row]))
+            except KeyError:
                 out.append(" ".join(EMPTY_TOKEN if v is None else str(v) for v in row))
-            else:
-                out.append(" ".join(map(str, row)))
     if grid.partition is not None:
         out.append("partition")
         for row in grid.partition:

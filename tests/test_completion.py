@@ -359,19 +359,20 @@ def test_verify_obstruction_rechecks_the_input_kind():
     faulty = {"invalid": grid_from_rows(2, 2, [[1, 1]]),
               "not-filled": empty_grid(2, 2).with_cell(1, 1, 1),
               "oversized": parse_grid("sudoku v1\n2 2 5 0\n")}
+    replace = dataclasses.replace
     for kind, grid in faulty.items():
         own = complete(grid).certificate
         assert (own.stage, own.kind) == ("input-invalid", kind)
         for other in ("invalid", "not-filled", "oversized", "bogus"):
-            assert verify_obstruction(grid, dataclasses.replace(own, kind=other)) == (other == kind), \
+            assert verify_obstruction(grid, replace(own, kind=other)) == (other == kind), \
                 (kind, other)
     invalid = complete(faulty["invalid"]).certificate
     other_report = validate_partial(grid_from_rows(2, 2, [[1, 2], [1, 2]]))
     assert not other_report.ok and other_report != invalid.detail
-    assert not verify_obstruction(faulty["invalid"], dataclasses.replace(invalid, detail=other_report))
+    assert not verify_obstruction(faulty["invalid"], replace(invalid, detail=other_report))
     valid = grid_from_rows(2, 2, [[1, 2]])
     for kind in ("invalid", "not-filled", "oversized"):
-        assert not verify_obstruction(valid, dataclasses.replace(invalid, kind=kind))
+        assert not verify_obstruction(valid, replace(invalid, kind=kind))
 
 
 def test_complete_routes_latin_for_flat_boxes():
