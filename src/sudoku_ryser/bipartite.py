@@ -4,12 +4,13 @@ Every matching grows by one augmenting-path search, _augment_from.  When
 no augmenting path is left, the left vertices reachable by alternating
 paths from a short one form a Hall violator.
 
-Every equitable edge-coloring comes from one core, _color_copies: a proper
-k-coloring of a graph whose vertices are already split into copies of
-degree at most k.  It has two front ends that make the split.
-equitable_edge_coloring splits any BipartiteMultigraph; the outline's
-block coloring (outline._block_colors) splits a merged block straight from
-its cells, building no graph object.
+Every equitable edge-coloring comes from one kernel, _color_cells.  It
+takes the edges as cells, one list of right vertices per left vertex,
+splits the vertices into copies of degree at most k while it colors, and
+properly k-colors the split graph by first fit from a staggered start with
+alternating-chain recoloring.  equitable_edge_coloring groups any
+BipartiteMultigraph's edges into such cells; the outline's block coloring
+(outline._block_colors) passes a merged block's cells as they are.
 
 Everything here is deterministic for a fixed input ordering: vertices and
 edges are always visited in index order, so repeated runs return identical
@@ -18,6 +19,7 @@ colorings and matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 
@@ -97,104 +99,122 @@ def is_equitable(g: BipartiteMultigraph, coloring: EdgeColoring) -> bool:
 def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     """Color the edges with k colors so every vertex sees balanced color counts.
 
-    Each vertex is split into copies of degree at most k (full copies take
-    exactly k edges), the split graph is properly k-edge-colored by
-    _color_copies, and copies are merged back.  A full copy then sees every
-    color exactly once, so the merged counts at a vertex of degree d are
-    floor(d/k) or ceil(d/k).  This is the generic front end of the one
-    coloring core; outline._block_colors is the other, and splits a
-    merged outline block into copies straight from its cells.
+    The generic front end of _color_cells: the edges are grouped by left
+    vertex, in edge order, and each group is one cell of right vertices.
+    Full copies take exactly k edges and see every color once, so the
+    merged counts at a vertex of degree d are floor(d/k) or ceil(d/k).
     """
     if k < 1:
         raise ValueError("color count must be at least 1")
-    # Assign each edge endpoint to a vertex copy in blocks of k; right
-    # vertex w is vertex left_count + w here.
-    left_n = g.left_count
-    current = [0] * (left_n + g.right_count)
-    room = [0] * len(current)  # edges the current copy can still take
-    endpoint: list[tuple[int, int]] = []
-    copies = 0
-    for u, w in g.edges:
-        w += left_n
-        if not room[u]:
-            current[u], room[u] = copies, k
-            copies += 1
-        if not room[w]:
-            current[w], room[w] = copies, k
-            copies += 1
-        room[u] -= 1
-        room[w] -= 1
-        endpoint.append((current[u], current[w]))
-    return EdgeColoring(k, tuple(_color_copies(endpoint, copies, k)))
+    groups: list[list[int]] = [[] for _ in range(g.left_count)]
+    for e, (u, _) in enumerate(g.edges):
+        groups[u].append(e)
+    edges = g.edges
+    cells = [[edges[e][1] for e in group] for group in groups]
+    color_of = [0] * len(edges)
+    for e, c in zip(chain.from_iterable(groups), _color_cells(cells, k, g.right_count)):
+        color_of[e] = c
+    return EdgeColoring(k, tuple(color_of))
 
 
-def _color_copies(endpoint: list[tuple[int, int]], copies: int, k: int) -> list[int]:
-    """Proper k-edge-coloring of a split graph whose copies have degree <= k.
+def _color_cells(cells, k: int, right: int) -> list[int]:
+    """Equitable k-coloring of the graph joining each cell to its entries.
 
-    endpoint[e] is the pair of copies (numbered 0..copies-1) that edge e
-    joins.  Edges are colored in order: each takes the first color free at
-    both its copies, and only when there is none is one made free by
-    alternating-chain recoloring (_flip_chain).  Returns each edge's color
-    in 1..k.
+    cells[i] lists the right vertices (ints in 0..right-1, repeats allowed)
+    of left vertex i's edges; returns each edge's color in 1..k, cell by
+    cell in stored order.  The vertices are split into copies of degree at
+    most k while coloring: copy c of a cell takes its entries c*k ..
+    c*k+k-1, and each right vertex starts a new copy every k appearances.
+    The split graph is properly k-edge-colored, so a full copy sees every
+    color once and every vertex sees balanced color counts.
 
-    Bit-set layout of the coloring state: busy[v] has bit c set when color
-    c (1..k) is taken at copy v, and at[v * (k + 1) + c] is the edge holding
-    color c at copy v, or -1.  With full holding bits 1..k, the first color
-    free at both copies u and w is the lowest set bit of
-    full & ~(busy[u] | busy[w]).
+    The i-th cell copy starts its first fit at color (i mod k) + 1: each
+    edge takes the first color at or above that start free at both its
+    copies, else the lowest free at both, and only when there is none is
+    one made free by alternating-chain recoloring (_flip_chain).  The
+    staggered start keeps cells whose sorted entries rank alike from all
+    reaching for the same low colors.  With k = 1 every edge is color 1.
+
+    State: copy v is the offset of its row in the flat list at, one row of
+    k + 1 slots per copy.  at[v] holds bit c when color c is taken at v,
+    and at[v + c] is the edge holding color c at v, or -1.  Edge e's two
+    copies are kept as their sum ends[e], so the far end from v is
+    ends[e] - v.
     """
+    if k == 1:
+        return [1] * sum(map(len, cells))
     width = k + 1
-    at = [-1] * (copies * width)
-    busy = [0] * copies
     full = (1 << width) - 2
-    color = [0] * len(endpoint)
-    for e, (cu, cw) in enumerate(endpoint):
-        free = full & ~(busy[cu] | busy[cw])
-        if free:
-            pick = (free & -free).bit_length() - 1
-        else:
-            # Every color free at u is busy at w: free the first one there.
-            free_u = full & ~busy[cu]
-            free_w = full & ~busy[cw]
-            pick = (free_u & -free_u).bit_length() - 1
-            _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1,
-                        at, busy, color, endpoint, width)
-        at[cu * width + pick] = e
-        at[cw * width + pick] = e
-        bit = 1 << pick
-        busy[cu] |= bit
-        busy[cw] |= bit
-        color[e] = pick
+    row = [0] + [-1] * k
+    at: list[int] = []
+    current = [0] * right  # each right vertex's current copy
+    room = [0] * right  # edges that copy can still take
+    ends: list[int] = []
+    color: list[int] = []
+    made = 0  # cell copies so far
+    for cell in cells:
+        left = 0  # edges the cell's current copy can still take
+        for w in cell:
+            if not left:
+                cu = len(at)
+                at += row
+                above = full & -(2 << made % k)  # colors (made mod k) + 1 .. k
+                made += 1
+                left = k
+            left -= 1
+            if room[w]:
+                room[w] -= 1
+                cw = current[w]
+            else:
+                cw = current[w] = len(at)
+                at += row
+                room[w] = k - 1
+            free = full & ~(at[cu] | at[cw])
+            if free:
+                pick = free & above or free
+                pick = (pick & -pick).bit_length() - 1
+            else:
+                # Every color free at u is busy at w: free the first one there.
+                free_u = full & ~at[cu]
+                free_w = full & ~at[cw]
+                pick = (free_u & -free_u).bit_length() - 1
+                _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1, at, color, ends)
+            e = len(color)
+            at[cu + pick] = e
+            at[cw + pick] = e
+            bit = 1 << pick
+            at[cu] |= bit
+            at[cw] |= bit
+            ends.append(cu + cw)
+            color.append(pick)
     return color
 
 
-def _flip_chain(start: int, a: int, b: int, at: list[int], busy: list[int],
-                color: list[int], endpoint: list[tuple[int, int]], width: int) -> None:
+def _flip_chain(start: int, a: int, b: int, at: list[int], color: list[int],
+                ends: list[int]) -> None:
     """Swap colors a and b along the alternating chain leaving `start` on color a.
 
     b is free at start, so the chain is a path.  Each step recolors one
-    edge x -> y and, at the vertex it reaches, hands color x to the chain's
+    edge x -> y and, at the copy it reaches, hands color x to the chain's
     next edge (or frees it at the far end).  Only the two ends change which
     colors are busy: a becomes free at start and b busy, and the far end
-    swaps its chain color likewise.
+    swaps its chain color likewise.  The state is _color_cells'.
     """
-    e = at[start * width + a]
-    at[start * width + a] = -1
-    at[start * width + b] = e
+    e = at[start + a]
+    at[start + a] = -1
+    at[start + b] = e
     vertex, x, y = start, a, b
     while e >= 0:
-        cu, cw = endpoint[e]
-        vertex = cw if cu == vertex else cu
-        base = vertex * width
-        nxt = at[base + y]
+        vertex = ends[e] - vertex
+        nxt = at[vertex + y]
         color[e] = y
-        at[base + y] = e
-        at[base + x] = nxt
+        at[vertex + y] = e
+        at[vertex + x] = nxt
         x, y = y, x
         e = nxt
     swap = (1 << a) | (1 << b)
-    busy[start] ^= swap
-    busy[vertex] ^= swap
+    at[start] ^= swap
+    at[vertex] ^= swap
 
 
 def max_matching(g: BipartiteMultigraph) -> Matching:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
 from .bipartite import (
-    _color_copies,
+    _color_cells,
     equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
 )
 from .grid import (
@@ -165,34 +165,13 @@ def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> l
     of degree at most m lands at most once in any line, and a cell of
     degree m gets exactly one symbol of each colour.
 
-    The vertex copies of equitable_edge_coloring are made here in one pass
-    over the cells, with no edge list or graph object: copy c of a cell
-    takes its instances c*m .. c*m+m-1, each symbol starts a new copy every
-    m appearances, and copies are numbered in order of first use, as the
-    generic split numbers them.  The same split graph, in the same edge
-    order, goes to the same core (bipartite._color_copies), so the colours
-    are equitable_edge_coloring's.  Symbols are not range-checked: every
-    caller passes cells of symbols in 1..symbols.
+    The colouring is bipartite._color_cells on the cells as they are, so
+    symbol k is right vertex k and no graph object is built; the first fit
+    of the i-th copy of m cell instances starts at colour (i mod m) + 1.
+    Symbols are not range-checked: every caller passes cells of symbols in
+    1..symbols.
     """
-    current = [0] * (symbols + 1)  # symbol k's current copy
-    room = [0] * (symbols + 1)  # instances that copy can still take
-    endpoint: list[tuple[int, int]] = []
-    append = endpoint.append
-    copies = 0
-    for cell in block:
-        left = 0  # instances the cell's current copy can still take
-        for k in cell:
-            if not left:
-                cu, left = copies, m
-                copies += 1
-            left -= 1
-            if room[k]:
-                room[k] -= 1
-            else:
-                current[k], room[k] = copies, m - 1
-                copies += 1
-            append((cu, current[k]))
-    return _color_copies(endpoint, copies, m)
+    return _color_cells(block, m, symbols + 1)
 
 
 def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
@@ -216,8 +195,9 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
     """Split the first merged part on the given axis into a unit slice and the rest.
 
-    The unit slice is the first slice of the part's equitable m-coloring
-    (see _block_slices); the other m - 1 slices stay merged.  Both come
+    The unit slice is colour class 1 of the part's equitable m-coloring,
+    whose first fits start at staggered colours (see _block_colors and
+    _block_slices); the other m - 1 slices stay merged.  Both come
     out with sorted cells, whatever the order of the outline's cells.
     """
     if axis not in ("row", "column"):
@@ -243,7 +223,8 @@ def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -
 
     One _block_colors call splits each merged row part of size m: colour c
     goes to unit row c, straight into the square in a unit column, else into
-    that row's cell of the column part.  Each column part of size m >= 2 is
+    that row's cell of the column part; a unit part's symbols all take
+    colour 1 without a call.  Each column part of size m >= 2 is
     then split into its columns the same way.  Cells are read in stored
     order, as splitting off unit slices in turn reads them.  A column part's
     cell of the wrong size raises RuntimeError; an unwritten cell stays 0.

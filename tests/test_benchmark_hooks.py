@@ -39,14 +39,14 @@ def test_tracer_wraps_and_restores_the_library(monkeypatch):
         # the outline's block colouring, and the writer's colourings are
         # complete()'s own.
         stages = []
-        core = outline._color_copies
+        core = outline._color_cells
 
-        def recording(endpoint, copies, k):
+        def recording(cells, k, right):
             stages.append(tracer.spans[tracer._stack[-1]][0])
-            return core(endpoint, copies, k)
+            return core(cells, k, right)
 
         with monkeypatch.context() as spy:
-            spy.setattr(outline, "_color_copies", recording)
+            spy.setattr(outline, "_color_cells", recording)
             verdict = completion.complete(grid.grid_from_rows(2, 2, [[1, 2], [3, 4], [2, 1]]))
         assert verdict.completable
         names = {span[0] for span in tracer.spans}

@@ -267,26 +267,32 @@ def test_coloring_takes_a_color_free_at_both_ends(monkeypatch):
 
 
 def reference_coloring(g: BipartiteMultigraph, k: int) -> tuple[int, ...]:
-    """First-fit coloring of the split graph with a dict per copy (color ->
-    edge) and alternating-chain flips: the kernel before it kept bit sets."""
+    """The kernel's rule with a dict per copy (color -> edge) instead of bit
+    sets.  Edges are taken grouped by left vertex, and each vertex is split
+    into copies of k edges in that order; the i-th left copy tries colors
+    (i mod k) + 1 .. k, then 1 .. i mod k, for one free at both ends, and
+    only when there is none flips an alternating chain."""
+    order = sorted(range(len(g.edges)), key=lambda e: g.edges[e][0])
     copies: dict = {}
     seen: dict = {}
-    endpoint = []
-    for u, w in g.edges:
+    endpoint, first, lefts = [], [], {}
+    for e in order:
+        u, w = g.edges[e]
         ends = []
         for side, v in ((0, u), (1, w)):
             pos = seen.get((side, v), 0)
             seen[(side, v)] = pos + 1
             ends.append(copies.setdefault((side, v, pos // k), len(copies)))
         endpoint.append(ends)
+        first.append(lefts.setdefault(ends[0], len(lefts)) % k + 1)
     used = [{} for _ in copies]
     color = []
     for e, (cu, cw) in enumerate(endpoint):
-        colors = range(1, k + 1)
+        colors = list(range(first[e], k + 1)) + list(range(1, first[e]))
         pick = next((c for c in colors if c not in used[cu] and c not in used[cw]), 0)
         if not pick:
-            pick = next(c for c in colors if c not in used[cu])
-            other = next(c for c in colors if c not in used[cw])
+            pick = min(c for c in colors if c not in used[cu])
+            other = min(c for c in colors if c not in used[cw])
             path, vertex, want = [], cw, pick
             while want in used[vertex]:
                 f = used[vertex][want]
@@ -303,7 +309,10 @@ def reference_coloring(g: BipartiteMultigraph, k: int) -> tuple[int, ...]:
                     used[v][color[f]] = f
         used[cu][pick] = used[cw][pick] = e
         color.append(pick)
-    return tuple(color)
+    by_edge = [0] * len(g.edges)
+    for e, c in zip(order, color):
+        by_edge[e] = c
+    return tuple(by_edge)
 
 
 def criterion_2_graphs():

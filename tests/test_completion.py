@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from sudoku_ryser import cli, completion, outline
-from sudoku_ryser.bipartite import HallViolator, Matching, saturating_matching, verify_violator
+from sudoku_ryser import bipartite, cli, completion, outline
+from sudoku_ryser.bipartite import (
+    BipartiteMultigraph,
+    HallViolator,
+    Matching,
+    max_matching,
+    saturating_matching,
+    verify_violator,
+)
 from sudoku_ryser.completion import (
     Distribution,
     MediumCellPlan,
@@ -204,13 +211,13 @@ def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, 
     # band of each axis that has an empty big line.  The sides cover full
     # bands only, a leftover band, and axes with no empty big line.
     calls = []
-    core = outline._color_copies
+    core = outline._color_cells
 
-    def recording(endpoint, copies, k):
-        calls.append((k, endpoint))
-        return core(endpoint, copies, k)
+    def recording(cells, k, right):
+        calls.append((k, tuple(map(tuple, cells))))
+        return core(cells, k, right)
 
-    monkeypatch.setattr(outline, "_color_copies", recording)
+    monkeypatch.setattr(outline, "_color_cells", recording)
     rng = random.Random(10 * p + q)
     n = p * q
     sides = [(p, 0), (p + 1, 1), (n, n), (p + 1, n), (0, q + 1)]
@@ -235,7 +242,7 @@ def test_distribution_colours_each_band_as_the_slice_split_does(monkeypatch, p, 
                 bands += -(-lines // height)
                 seen.add("leftover band" if lines % height else "full bands only")
         assert len(made) == bands, (r, s)
-        assert all(endpoint for _, endpoint in made), (r, s)
+        assert all(any(cells) for _, cells in made), (r, s)
         coloured += len(made)
     assert seen == {"no empty big line", "leftover band", "full bands only"}
     assert coloured
@@ -412,6 +419,60 @@ def test_complete_latin_rectangle_success():
         assert validate_partial(result).ok and extends(grid, result)
 
 
+def matching_rows(n, rng):
+    """A random latin square of order n built row by row: each row is a
+    maximum matching of the columns to the symbols they still miss, with
+    both sides in a random order.  That graph is regular, so the matching
+    is perfect."""
+    rows = []
+    for _ in range(n):
+        cols, syms = rng.sample(range(n), n), rng.sample(range(1, n + 1), n)
+        used = [{row[j] for row in rows} for j in cols]
+        edges = tuple((a, b) for a, taken in enumerate(used)
+                      for b, k in enumerate(syms) if k not in taken)
+        row = [0] * n
+        for a, b in max_matching(BipartiteMultigraph(tuple(cols), tuple(syms), edges)).pairs:
+            row[cols[a]] = syms[b]
+        assert 0 not in row
+        rows.append(row)
+    return rows
+
+
+def test_random_latin_rectangles_complete():
+    # Corners of latin squares that are neither cyclic nor pattern squares,
+    # so the symbols of sorted cells do not rank alike.
+    rng = random.Random(73)
+    for n in (5, 8, 12, 17, 24):
+        rows = matching_rows(n, rng)
+        for _ in range(4):
+            r, s = rng.randint(1, n), rng.randint(1, n)
+            grid = grid_from_rows(1, n, [row[:s] for row in rows[:r]])
+            verdict = complete(grid)
+            assert verdict.completable, (n, r, s)
+            square = verdict.certificate
+            assert validate_partial(square).ok and extends(grid, square), (n, r, s)
+
+
+@pytest.mark.parametrize("p, q, r, s, first_fit", [(1, 64, 32, 21, 630), (8, 8, 33, 22, 1014)])
+def test_staggered_first_fit_flips_fewer_chains(monkeypatch, p, q, r, s, first_fit):
+    # Corners of a relabelled cyclic square and of a (8,8) pattern square,
+    # where sorted cells rank their symbols alike.  A first fit from colour 1
+    # at every copy made first_fit chain flips in complete(); the staggered
+    # start makes 127 on the latin corner and 799 on the Sudoku one.
+    flips = []
+    flip = bipartite._flip_chain
+
+    def counted_flip(*args):
+        flips.append(args[:3])
+        return flip(*args)
+
+    monkeypatch.setattr(bipartite, "_flip_chain", counted_flip)
+    relabel = [(k * 5) % 64 + 1 for k in range(64)]
+    rows = [[relabel[(q * (i % p) + i // p + j) % 64] for j in range(s)] for i in range(r)]
+    assert complete(grid_from_rows(p, q, rows)).completable
+    assert len(flips) < first_fit
+
+
 def test_complete_latin_rectangle_from_scratch():
     result = complete_latin_rectangle(empty_grid(1, 4, 0, 0), 4)
     assert isinstance(result, PartialGrid)
@@ -439,11 +500,11 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     # (n - r)-colouring adds the missing rows; no matching, no outline, and
     # one coloured edge per empty cell.
     colors, calls = [], []
-    core = outline._color_copies
+    core = outline._color_cells
 
-    def counted_coloring(endpoint, copies, k):
-        colors.append((k, len(endpoint)))
-        return core(endpoint, copies, k)
+    def counted_coloring(cells, k, right):
+        colors.append((k, sum(map(len, cells))))
+        return core(cells, k, right)
 
     def counted(name):
         fn = getattr(completion, name)
@@ -453,7 +514,7 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(outline, "_color_copies", counted_coloring)
+    monkeypatch.setattr(outline, "_color_cells", counted_coloring)
     for name in ("saturating_matching", "extend_matching", "expand_outline"):
         monkeypatch.setattr(completion, name, counted(name))
     grid = grid_from_rows(1, 7, cyclic_rows(7, 3, 2, shift=2))
@@ -573,16 +634,16 @@ def test_complete_writes_the_outline_paths_square(monkeypatch, p, q):
     # same graphs in the same order and give the same square, and complete()
     # builds and validates no outline square.
     calls = []
-    core = outline._color_copies
+    core = outline._color_cells
 
-    def recording(endpoint, copies, k):
-        calls.append((k, endpoint))
-        return core(endpoint, copies, k)
+    def recording(cells, k, right):
+        calls.append((k, tuple(map(tuple, cells))))
+        return core(cells, k, right)
 
     def forbidden(*args):
         raise AssertionError("complete() reached the outline path")
 
-    monkeypatch.setattr(outline, "_color_copies", recording)
+    monkeypatch.setattr(outline, "_color_cells", recording)
     rng = random.Random(100 * p + q)
     n = p * q
     coloured = 0

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from sudoku_ryser import outline
-from sudoku_ryser.bipartite import BipartiteMultigraph, equitable_edge_coloring
+from sudoku_ryser.bipartite import (
+    BipartiteMultigraph,
+    EdgeColoring,
+    equitable_edge_coloring,
+    is_equitable,
+)
 from sudoku_ryser.fixtures import random_latin_square
 from sudoku_ryser.grid import grid_from_rows, validate_partial
 from sudoku_ryser.outline import (
@@ -258,18 +263,18 @@ def test_expand_round_trip_at_block_sizes(p, q, S, T):
 def test_expand_colors_each_merged_part_once(monkeypatch):
     S, T = (6, 1, 5, 12, 12), (1, 35)
     colors, splits = [], []
-    core, split = outline._color_copies, outline.split_front
+    core, split = outline._color_cells, outline.split_front
 
-    def counted_coloring(endpoint, copies, k):
-        assert endpoint
+    def counted_coloring(cells, k, right):
+        assert any(cells)
         colors.append(k)
-        return core(endpoint, copies, k)
+        return core(cells, k, right)
 
     def counted_split(o, axis):
         splits.append(axis)
         return split(o, axis)
 
-    monkeypatch.setattr(outline, "_color_copies", counted_coloring)
+    monkeypatch.setattr(outline, "_color_cells", counted_coloring)
     monkeypatch.setattr(outline, "split_front", counted_split)
     o = amalgamate(shuffled_pattern_square(6, 6, seed=1), S, T, (1,) * 36)
     assert amalgamate(expand_outline(o), S, T, (1,) * 36) == o
@@ -305,6 +310,33 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
             ("empty block", not block),
             ("m = 1", m == 1)) if hit)
     assert len(seen) == 6
+
+
+def test_block_colors_pass_the_definitional_equitability_check():
+    # Independent of the colouring kernel: each block's colours, read as an
+    # m-edge-colouring of the graph joining its cells to the symbols, pass
+    # is_equitable's count at every vertex.  Cells are sorted, as the library
+    # stores them, or left in draw order.
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(2000):
+        n, m = rng.randint(1, 10), rng.randint(1, 8)
+        block = []
+        for _ in range(rng.randint(1, 6)):
+            cell = [rng.randint(1, n) for _ in range(rng.randint(0, 3 * m))]
+            block.append(tuple(sorted(cell) if rng.random() < 0.5 else cell))
+        edges = tuple((b, k - 1) for b, cell in enumerate(block) for k in cell)
+        graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, n + 1)), edges)
+        colors = EdgeColoring(m, tuple(outline._block_colors(tuple(block), m, n)))
+        assert is_equitable(graph, colors), (block, m, n)
+        degrees = [len(cell) for cell in block]
+        degrees += [sum(cell.count(k) for cell in block) for k in range(1, n + 1)]
+        seen.update(name for name, hit in (
+            ("repeated symbol", any(len(set(cell)) < len(cell) for cell in block)),
+            ("empty cell", () in block),
+            ("m = 1", m == 1),
+            ("m above every degree", m > max(degrees))) if hit)
+    assert len(seen) == 4
 
 
 def test_block_slices_keep_cells_ascending():
