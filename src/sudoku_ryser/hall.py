@@ -17,8 +17,9 @@ graphs, comes from one exact independence search, _max_independent.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .bipartite import BipartiteMultigraph, max_matching
@@ -188,9 +189,8 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
 
 def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
     """Symbol occurrence counts of a rectangle against the r + s - n bound."""
-    counts = {k: 0 for k in range(1, n + 1)}
-    for _, _, v in grid.filled():
-        counts[v] += 1
+    seen = Counter(chain.from_iterable(grid.cells))
+    counts = {k: seen[k] for k in range(1, n + 1)}
     bound = grid.rows + grid.cols - n
     failing = tuple(k for k in range(1, n + 1) if counts[k] < bound)
     return RyserReport(counts, bound, not failing, failing)
