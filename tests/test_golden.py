@@ -17,13 +17,13 @@ from sudoku_ryser.grid import PartialGrid, SudokuGeometry, validate_partial
 SHAPES = ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
 DRAWS = 24  # per shape
 GOLDEN = {
-    (2, 3): "d6e8c18e9e9b619b5e21d5d669cfd5c007eb1ba8a5a3592e28407d159e4a870c",
-    (3, 2): "0908dc25be7f00fe08512c6ac150aceaad5485f21569f4a818baed8ce5c1d3bc",
-    (3, 3): "a92253f05006c7a9dada41d1815acf5e57a58568abc4209f563ebf537fec934c",
-    (3, 4): "fbc1a15c02c09a79dfbc75892087c11b2df53bc8315e6be2e6ddf92771769f0c",
-    (4, 3): "121a1097891f6c2e4a51eaae1f15b2db341517eb19a57d4da1cccae90e445077",
-    (4, 4): "256e0a90d196c99d23a2cbdc75c887716108e3ce91537f340cfbefe221200a0d",
-    "latin": "63456bc669df3b853a8c03dc42266d9c330b483dda9ddb35cdf146db133add30",
+    (2, 3): "b9c80deb338ca4a9b086998ee390774c90df87b060e5b6720d34b406f3e640dd",
+    (3, 2): "5f78680a01e02ea311de1387089436b62e6a55e63f2c6a111b3b493b309aafb4",
+    (3, 3): "73c96ce6e7d00c7fa7de7d05b0e50a0cae665b4cb1266a33bb8b67397245e276",
+    (3, 4): "731300483a56a20e3c7b82c8b615c2669c61b01baef3bff6f46fdc4c1bfff8f0",
+    (4, 3): "8e437d20ba1202cfce0fd904c27e3478551106902a4420d85e38bbe259f748b9",
+    (4, 4): "b74f919f20d67f7400bb64b6882cc745f7bd4ac45d1b73fd4260d1bd189f30ad",
+    "latin": "92ba82489026925b05c0367c286fc13ad47b4ecebd4a57f3a82e5ace644277d0",
 }
 
 
@@ -71,8 +71,8 @@ def test_complete_outputs_match_the_recorded_hash():
 # both, and a 30 x 30 corner that misses six symbols (fails Ryser's bound).
 LATIN_CORNERS = ((18, 12), (36, 20), (20, 36), (36, 36), (1, 35), (35, 1), (0, 0), (30, 30))
 GOLDEN_LATIN = {
-    (1, 36): "5e8c583c7c05a7d19efc56b6d11b4bb399fe955ef4524c9365c3f342f74634f3",
-    (36, 1): "632b9f0596da5f03ee994056153610ef9b8ccddb817169d207d898d4624d94f4",
+    (1, 36): "3c72481e1a4ad218fc065659ae0617dc0f502bb002bb95391c83727b866547c0",
+    (36, 1): "72a7323130394e69672cfba7653cf9cb64a5b21d6fad31d44a670e3fc7e680f2",
 }
 
 
