@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -1053,17 +1054,23 @@ def test_band_matcher_agrees_with_saturating_matching():
     assert filled > failed
 
 
+CORNER_VERDICTS = (44, "a9fb8aee6d90443be2bde2e32fee59ad58b9fb5eb0cce568aab7a31199c37909")
+
+
 def test_corner_kinds_verify_and_the_oracle_confirms_them():
     # The corner stages fail only from (3,3) up, and rarely: about one draw
     # in 300 ends in corner-must and one in 1,000 in corner-flow.  A corner
     # needs a partial band and a partial stack, so no side is a multiple of
     # its box side.  Draws cycle through the four shapes until every corner
     # kind has turned up; each corner verdict must re-verify, and the oracle
-    # must find the embedded square incompletable.
+    # must find the embedded square incompletable.  Every corner verdict
+    # drawn, with its violator's vertex sets (or corner-double-must's
+    # symbol), is pinned by CORNER_VERDICTS.
     rng = random.Random(2024)
     shapes = [(3, 3), (2, 4), (3, 4), (4, 3)]
     wanted = {"corner-double-must", "corner-must", "corner-flow"}
     seen = set()
+    records = []
     draws = 0
     while seen != wanted:
         assert draws < 4_000, f"only {sorted(seen)} after {draws} draws"
@@ -1079,3 +1086,9 @@ def test_corner_kinds_verify_and_the_oracle_confirms_them():
         assert verify_obstruction(grid, verdict.certificate)
         assert brute_force_complete(embed_in_square(grid)).outcome == "incompletable"
         seen.add(verdict.certificate.kind)
+        detail = verdict.certificate.detail
+        if isinstance(detail, HallViolator):
+            detail = (sorted(detail.left_subset), sorted(detail.neighborhood))
+        records.append((grid.cells, verdict.certificate.kind, detail))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert (len(records), digest) == CORNER_VERDICTS
