@@ -25,16 +25,15 @@ Ryser's bound N(k) >= r + s - n enters only there, as what keeps each
 symbol's degree in the first step within the colour count.
 
 Axis convention: every construction that has a row and a column version is
-written once, for rows.  Transposing a (p,q) r x s rectangle gives a (q,p)
-s x r rectangle whose rows, bands and partially covered big column are the
-original's columns, stacks and partially covered big row, so the column
-side (bottom graphs, column coverage, column distribution) is the row side
-applied to the transpose.  Only the doubly covered corner big cell is
-solved jointly, on the rectangle itself.  One complete() builds each axis
-once: plan_medium_cells builds both, and its plan hands them on to
-distribute_free.  _layout needs no axis: it reads each outline cell from
-its one source.  verify_obstruction builds its own, since it is
-the independent recheck.
+written once, for rows, on an _Axis.  The column axis' lines, bands and
+partially covered big column are the rectangle's columns, stacks and
+partially covered big row, read from the same cells, so the column side
+(bottom graphs, column coverage and distribution) is the row side run on
+it.  Only the corner big cell is solved jointly, on both axes.  An axis
+holds every line set as an int bit mask (bit k is symbol k).  One
+complete() builds both axes once, in one pass over the cells (_shape):
+the plan hands them on to distribute_free, and the distribution to
+_layout.  verify_obstruction builds its own, as the independent recheck.
 """
 from __future__ import annotations
 
@@ -44,17 +43,18 @@ from typing import Iterable, Optional, Union
 from .bipartite import (
     BipartiteMultigraph,
     HallViolator,
+    _augment_each_free,
+    _greedy,
     _violator_from_matching,
     capacitated_matching,
     equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
-    extend_matching,
+    extend_matching,  # unused here; the benchmark's tracer rebinds this name
     saturating_matching,
     verify_violator,
 )
 from .grid import (
     PartialGrid,
     SudokuGeometry,
-    anchors,
     extends,
     validate_partial,
 )
@@ -75,15 +75,13 @@ class MediumCellPlan:
     horizontal maps (big row index, small row offset) to the symbols placed
     in that row's slice of the partially covered big column; vertical is the
     column mirror for the partially covered big row.  A plan made by
-    plan_medium_cells also keeps the grid's row and column axes in
-    _axis_pair, so distribute_free on that same grid object reuses them
-    instead of building them again.
+    plan_medium_cells also keeps the grid's axes in _shape, which
+    distribute_free on that same grid object reuses.
     """
 
     horizontal: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     vertical: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    _axis_pair: Optional[tuple[_Axis, _Axis]] = field(default=None, init=False, repr=False,
-                                                      compare=False)
+    _shape: Optional[_Shape] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -110,65 +108,38 @@ class Distribution:
     row_fills[(row, J)] holds the symbols row gets in empty big column J;
     block_row_fills[J] is the multiset assigned to the merged leftover rows
     there.  col_fills and block_col_fills mirror this vertically.
+    distribute_free keeps the axes it used in _shape, for _layout.
     """
 
     row_fills: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     block_row_fills: dict[int, tuple[int, ...]] = field(default_factory=dict)
     col_fills: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     block_col_fills: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _shape: Optional[_Shape] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """Derived geometry of one rectangle instance."""
-
-    p: int
-    q: int
-    n: int
-    r: int
-    s: int
-    r_star: int
-    s_star: int
-    p_divides: bool
-    q_divides: bool
-    a: int  # leftover row block height, p - (r - r*)
-    b: int  # leftover column block width, q - (s - s*)
-    full_bands: int  # r* / p
-    empty_big_cols: tuple[int, ...]
-    empty_big_rows: tuple[int, ...]
-
-
-def _shape(grid: PartialGrid) -> _Shape:
-    geom = grid.geometry
-    p, q, n = geom.p, geom.q, geom.n
-    r, s = grid.rows, grid.cols
-    anc = anchors(r, s, geom)
-    # Big lines the rectangle does not reach: past the last full or partial one.
-    first_empty_col = (s + q - 1) // q + 1
-    first_empty_row = (r + p - 1) // p + 1
-    return _Shape(
-        p=p, q=q, n=n, r=r, s=s, r_star=anc.r_star, s_star=anc.s_star,
-        p_divides=r % p == 0, q_divides=s % q == 0,
-        a=p - (r - anc.r_star), b=q - (s - anc.s_star),
-        full_bands=anc.r_star // p,
-        empty_big_cols=tuple(range(first_empty_col, p + 1)),
-        empty_big_rows=tuple(range(first_empty_row, q + 1)),
-    )
-
-
-@dataclass(frozen=True)
+@dataclass
 class _Axis:
-    """The rectangle along one axis, with the names callers see for it.
+    """The rectangle along one axis, named as if its lines were rows.
 
-    For the row axis grid is the rectangle itself.  For the column axis it
-    is the transpose, so its rows, bands and partially covered big column
-    are the rectangle's columns, stacks and partially covered big row.
+    Line sets are int bit masks, bit k standing for symbol k.  On the column
+    axis the lines are the rectangle's columns, so p and q, r and s, and a
+    and b trade places there.
     """
 
-    grid: PartialGrid
-    shape: _Shape
-    lines: tuple[frozenset[int], ...]  # symbols of each row of grid, 1-based (0 is empty)
-    corner: frozenset[int]  # preassigned symbols of the doubly covered corner big cell
+    n: int
+    p: int  # lines per band
+    q: int  # cells of a line in one big cell
+    r: int  # lines of the rectangle
+    r_star: int  # lines of its full bands
+    full_bands: int  # r* / p
+    b: int  # leftover block width across the lines, q - (s - s*)
+    p_divides: bool  # no leftover lines
+    q_divides: bool  # no partially covered big column
+    targets: tuple[int, ...]  # the empty big columns
+    lines: list[int]  # each line's symbols, 1-based (lines[0] is 0)
+    band_cells: list[int]  # each band's partially covered big cell, 1-based
+    corner: int  # the doubly covered corner big cell, 0 when there is none
     line: str  # left label of replica and coverage graphs
     cross: str  # right label of the empty big lines in coverage graphs
     stage: str  # Obstruction stage of this axis' matchings
@@ -176,66 +147,99 @@ class _Axis:
     coverage_kind: str  # Obstruction kind when a coverage graph does not saturate
 
 
+@dataclass
+class _Shape:
+    """One rectangle's set-up: its grid and its two axes."""
+
+    grid: PartialGrid
+    axes: tuple[_Axis, _Axis]  # row axis, then column axis: the order every stage checks
+
+
 _ROW_NAMES = ("row", "bigcol", "side-matching", "side-alpha", "row-coverage")
 _COL_NAMES = ("col", "bigrow", "bottom-matching", "bottom-beta", "col-coverage")
 
 
-def _transpose(grid: PartialGrid) -> PartialGrid:
-    """The (q,p) cols x rows grid whose cell (j, i) is grid's cell (i, j).
-
-    Only the cells are carried over; the pipeline never reads a partition.
-    """
-    geom = grid.geometry
-    cells = tuple(tuple(row[j] for row in grid.cells) for j in range(grid.cols))
-    return PartialGrid(SudokuGeometry(geom.q, geom.p), grid.cols, grid.rows, cells, grid.flavor)
-
-
-def _axis(grid: PartialGrid, names: tuple[str, ...]) -> _Axis:
-    """The axis with each row's symbol set built once, for every graph of it."""
-    shape = _shape(grid)
-    lines = (frozenset(),) + tuple(frozenset(grid.row_symbols(i))
-                                   for i in range(1, grid.rows + 1))
-    corner = frozenset(grid.big_cell_symbols(shape.full_bands + 1, shape.s_star // shape.q + 1))
-    return _Axis(grid, shape, lines, corner, *names)
+def _mask(symbols: Iterable[Optional[int]]) -> int:
+    """The bit mask of the symbols given; an empty cell (None) adds nothing."""
+    mask = 0
+    for v in symbols:
+        if v is not None:
+            mask |= 1 << v
+    return mask
 
 
-def _axes(grid: PartialGrid) -> tuple[_Axis, _Axis]:
-    """Row axis, then column axis: the order in which every stage checks them."""
-    return _axis(grid, _ROW_NAMES), _axis(_transpose(grid), _COL_NAMES)
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending: the symbols of a line set."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _band_rows(shape: _Shape, alpha: int) -> range:
+def _shape(grid: PartialGrid) -> _Shape:
+    """Both axes of the rectangle, from one pass over its cells."""
+    p, q = grid.geometry.p, grid.geometry.q
+    r, s = grid.rows, grid.cols
+    r_star, s_star = r - r % p, s - s % q
+    rows, cols = [0] * (r + 1), [0] * (s + 1)
+    # Each band's (stack's) cells in the partially covered big column (row).
+    bands, stacks = [0] * (-(-r // p) + 1), [0] * (-(-s // q) + 1)
+    for i, line in enumerate(grid.cells, 1):
+        mask = 0
+        for j, v in enumerate(line, 1):
+            if v is not None:
+                bit = 1 << v
+                mask |= bit
+                cols[j] |= bit
+        rows[i] = mask
+        if s > s_star:
+            bands[(i - 1) // p + 1] |= _mask(line[s_star:])
+        if i > r_star:
+            for beta, left in enumerate(range(0, s, q), 1):
+                stacks[beta] |= _mask(line[left:left + q])
+    return _Shape(grid, tuple(
+        _Axis(p * q, p, q, r, r - r % p, r // p, q - s % q, r % p == 0, s % q == 0,
+              tuple(range(-(-s // q) + 1, p + 1)), lines, cells, cells[-1] if r % p else 0, *names)
+        for p, q, r, s, lines, cells, names in ((p, q, r, s, rows, bands, _ROW_NAMES),
+                                                (q, p, s, r, cols, stacks, _COL_NAMES))))
+
+
+def _made_for(grid: PartialGrid, shape: Optional[_Shape]) -> _Shape:
+    """shape when it was built for this grid object, else a new one."""
+    return shape if shape is not None and shape.grid is grid else _shape(grid)
+
+
+def _graph(left, right, adj: list[list[int]]) -> BipartiteMultigraph:
+    """The graph joining left vertex u to each right vertex in adj[u]."""
+    return BipartiteMultigraph(tuple(left), tuple(right),
+                               tuple((u, w) for u, hood in enumerate(adj) for w in hood))
+
+
+def _band_rows(ax: _Axis, alpha: int) -> range:
     """Rows of band alpha that lie inside the rectangle."""
-    return range((alpha - 1) * shape.p + 1, min(alpha * shape.p, shape.r) + 1)
+    return range((alpha - 1) * ax.p + 1, min(alpha * ax.p, ax.r) + 1)
 
 
 def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
     """The 0-based symbols each row of band alpha may take in the partial big
     column, ascending: those absent from the row and, with the strengthened
     rule, from the band's partially covered big cell."""
-    shape = ax.shape
-    if shape.q_divides:
+    if ax.q_divides:
         raise ValueError(f"{ax.line} replica graphs need a partially covered big line")
-    corner = shape.full_bands + 1
-    if not (1 <= alpha <= shape.full_bands or (alpha == corner and not shape.p_divides)):
+    if not (1 <= alpha <= ax.full_bands or (alpha == ax.full_bands + 1 and not ax.p_divides)):
         raise ValueError(f"{ax.line} group index {alpha} out of range")
-    cell_content = (ax.grid.big_cell_symbols(alpha, shape.s_star // shape.q + 1)
-                    if strengthen else set())
-    allowed = []
-    for i in _band_rows(shape, alpha):
-        present = ax.lines[i] | cell_content
-        allowed.append([k - 1 for k in range(1, shape.n + 1) if k not in present])
-    return allowed
+    free = (2 << ax.n) - 2 & ~(ax.band_cells[alpha] if strengthen else 0)
+    return [_bits((free & ~ax.lines[i]) >> 1) for i in _band_rows(ax, alpha)]
 
 
 def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
     """Band alpha's rows, b copies each, against the symbols they may take."""
-    b = ax.shape.b
-    allowed = _band_allowed(ax, alpha, strengthen)
-    left = tuple((ax.line, i, c) for i in _band_rows(ax.shape, alpha) for c in range(1, b + 1))
-    edges = tuple((pos * b + c, w) for pos, hood in enumerate(allowed)
-                  for c in range(b) for w in hood)
-    return BipartiteMultigraph(left, tuple(range(1, ax.shape.n + 1)), edges)
+    b = ax.b
+    left = ((ax.line, i, c) for i in _band_rows(ax, alpha) for c in range(1, b + 1))
+    adj = [hood for hood in _band_allowed(ax, alpha, strengthen) for _ in range(b)]
+    return _graph(left, range(1, ax.n + 1), adj)
 
 
 def _match_band(ax: _Axis, alpha: int,
@@ -247,10 +251,10 @@ def _match_band(ax: _Axis, alpha: int,
     stated on _side_graph, whose replica pos * b + c is copy c of the
     band's row at position pos.
     """
-    res = capacitated_matching(_band_allowed(ax, alpha, strengthen), ax.shape.b, ax.shape.n)
+    res = capacitated_matching(_band_allowed(ax, alpha, strengthen), ax.b, ax.n)
     if isinstance(res, HallViolator):
         return res
-    return {i: [w + 1 for w in got] for i, got in zip(_band_rows(ax.shape, alpha), res)}
+    return {i: [w + 1 for w in got] for i, got in zip(_band_rows(ax, alpha), res)}
 
 
 def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> BipartiteMultigraph:
@@ -260,26 +264,15 @@ def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> Bip
     symbol j when j is absent from that row and (with the strengthened rule)
     absent from the band's partially covered big cell.
     """
-    return _side_graph(_axis(grid, _ROW_NAMES), alpha, strengthen)
+    return _side_graph(_shape(grid).axes[0], alpha, strengthen)
 
 
 def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> BipartiteMultigraph:
     """Column mirror of side_graph for one stack of the partial big row.
 
-    It is side_graph of the transpose, with ("col", j, c) replica labels.
+    It is side_graph on the column axis, with ("col", j, c) replica labels.
     """
-    return _side_graph(_axis(_transpose(grid), _COL_NAMES), beta, strengthen)
-
-
-def _coverage_sides(ax: _Axis, symbol: int) -> tuple[list[int], int]:
-    """The two sides of the symbol's coverage graph: the leftover rows that
-    miss it, and how many slots can take it (the empty big columns, plus the
-    corner big cell when it exists without the symbol).  Every slot is open
-    to every row, so these sizes alone decide whether the graph saturates."""
-    shape = ax.shape
-    rows = [i for i in range(shape.r_star + 1, shape.r + 1) if symbol not in ax.lines[i]]
-    corner_ok = not shape.q_divides and symbol not in ax.corner
-    return rows, len(shape.empty_big_cols) + corner_ok
+    return _side_graph(_shape(grid).axes[1], beta, strengthen)
 
 
 def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
@@ -288,37 +281,31 @@ def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
     Left vertices are the rows below the box-aligned part that miss the
     symbol; right vertices are the empty big columns plus, when the corner
     big cell exists and does not already hold the symbol, one corner slot.
-    A saturating matching is necessary for completability because the
-    symbol must appear in each such row exactly once, at most once per big
-    cell of the leftover band.
+    Every slot is open to every row, so the graph saturates exactly when
+    there are no more rows than slots (see _placements).  A saturating
+    matching is necessary for completability because the symbol must appear
+    in each such row exactly once, at most once per big cell of the
+    leftover band.
     """
-    rows, slots = _coverage_sides(ax, symbol)
-    right: list = [(ax.cross, J) for J in ax.shape.empty_big_cols]
-    if slots > len(right):
+    right: list = [(ax.cross, J) for J in ax.targets]
+    if not ax.q_divides and not ax.corner >> symbol & 1:
         right.append(("corner",))
-    left = tuple((ax.line, i) for i in rows)
-    edges = [(li, ri) for li in range(len(left)) for ri in range(len(right))]
-    return BipartiteMultigraph(left, tuple(right), tuple(edges))
+    left = [(ax.line, i) for i in range(ax.r_star + 1, ax.r + 1) if not ax.lines[i] >> symbol & 1]
+    return _graph(left, right, [range(len(right))] * len(left))
 
 
-def _is_must(ax: _Axis, rows: list[int], slots: int) -> bool:
-    """The symbol's leftover rows need every empty big column and the corner.
-
-    rows and slots are the symbol's _coverage_sides.
-    """
-    return len(rows) == slots > len(ax.shape.empty_big_cols)
-
-
-def _musts(axes: tuple[_Axis, _Axis]) -> list[list[int]]:
-    """Per axis, the symbols the corner big cell must take on that axis' side."""
-    return [[k for k in range(1, ax.shape.n + 1) if _is_must(ax, *_coverage_sides(ax, k))]
-            for ax in axes]
-
-
-def _record(share: dict, shape: _Shape, alpha: int, fills: dict[int, list[int]]) -> None:
-    """Store band alpha's planned symbols under (alpha, row offset in the band)."""
-    for i, syms in fills.items():
-        share[(alpha, i - (alpha - 1) * shape.p)] = tuple(syms)
+def _placements(ax: _Axis) -> tuple[int, int]:
+    """Masks of the symbols whose leftover rows outnumber their slots in the
+    coverage graph, and of the others whose leftover rows need every slot,
+    the corner included: the symbols the corner must take on this side."""
+    every, t = (2 << ax.n) - 2, len(ax.targets)
+    least = [every] + [0] * (t + 2)  # least[c]: symbols at least c leftover rows miss
+    for line in ax.lines[ax.r_star + 1:]:
+        for c in range(t + 2, 0, -1):
+            least[c] |= least[c - 1] & ~line
+    corner_ok = 0 if ax.q_divides else every & ~ax.corner
+    over = least[t + 1] & ~corner_ok | least[t + 2]
+    return over, least[t + 1] & corner_ok & ~over
 
 
 def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
@@ -331,123 +318,133 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     replica matching so a symbol is never claimed twice, and symbols that
     every placement count forces into the corner are matched first.  The
     placement counts come from the sizes of each symbol's coverage graph,
-    which is built only to certify a failure.  Each row's and column's
-    symbol set is built once, with its axis, and read by every graph; the
-    plan hands both axes on to distribute_free.
+    which is built only to certify a failure.  Both axes are built once,
+    with their line sets, and read by every graph; the plan hands them on
+    to distribute_free.
     """
-    axes = _axes(grid)
-    shape = axes[0].shape
-    if shape.p == 1 or shape.q == 1:
+    if grid.geometry.p == 1 or grid.geometry.q == 1:
         raise ValueError("medium-cell planning needs p >= 2 and q >= 2")
     plan = MediumCellPlan()
-    plan._axis_pair = axes
+    plan._shape = _shape(grid)
+    axes = plan._shape.axes
     shares = (plan.horizontal, plan.vertical)
 
     for ax, share in zip(axes, shares):
-        if ax.shape.q_divides:
+        if ax.q_divides:
             continue
-        for alpha in range(1, ax.shape.full_bands + 1):
+        for alpha in range(1, ax.full_bands + 1):
             res = _match_band(ax, alpha, True)
             if isinstance(res, HallViolator):
                 return Obstruction(ax.stage, res, kind=ax.band_kind, index=alpha)
-            _record(share, ax.shape, alpha, res)
+            share.update(((alpha, i - (alpha - 1) * ax.p), tuple(syms)) for i, syms in res.items())
 
     # Per-symbol placement counts across the leftover rows and columns.
-    musts: list[list[int]] = []
+    musts = []
     for ax in axes:
-        must: list[int] = []
-        if not ax.shape.p_divides:
-            for k in range(1, shape.n + 1):
-                rows, slots = _coverage_sides(ax, k)
-                if len(rows) > slots:
-                    res = saturating_matching(_coverage_graph(ax, k))
-                    return Obstruction(ax.stage, res, kind=ax.coverage_kind, symbol=k)
-                if _is_must(ax, rows, slots):
-                    must.append(k)
+        over, must = _placements(ax)
+        if over:
+            k = (over & -over).bit_length() - 1
+            res = saturating_matching(_coverage_graph(ax, k))
+            return Obstruction(ax.stage, res, kind=ax.coverage_kind, symbol=k)
         musts.append(must)
 
-    if not shape.p_divides and not shape.q_divides:
+    if not axes[0].p_divides and not axes[0].q_divides:
         must_h, must_v = musts
-        clash = sorted(set(must_h) & set(must_v))
+        clash = must_h & must_v
         if clash:
-            return Obstruction("corner-conflict", clash[0], kind="corner-double-must",
-                               symbol=clash[0])
+            k = (clash & -clash).bit_length() - 1
+            return Obstruction("corner-conflict", k, kind="corner-double-must", symbol=k)
         corner = _solve_corner(axes, must_h, must_v)
         if isinstance(corner, Obstruction):
             return corner
         for ax, share, fills in zip(axes, shares, corner):
-            _record(share, ax.shape, ax.shape.full_bands + 1, fills)
+            share.update(((ax.full_bands + 1, i - ax.r_star), tuple(syms))
+                         for i, syms in fills.items())
 
     return plan
 
 
-def _corner_slot_graph(axes: tuple[_Axis, _Axis], must_h: Iterable[int] = (),
-                       must_v: Iterable[int] = ()) -> BipartiteMultigraph:
+def _corner_slots(axes: tuple[_Axis, _Axis], must_h: int, must_v: int) -> tuple[list, ...]:
+    """The corner big cell's slots and forced symbols, with their adjacency.
+
+    A slot is labelled (side, line, copy), b (a) per leftover row (column),
+    and may take the 0-based symbols absent from its line and the corner,
+    less the other side's musts.  A forced symbol is labelled ("must-h" |
+    "must-v", k) and may take the slots of its side whose line lacks it.
+    """
+    slots: list = []
+    allowed: list[list[int]] = []
+    musts: list = []
+    hosts: list[list[int]] = []
+    for tag, ax, own, banned in (("h", axes[0], must_h, must_v), ("v", axes[1], must_v, must_h)):
+        free = (2 << ax.n) - 2 & ~(ax.corner | banned)
+        first = len(slots)
+        for i in range(ax.r_star + 1, ax.r + 1):
+            hood = _bits((free & ~ax.lines[i]) >> 1)
+            for c in range(1, ax.b + 1):
+                slots.append((tag, i, c))
+                allowed.append(hood)
+        for k in _bits(own):
+            musts.append(("must-" + tag, k))
+            hosts.append([si for si in range(first, len(slots))
+                          if not (ax.lines[slots[si][1]] | ax.corner) >> k & 1])
+    return slots, allowed, musts, hosts
+
+
+def _corner_slot_graph(axes: tuple[_Axis, _Axis], must_h: int = 0,
+                       must_v: int = 0) -> BipartiteMultigraph:
     """Corner big cell slots (row and column replicas) versus symbols.
+
+    must_h and must_v are the masks of the symbols forced into the row and
+    the column share (_placements).
 
     A symbol whose placement counts force it into the row (column) share
     keeps only its row-slot (column-slot) edges: any completion places it
     on that side, so dropping the other side never loses a solution, and it
     stops augmenting paths from rerouting the symbol across sides.  Each
-    leftover row (column) of the rectangle has b (a) slots; on the
-    transpose a is b, so both sides are the rows of their axis.
+    leftover row (column) of the rectangle has b (a) slots; on the column
+    axis a is b, so both sides are the rows of their axis.
     """
-    left: list = []
-    edges: list = []
-    for tag, ax, banned in (("h", axes[0], frozenset(must_v)), ("v", axes[1], frozenset(must_h))):
-        shape = ax.shape
-        for i in range(shape.r_star + 1, shape.r + 1):
-            present = ax.lines[i] | ax.corner | banned
-            allowed = [k - 1 for k in range(1, shape.n + 1) if k not in present]
-            for c in range(1, shape.b + 1):
-                edges.extend((len(left), k0) for k0 in allowed)
-                left.append((tag, i, c))
-    return BipartiteMultigraph(tuple(left), tuple(range(1, axes[0].shape.n + 1)), tuple(edges))
+    slots, allowed, _, _ = _corner_slots(axes, must_h, must_v)
+    return _graph(slots, range(1, axes[0].n + 1), allowed)
 
 
-def _corner_must_graph(axes: tuple[_Axis, _Axis], must_h: list[int],
-                       must_v: list[int]) -> BipartiteMultigraph:
+def _corner_must_graph(axes: tuple[_Axis, _Axis], must_h: int,
+                       must_v: int) -> BipartiteMultigraph:
     """Forced corner symbols versus the slots that can host them."""
-    slots = _corner_slot_graph(axes, must_h, must_v)
-    lines = {"h": axes[0].lines, "v": axes[1].lines}
-    pre = axes[0].corner
-    left = tuple([("must-h", k) for k in sorted(must_h)]
-                 + [("must-v", k) for k in sorted(must_v)])
-    edges = []
-    for li, (tag, k) in enumerate(left):
-        want = "h" if tag == "must-h" else "v"
-        for si, (side, index, _) in enumerate(slots.left_labels):
-            if side == want and k not in lines[side][index] and k not in pre:
-                edges.append((li, si))
-    return BipartiteMultigraph(left, slots.left_labels, tuple(edges))
+    slots, _, musts, hosts = _corner_slots(axes, must_h, must_v)
+    return _graph(musts, slots, hosts)
 
 
-def _solve_corner(axes: tuple[_Axis, _Axis], must_h: list[int], must_v: list[int]):
-    """One matching for both corner directions; returns (h_fills, v_fills)."""
-    slot_graph = _corner_slot_graph(axes, must_h, must_v)
+def _solve_corner(axes: tuple[_Axis, _Axis], must_h: int, must_v: int):
+    """One matching for both corner directions; returns (h_fills, v_fills).
 
-    seed: list[tuple[int, int]] = []
-    if must_h or must_v:
-        must_graph = _corner_must_graph(axes, must_h, must_v)
-        res = saturating_matching(must_graph)
-        if isinstance(res, HallViolator):
-            return Obstruction("corner-conflict", res, kind="corner-must")
-        for mi, si in res.pairs:
-            _, k = must_graph.left_labels[mi]
-            seed.append((si, k - 1))
+    The forced symbols are matched to their slots first, and that matching
+    seeds the slot matching, both on adjacency lists.  A graph is built
+    only to state a violator: any maximum matching gives the same one.
+    """
+    slots, allowed, musts, hosts = _corner_slots(axes, must_h, must_v)
+    owner = [-1] * axes[0].n
+    held: list[set[int]] = [set() for _ in slots]
+    if musts:
+        forced = _augment_each_free(hosts, *_greedy(hosts, 1, len(slots)))
+        if len(forced.pairs) < len(musts):
+            violator = _violator_from_matching(_corner_must_graph(axes, must_h, must_v), forced)
+            return Obstruction("corner-conflict", violator, kind="corner-must")
+        for mi, si in forced.pairs:
+            owner[musts[mi][1] - 1] = si
+            held[si].add(musts[mi][1] - 1)
 
-    full = extend_matching(slot_graph, seed)
-    if len(full.pairs) < slot_graph.left_count:
-        violator = _violator_from_matching(slot_graph, full)
+    full = _augment_each_free(allowed, owner, held)
+    if len(full.pairs) < len(slots):
+        violator = _violator_from_matching(_corner_slot_graph(axes, must_h, must_v), full)
         return Obstruction("corner-conflict", violator, kind="corner-flow")
 
-    h_fills: dict[int, list[int]] = {}
-    v_fills: dict[int, list[int]] = {}
-    for si, ri in full.pairs:
-        tag, index, _ = slot_graph.left_labels[si]
-        (h_fills if tag == "h" else v_fills).setdefault(index, []).append(ri + 1)
-    return ({i: sorted(v) for i, v in h_fills.items()},
-            {j: sorted(v) for j, v in v_fills.items()})
+    fills: tuple[dict, dict] = ({}, {})
+    for si, w in full.pairs:
+        tag, index, _ = slots[si]
+        fills[tag == "v"].setdefault(index, []).append(w + 1)
+    return tuple({i: sorted(syms) for i, syms in side.items()} for side in fills)
 
 
 def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
@@ -459,38 +456,38 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
     symbol k T - (rows missing k) times for T empty big columns.  Colour c
     fills the c-th empty big column.
     """
-    shape = ax.shape
-    n, targets = shape.n, shape.empty_big_cols
-    contents = [set(line) for line in ax.lines]
+    n, targets = ax.n, ax.targets
+    every = (2 << n) - 2
+    contents = list(ax.lines)
     for (alpha, x), syms in share.items():
-        contents[(alpha - 1) * shape.p + x].update(syms)
+        contents[(alpha - 1) * ax.p + x] |= _mask(syms)
     row_fills: dict[tuple[int, int], tuple[int, ...]] = {}
     block_fills: dict[int, tuple[int, ...]] = {}
-    for alpha in range(1, shape.full_bands + (not shape.p_divides) + 1):
-        rows = _band_rows(shape, alpha)
-        cells = [tuple(k for k in range(1, n + 1) if k not in contents[i]) for i in rows]
-        leftover = alpha > shape.full_bands
+    for alpha in range(1, ax.full_bands + (not ax.p_divides) + 1):
+        rows = _band_rows(ax, alpha)
+        cells = [_bits(every & ~contents[i]) for i in rows]
+        leftover = alpha > ax.full_bands
         if leftover:
             block: list[int] = []
             for k in range(1, n + 1):
-                m_hat = len(targets) - sum(1 for i in rows if k not in contents[i])
+                m_hat = len(targets) - sum(not contents[i] >> k & 1 for i in rows)
                 if m_hat < 0:
                     raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
                                        f"empty big lines across them")
                 block += [k] * m_hat
-            cells.append(tuple(block))
+            cells.append(block)
         if not targets:
-            if any(len(contents[i]) != n for i in rows):
+            if any(contents[i] != every for i in rows):
                 raise RuntimeError("no room left but symbols remain unplaced")
             continue
-        colors = iter(_block_colors(tuple(cells), len(targets), n))
+        colors = iter(_block_colors(cells, len(targets), n))
         split = [[[] for _ in targets] for _ in cells]  # per cell, its symbols by colour
         for cell, parts in zip(cells, split):
             for k, c in zip(cell, colors):
                 parts[c - 1].append(k)
         for c, J in enumerate(targets):
             for i, parts in zip(rows, split):
-                if len(parts[c]) != shape.q:
+                if len(parts[c]) != ax.q:
                     raise RuntimeError(f"member {i} got {len(parts[c])} symbols for line {J}")
                 row_fills[(i, J)] = tuple(parts[c])
             if leftover:
@@ -504,22 +501,27 @@ def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
     Failures here indicate a bug: plan_medium_cells has already certified
     the per-symbol placement counts that make these colorings work out.
     It reuses the axes plan_medium_cells built, if it built them for this
-    grid object.
+    grid object, and hands them on in the distribution.
     """
-    pair = plan._axis_pair
-    row, col = pair if pair is not None and pair[0].grid is grid else _axes(grid)
+    shape = _made_for(grid, plan._shape)
+    row, col = shape.axes
     row_fills, block_row_fills = _distribute_rows(row, plan.horizontal)
     col_fills, block_col_fills = _distribute_rows(col, plan.vertical)
-    return Distribution(row_fills=row_fills, block_row_fills=block_row_fills,
+    dist = Distribution(row_fills=row_fills, block_row_fills=block_row_fills,
                         col_fills=col_fills, block_col_fills=block_col_fills)
+    dist._shape = shape
+    return dist
 
 
 def _layout(grid: PartialGrid, plan: MediumCellPlan, dist: Distribution) -> tuple:
-    """assemble_outline's row composition, column composition and cells."""
-    shape = _shape(grid)
-    p, q, n, r, s = shape.p, shape.q, shape.n, shape.r, shape.s
-    big_cols = shape.empty_big_cols
-    col_block = not shape.q_divides
+    """assemble_outline's row composition, column composition and cells.
+
+    The geometry and the corner big cell's symbols come from the axes the
+    distribution kept, if it kept them for this grid object."""
+    row_ax, col_ax = _made_for(grid, dist._shape).axes
+    p, q, n, r, s = row_ax.p, row_ax.q, row_ax.n, row_ax.r, col_ax.r
+    big_cols = row_ax.targets
+    col_block = not row_ax.q_divides
     cells = []
     for i, given in enumerate(grid.cells, 1):
         row = [() if v is None else (v,) for v in given]
@@ -527,30 +529,30 @@ def _layout(grid: PartialGrid, plan: MediumCellPlan, dist: Distribution) -> tupl
             row.append(plan.horizontal.get(((i - 1) // p + 1, (i - 1) % p + 1), ()))
         row.extend(dist.row_fills.get((i, J), ()) for J in big_cols)
         cells.append(tuple(row))
-    if not shape.p_divides:
+    if not row_ax.p_divides:
         row = [plan.vertical.get(((j - 1) // q + 1, (j - 1) % q + 1), ())
                for j in range(1, s + 1)]
         if col_block:
-            alpha, beta = shape.full_bands + 1, shape.s_star // q + 1
-            corner = grid.big_cell_symbols(alpha, beta)
-            for x in range(1, r - shape.r_star + 1):
-                corner.update(plan.horizontal.get((alpha, x), ()))
-            for y in range(1, s - shape.s_star + 1):
-                corner.update(plan.vertical.get((beta, y), ()))
-            row.append(tuple(k for k in range(1, n + 1) if k not in corner))
+            alpha, beta = row_ax.full_bands + 1, col_ax.full_bands + 1
+            corner = row_ax.corner
+            for x in range(1, r - row_ax.r_star + 1):
+                corner |= _mask(plan.horizontal.get((alpha, x), ()))
+            for y in range(1, s - col_ax.r_star + 1):
+                corner |= _mask(plan.vertical.get((beta, y), ()))
+            row.append(tuple(_bits((2 << n) - 2 & ~corner)))
         row.extend(dist.block_row_fills.get(J, ()) for J in big_cols)
         cells.append(tuple(row))
     every = tuple(range(1, n + 1))
-    for I in shape.empty_big_rows:
+    for I in col_ax.targets:
         row = [dist.col_fills.get((j, I), ()) for j in range(1, s + 1)]
         if col_block:
             row.append(dist.block_col_fills.get(I, ()))
         row.extend(every for _ in big_cols)
         cells.append(tuple(row))
 
-    row_block = () if shape.p_divides else (shape.a,)
-    row_comp = (1,) * r + row_block + (p,) * len(shape.empty_big_rows)
-    col_comp = (1,) * s + ((shape.b,) if col_block else ()) + (q,) * len(big_cols)
+    row_block = () if row_ax.p_divides else (col_ax.b,)
+    row_comp = (1,) * r + row_block + (p,) * len(col_ax.targets)
+    col_comp = (1,) * s + ((row_ax.b,) if col_block else ()) + (q,) * len(big_cols)
     return row_comp, col_comp, tuple(cells)
 
 
@@ -629,15 +631,9 @@ def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
     This is the unstaged test (no corner coordination, no placement counts);
     it is exposed for comparing the plain and strengthened edge rules.
     """
-    for ax in _axes(grid):
-        shape = ax.shape
-        if shape.q_divides:
-            continue
-        last = shape.full_bands + (0 if shape.p_divides else 1)
-        for alpha in range(1, last + 1):
-            if isinstance(_match_band(ax, alpha, strengthen), HallViolator):
-                return False
-    return True
+    return not any(isinstance(_match_band(ax, alpha, strengthen), HallViolator)
+                   for ax in _shape(grid).axes if not ax.q_divides
+                   for alpha in range(1, len(ax.band_cells)))
 
 
 def _missing(line: Iterable[int], symbols: set[int]) -> tuple[int, ...]:
@@ -711,6 +707,7 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     kind names: oversized, a side longer than the order; not-filled, an
     empty cell; invalid, a grid within the order whose validation under
     complete()'s rules (_as_built) fails with the report given as detail.
+    An obstruction that names a symbol outside 1..n does not hold.
     """
     if ob.stage == "input-invalid":
         oversized = grid.rows > grid.n or grid.cols > grid.n
@@ -722,19 +719,21 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
             report = validate_partial(_as_built(grid))
             return not report.ok and ob.detail == report
         return False
-    axes = _axes(grid)
+    symbol_ok = isinstance(ob.symbol, int) and 1 <= ob.symbol <= grid.n
+    axes = _shape(grid).axes
     for ax in axes:
         if ob.kind == ax.band_kind:
             return verify_violator(_side_graph(ax, ob.index, True), ob.detail)
         if ob.kind == ax.coverage_kind:
-            return verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
+            return symbol_ok and verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
+    musts = [_placements(ax)[1] for ax in axes]
     if ob.kind == "corner-double-must":
-        return all(_is_must(ax, *_coverage_sides(ax, ob.symbol)) for ax in axes)
+        return symbol_ok and all(must >> ob.symbol & 1 for must in musts)
     if ob.kind in ("corner-must", "corner-flow"):
-        must_h, must_v = _musts(axes)
+        must_h, must_v = musts
         build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph
         return verify_violator(build(axes, must_h, must_v), ob.detail)
     if ob.kind == "ryser":
         ryser = ryser_counts(grid, grid.n)
-        return ryser.counts[ob.symbol] < ryser.bound
+        return symbol_ok and ryser.counts[ob.symbol] < ryser.bound
     return False

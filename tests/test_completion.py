@@ -747,22 +747,24 @@ SIDE_ALPHA = grid_from_rows(3, 3, [[6, 4, 2, 5, 3], [3, 8, 7, 1, 9], [1, 5, 9, 7
 
 
 def count_axes(monkeypatch) -> list[str]:
-    """Record the line label of every axis completion builds from now on."""
+    """Record the line label of every axis completion builds from now on:
+    each set-up (_shape) builds the row axis and then the column axis."""
     built: list[str] = []
-    axis = completion._axis
+    shape_of = completion._shape
 
-    def counted(grid, names):
-        built.append(names[0])
-        return axis(grid, names)
+    def counted(grid):
+        shape = shape_of(grid)
+        built.extend(ax.line for ax in shape.axes)
+        return shape
 
-    monkeypatch.setattr(completion, "_axis", counted)
+    monkeypatch.setattr(completion, "_shape", counted)
     return built
 
 
 def test_complete_builds_each_axis_once(monkeypatch):
-    # plan_medium_cells hands its axes on to distribute_free, and
-    # assemble_outline builds none, so one complete() builds the row axis and
-    # the column axis once each, whether it completes or stops at a plan
+    # plan_medium_cells hands its axes on to distribute_free, which hands
+    # them on to the layout, so one complete() builds the row axis and the
+    # column axis once each, whether it completes or stops at a plan
     # obstruction.
     built = count_axes(monkeypatch)
     for grid, kind in ((WORKED, None), (gen_random_rectangle(3, 3, 7, 8, 4), None),
@@ -778,7 +780,8 @@ def test_complete_builds_each_axis_once(monkeypatch):
 def test_distribution_builds_axes_for_a_plan_without_them(monkeypatch):
     # A plan made by hand, or one used with another grid object (even an
     # equal one), carries no axes for that grid: distribution builds them and
-    # gives what the plan's own axes give.  Assembly reads no axis.
+    # gives what the plan's own axes give.  Assembly builds none: it reads
+    # the axes the distribution kept.
     built = count_axes(monkeypatch)
     aligned = grid_from_rows(2, 2, [[1, 2], [3, 4]])
     for grid in (WORKED, aligned, gen_random_rectangle(3, 3, 7, 8, 4),
@@ -797,6 +800,118 @@ def test_distribution_builds_axes_for_a_plan_without_them(monkeypatch):
             assert assemble_outline(other_grid, other_plan, other_dist) == expected
             assert built == ["row", "col"]
     assert plan_medium_cells(aligned) == MediumCellPlan()  # so a bare plan was tried too
+
+
+def count_constructions(monkeypatch) -> dict[str, int]:
+    """Count every _Shape, PartialGrid and BipartiteMultigraph built from now on."""
+    counts = {"_Shape": 0, "PartialGrid": 0, "BipartiteMultigraph": 0}
+    for cls, name, hook in ((completion._Shape, "_Shape", "__init__"),
+                            (PartialGrid, "PartialGrid", "__post_init__"),
+                            (BipartiteMultigraph, "BipartiteMultigraph", "__post_init__")):
+        def counted(self, *args, fn=getattr(cls, hook), name=name):
+            counts[name] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(cls, hook, counted)
+    return counts
+
+
+def test_complete_sets_up_once_and_builds_no_graph_on_success(monkeypatch):
+    # One complete() that succeeds builds one set-up (both axes), copies the
+    # input once (_as_built) and builds the square, and builds no graph
+    # object: the band and corner matchings run on adjacency lists.  The
+    # (4,3) corner needs the corner solve, which the (2,2) example has too.
+    corner = gen_random_rectangle(4, 3, 5, 7, 2)
+    counts = count_constructions(monkeypatch)
+    for grid in (WORKED, corner):
+        assert grid.rows % grid.geometry.p and grid.cols % grid.geometry.q
+        for name in counts:
+            counts[name] = 0
+        assert complete(grid).completable
+        assert counts == {"_Shape": 1, "PartialGrid": 2, "BipartiteMultigraph": 0}
+
+
+def reference_lists(grid) -> dict:
+    """Every allowed list the planning stage reads, straight from the cells
+    with Python sets: per axis (0 rows, 1 columns), each band's allowed
+    symbols with and without the strengthened rule, each symbol's coverage
+    sides, and, when there is a corner big cell, its slots' allowed lists."""
+    p, q, n, r, s = grid.geometry.p, grid.geometry.q, grid.n, grid.rows, grid.cols
+    views = ((grid.cells, p, q, s), ([[row[j] for row in grid.cells] for j in range(s)], q, p, r))
+    out: dict = {}
+    musts, corner_lines = [], []
+    corner = {grid.cells[i][j] for i in range(r - r % p, r) for j in range(s - s % q, s)}
+    for side, (lines, height, width, length) in enumerate(views):
+        full = len(lines) - len(lines) % height
+        cut = length - length % width
+        targets = height - -(-length // width)
+        if length % width:
+            for top in range(0, len(lines), height):
+                band = lines[top:top + height]
+                cell = {line[j] for line in band for j in range(cut, length)}
+                for strengthen in (True, False):
+                    out[side, "band", top // height + 1, strengthen] = [
+                        [k - 1 for k in range(1, n + 1)
+                         if k not in set(line) | (cell if strengthen else set())]
+                        for line in band]
+        must = set()
+        for k in range(1, n + 1):
+            rows = [i + 1 for i in range(full, len(lines)) if k not in lines[i]]
+            slots = targets + (length % width > 0 and k not in corner)
+            out[side, "coverage", k] = (rows, slots)
+            if len(rows) == slots > targets:
+                must.add(k)
+        musts.append(must)
+        corner_lines.append([(i + 1, set(lines[i])) for i in range(full, len(lines))])
+    if r % p and s % q:
+        slots = []
+        for side, b in ((0, q - s % q), (1, p - r % p)):
+            for i, line in corner_lines[side]:
+                banned = line | corner | musts[1 - side]
+                slots += [[k - 1 for k in range(1, n + 1) if k not in banned]] * b
+        out["corner"] = slots
+    return out
+
+
+def pipeline_lists(grid) -> dict:
+    """The same lists, from the set-up's bit masks."""
+    axes = completion._shape(grid).axes
+    out: dict = {}
+    musts = []
+    for side, ax in enumerate(axes):
+        if not ax.q_divides:
+            for alpha in range(1, len(ax.band_cells)):
+                for strengthen in (True, False):
+                    out[side, "band", alpha, strengthen] = completion._band_allowed(
+                        ax, alpha, strengthen)
+        over, must = completion._placements(ax)
+        for k in range(1, ax.n + 1):
+            graph = completion._coverage_graph(ax, k)
+            rows = [label[1] for label in graph.left_labels]
+            out[side, "coverage", k] = (rows, graph.right_count)
+            assert bool(over >> k & 1) == (len(rows) > graph.right_count)
+        musts.append(must)
+    if not axes[0].p_divides and not axes[0].q_divides:
+        out["corner"] = completion._corner_slots(axes, *musts)[1]
+    return out
+
+
+def test_set_up_masks_give_the_lists_python_sets_give():
+    # The set-up's bit masks against a reference written here with Python
+    # sets: every band's allowed lists under both edge rules, every
+    # symbol's coverage sides (and _placements' over-full symbols), and the
+    # corner slots' allowed lists, on both axes of random valid rectangles.
+    # p < q and p > q both occur, so each axis meets both box orientations.
+    rng = random.Random(21)
+    kinds = set()
+    for p, q in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 4), (4, 2)):
+        n = p * q
+        for _ in range(40):
+            r, s = rng.randint(1, n), rng.randint(1, n)
+            grid = gen_random_valid_rectangle(p, q, r, s, rng.randrange(10 ** 9))
+            expected = reference_lists(grid)
+            assert pipeline_lists(grid) == expected, (p, q, grid.cells)
+            kinds.update(key[1] if isinstance(key, tuple) else key for key in expected)
+    assert kinds == {"band", "coverage", "corner"}
 
 
 def test_corner_coverage_instance_completable_with_care():
@@ -864,6 +979,14 @@ def test_tampered_obstructions_fail_verification():
     assert verify_obstruction(latin, ry)
     fake = Obstruction("ryser", 1, kind="ryser", symbol=1)
     assert not verify_obstruction(latin, fake)
+
+    # A symbol outside 1..n names no obstruction, whatever the kind.
+    double = grid_from_rows(2, 2, [[2, 4, 1], [3, 1, 2], [1, 2, 3]])
+    clash = complete(double).certificate
+    assert clash.kind == "corner-double-must" and verify_obstruction(double, clash)
+    for g, real in ((grid, ob), (latin, ry), (double, clash)):
+        for symbol in (0, -1, g.n + 1, None, "1"):
+            assert not verify_obstruction(g, dataclasses.replace(real, symbol=symbol))
 
     violator = HallViolator(frozenset({0}), frozenset({0, 1}))
     bogus = Obstruction("corner-conflict", violator, kind="corner-flow")
@@ -1026,14 +1149,14 @@ def test_band_matcher_agrees_with_saturating_matching():
         n = p * q
         grid = gen_random_valid_rectangle(p, q, rng.randint(1, n), rng.randint(1, n),
                                           rng.randrange(10_000))
-        for side, ax in enumerate(completion._axes(grid)):
+        for side, ax in enumerate(completion._shape(grid).axes):
             lines = grid if side == 0 else transpose(grid)
-            shape = ax.shape
-            if shape.q_divides:
+            if ax.q_divides:
                 continue
-            for alpha in range(1, shape.full_bands + 1):
-                rows = range((alpha - 1) * shape.p + 1, alpha * shape.p + 1)
-                cell = {lines.at(i, j) for i in rows for j in range(shape.s_star + 1, shape.s + 1)}
+            s_star = lines.cols - lines.cols % ax.q
+            for alpha in range(1, ax.full_bands + 1):
+                rows = range((alpha - 1) * ax.p + 1, alpha * ax.p + 1)
+                cell = {lines.at(i, j) for i in rows for j in range(s_star + 1, lines.cols + 1)}
                 for strengthen in (True, False):
                     graph = graph_of[side](grid, alpha, strengthen=strengthen)
                     expected = saturating_matching(graph)
@@ -1048,7 +1171,7 @@ def test_band_matcher_agrees_with_saturating_matching():
                     assert len(placed) == len(set(placed))
                     banned = cell if strengthen else set()
                     for i in rows:
-                        assert len(got[i]) == shape.b
+                        assert len(got[i]) == ax.b
                         assert not set(got[i]) & (set(lines.row_symbols(i)) | banned)
                     filled += 1
     assert filled > failed
