@@ -7,6 +7,7 @@ from sudoku_ryser import outline
 from sudoku_ryser.bipartite import (
     BipartiteMultigraph,
     EdgeColoring,
+    _color_cells,
     equitable_edge_coloring,
     is_equitable,
 )
@@ -283,9 +284,13 @@ def test_expand_colors_each_merged_part_once(monkeypatch):
 
 
 def test_block_colors_are_the_generic_coloring_of_the_block_graph():
-    # _block_colors makes its vertex copies straight from the cells; the
-    # reference is equitable_edge_coloring of the block's graph, one edge
-    # (cell, symbol - 1) per symbol instance in cell order.
+    # What equitable_edge_coloring adds over the kernel (_color_cells): it
+    # groups the graph's edges by left vertex, in edge order, and scatters
+    # each cell's colours back to the edges' positions.  The block graph's
+    # edges are given with the cells interleaved at random, each cell's own
+    # edges in order, so the grouped cells are the block's cells: every
+    # edge must get its instance's colour from the kernel on those cells,
+    # and the colouring must pass is_equitable.
     rng = random.Random(59)
     cases = [((), 3, 4), (((),), 1, 2), (((), (2, 2, 1), ()), 1, 2)]
     for _ in range(3000):
@@ -294,11 +299,22 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
                       for _ in range(rng.randint(0, 6)))
         cases.append((block, m, n))
     seen = set()
+    interleaved = 0
     for block, m, n in cases:
-        edges = tuple((b, k - 1) for b, cell in enumerate(block) for k in cell)
+        grouped = [[k - 1 for k in cell] for cell in block]
+        kernel = iter(_color_cells(grouped, m, n))
+        colour = {(b, i): next(kernel) for b, cell in enumerate(grouped) for i in range(len(cell))}
+        pending = [list(range(len(cell))) for cell in grouped]
+        order = []  # (cell, instance) of each edge, cells interleaved
+        while any(pending):
+            b = rng.choice([b for b, left in enumerate(pending) if left])
+            order.append((b, pending[b].pop(0)))
+        interleaved += order != sorted(order)
+        edges = tuple((b, grouped[b][i]) for b, i in order)
         graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, n + 1)), edges)
-        expected = list(equitable_edge_coloring(graph, m).color_of)
-        assert outline._block_colors(block, m, n) == expected, (block, m, n)
+        coloring = equitable_edge_coloring(graph, m)
+        assert list(coloring.color_of) == [colour[inst] for inst in order], (block, m, n)
+        assert is_equitable(graph, coloring), (block, m, n)
         degree = [0] * n
         for _, w in edges:
             degree[w] += 1
@@ -310,6 +326,7 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
             ("empty block", not block),
             ("m = 1", m == 1)) if hit)
     assert len(seen) == 6
+    assert interleaved > 1000
 
 
 def test_block_colors_pass_the_definitional_equitability_check():
