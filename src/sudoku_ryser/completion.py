@@ -180,8 +180,7 @@ def _bits(mask: int) -> list[int]:
 
 def _shape(grid: PartialGrid) -> _Shape:
     """Both axes of the rectangle, from one pass over its cells."""
-    p, q = grid.geometry.p, grid.geometry.q
-    r, s = grid.rows, grid.cols
+    p, q, r, s = grid.geometry.p, grid.geometry.q, grid.rows, grid.cols
     r_star, s_star = r - r % p, s - s % q
     rows, cols = [0] * (r + 1), [0] * (s + 1)
     # Each band's (stack's) cells in the partially covered big column (row).
@@ -514,10 +513,8 @@ def distribute_free(grid: PartialGrid, plan: MediumCellPlan) -> Distribution:
 
 
 def _layout(grid: PartialGrid, plan: MediumCellPlan, dist: Distribution) -> tuple:
-    """assemble_outline's row composition, column composition and cells.
-
-    The geometry and the corner big cell's symbols come from the axes the
-    distribution kept, if it kept them for this grid object."""
+    """assemble_outline's row composition, column composition and cells; the
+    geometry and the corner's symbols come from the distribution's axes."""
     row_ax, col_ax = _made_for(grid, dist._shape).axes
     p, q, n, r, s = row_ax.p, row_ax.q, row_ax.n, row_ax.r, col_ax.r
     big_cols = row_ax.targets
@@ -707,10 +704,11 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     kind names: oversized, a side longer than the order; not-filled, an
     empty cell; invalid, a grid within the order whose validation under
     complete()'s rules (_as_built) fails with the report given as detail.
-    An obstruction that names a symbol outside 1..n does not hold.
+    Any other holds only on a grid that passes those checks, and only if it
+    names no symbol outside 1..n.
     """
+    oversized = grid.rows > grid.n or grid.cols > grid.n
     if ob.stage == "input-invalid":
-        oversized = grid.rows > grid.n or grid.cols > grid.n
         if ob.kind == "oversized":
             return oversized
         if ob.kind == "not-filled":
@@ -718,6 +716,8 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         if ob.kind == "invalid" and not oversized:
             report = validate_partial(_as_built(grid))
             return not report.ok and ob.detail == report
+        return False
+    if oversized or not grid.is_fully_filled() or not validate_partial(_as_built(grid)).ok:
         return False
     symbol_ok = isinstance(ob.symbol, int) and 1 <= ob.symbol <= grid.n
     axes = _shape(grid).axes

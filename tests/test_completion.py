@@ -988,6 +988,17 @@ def test_tampered_obstructions_fail_verification():
         for symbol in (0, -1, g.n + 1, None, "1"):
             assert not verify_obstruction(g, dataclasses.replace(real, symbol=symbol))
 
+    # A later stage's obstruction does not hold on a grid that fails
+    # complete()'s input checks: out-of-range or repeated symbols, an empty
+    # cell, a side longer than the order.
+    cells = [list(row) for row in grid.cells]
+    for i, j, v in ((0, 0, -1), (0, 0, 0), (0, 0, 7), (0, 0, 1), (4, 3, None)):
+        bad = [row[:] for row in cells]
+        bad[i][j] = v
+        assert not verify_obstruction(dataclasses.replace(grid, cells=tuple(map(tuple, bad))), ob)
+    tall = dataclasses.replace(grid, rows=7, cells=grid.cells + (grid.cells[0],) * 2)
+    assert not verify_obstruction(tall, ob)
+
     violator = HallViolator(frozenset({0}), frozenset({0, 1}))
     bogus = Obstruction("corner-conflict", violator, kind="corner-flow")
     assert not verify_obstruction(grid_from_rows(2, 2, [[1, 2, 3]]), bogus)
