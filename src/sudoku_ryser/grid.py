@@ -161,34 +161,10 @@ class PartialGrid:
     def row_symbols(self, row: int) -> set[int]:
         return {v for v in self.cells[row - 1] if v is not None}
 
-    def col_symbols(self, col: int) -> set[int]:
-        return {row[col - 1] for row in self.cells if row[col - 1] is not None}
-
-    def big_cell_symbols(self, big_row: int, big_col: int) -> set[int]:
-        """Symbols present in the stored region of a big cell."""
-        p, q = self.geometry.p, self.geometry.q
-        out: set[int] = set()
-        for r in range((big_row - 1) * p + 1, min(big_row * p, self.rows) + 1):
-            for c in range((big_col - 1) * q + 1, min(big_col * q, self.cols) + 1):
-                v = self.cells[r - 1][c - 1]
-                if v is not None:
-                    out.add(v)
-        return out
-
     def part_id(self, row: int, col: int) -> int:
         if self.partition is None:
             raise ValueError("grid has no partition")
         return self.partition[row - 1][col - 1]
-
-    def part_symbols(self, pid: int) -> set[int]:
-        if self.partition is None:
-            raise ValueError("grid has no partition")
-        out: set[int] = set()
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.partition[i][j] == pid and self.cells[i][j] is not None:
-                    out.add(self.cells[i][j])
-        return out
 
 
 def _default_flavor(p: int, q: int, partition: object = None) -> str:
@@ -254,16 +230,18 @@ def _repeats(line, distinct: int) -> bool:
 def validate_partial(grid: PartialGrid) -> ValidationReport:
     """Check every uniqueness constraint the grid's flavor implies.
 
-    The report lists every symbol outside 1..n, then every duplicate by
-    row, column, big cell or part (groups and symbols in ascending order,
-    coordinates in row-major order); ok is True exactly when there are none.
+    The report lists as range every value that is not an int in 1..n
+    (a bool or 1.0 included), then every duplicate by row, column, big cell
+    or part (groups and symbols in ascending order, coordinates in row-major
+    order); ok is True exactly when there are none.
 
     A row, column or unit (big cell or part) has a duplicate exactly when
     its set of symbols is smaller than its number of filled cells, and a
     symbol outside 1..n is left over when 1..n is taken from the set of all
-    cells.  Only when either check finds something are the cells walked,
-    with each cell's unit id, to gather the report.  The big cell of 0-based
-    (i, j) is numbered (i // p) * p + j // q.
+    cells.  A set of values takes 1.0 and True for 1, so the cells' types
+    are read in a pass of their own.  Only when a check finds something are
+    the cells walked, with each cell's unit id, to gather the report.  The
+    big cell of 0-based (i, j) is numbered (i // p) * p + j // q.
     """
     n, p, q = grid.n, grid.geometry.p, grid.geometry.q
     cells = grid.cells
@@ -272,7 +250,7 @@ def validate_partial(grid: PartialGrid) -> ValidationReport:
     if grid.flavor == "sudoku":
         if grid.rows > n or grid.cols > n:
             for r, c, v in grid.filled():
-                if 1 <= v <= n:
+                if type(v) is int and 1 <= v <= n:
                     big_cell_of(grid.geometry, r, c)  # raises outside the square
         lines += [[v for row in cells[i:i + p] for v in row[j:j + q]]
                   for i in range(0, grid.rows, p) for j in range(0, grid.cols, q)]
@@ -283,7 +261,8 @@ def validate_partial(grid: PartialGrid) -> ValidationReport:
                 parts.setdefault(pid, []).append(v)
         lines += parts.values()
     sizes = list(map(len, map(set, lines)))
-    stray = set(chain.from_iterable(cells)).difference(range(1, n + 1), (None,))
+    stray = (set(chain.from_iterable(cells)).difference(range(1, n + 1), (None,))
+             or not {int, type(None)}.issuperset(map(type, chain.from_iterable(cells))))
     if stray or (sizes != list(map(len, lines)) and any(map(_repeats, lines, sizes))):
         units: Optional[list] = None  # per row, each cell's unit id
         if grid.flavor == "sudoku":
@@ -295,7 +274,7 @@ def validate_partial(grid: PartialGrid) -> ValidationReport:
             for j, v in enumerate(row):
                 if v is None:
                     continue
-                if not 1 <= v <= n:
+                if type(v) is not int or not 1 <= v <= n:
                     violations.append(Violation("range", ((i + 1, j + 1),), v))
                     continue
                 keys = [(0, i, v), (1, j, v)]

@@ -4,30 +4,36 @@ The independence number alpha(L, sigma, Q) is the size of a largest set of
 cells of Q, pairwise in distinct rows and columns (and big cells or parts,
 depending on flavor), all of whose lists contain sigma.  Hall's Inequality
 for Q asks that these numbers summed over all symbols reach |Q|; Hall's
-Condition asks this for every subset.  Checking is exact: every subset is
-covered, though whole subtrees of the search are certified by one bound
-rather than walked.  The worst case is still exponential, which is why it is
-gated to desk-scale inputs.
+Condition asks this for every subset.
 
-On a grid this is the list-assigned-graph condition for the conflict graph
-of the cells, in which two cells are adjacent when they share a row, a
-column or the flavor's unit (Hilton and Johnson).  So hall_condition hands
-the empty cells to hall_condition_graph, and every alpha, on grids and on
-graphs, comes from one exact independence search, _max_independent.
+Lists and conflicts both come from the constraint keys (_cell_model): an
+empty cell lists the symbols none of its keys holds, and two cells conflict
+when they share a key.  So on a grid Hall's Condition is the
+list-assigned-graph condition for the conflict graph (Hilton and Johnson).
+
+One alpha (_alpha) serves alpha_cells, hall_inequality and
+whole_square_inequality: in the latin flavor the row-column matching number
+of sigma's candidate cells, at any size; in the sudoku and gerechte flavors
+the exact, worst-case exponential independence search.  These owe their
+caller a number, so past _GATE candidate cells they raise ValueError.
+hall_condition and hall_condition_graph report gave_up past their gate on
+the number of cells, before any work: the condition spans 2**e subsets, and
+declining by size is an answer the CLI reports (exit 3).  Below the gate
+the check is exact, certifying whole subtrees by one bound.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby, product
 from typing import Iterable, Optional
 
-from .bipartite import BipartiteMultigraph, max_matching
-from .grid import FLAVORS, PartialGrid, _constraint_keys, big_cell_of
+from .bipartite import _augment_each_free, _greedy
+from .grid import FLAVORS, PartialGrid, _constraint_keys
 
 Cell = tuple[int, int]
-# Most candidate cells one exact alpha search takes on before refusing.
-_MAX_EXACT = 26
+# Most candidate cells of one symbol the exact alpha search takes on.
+_GATE = 30
 
 
 @dataclass(frozen=True)
@@ -55,25 +61,42 @@ def _flavor_of(grid: PartialGrid, flavor: Optional[str]) -> str:
     return chosen
 
 
+def _cell_model(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
+    """The distinct cells in order, their lists and their conflict groups.
+
+    One pass over the filled cells gives each constraint key the mask of the
+    symbols it holds.  A filled cell lists its own symbol, an empty one the
+    symbols that none of its keys holds.  Each group is the positions of the
+    cells that share one key, so every conflict lies within some group.
+    """
+    cells = sorted(set(cells))
+    for r, c in cells:
+        if not (1 <= r <= grid.rows and 1 <= c <= grid.cols):
+            raise ValueError(f"cell ({r}, {c}) outside the {grid.rows} x {grid.cols} grid")
+    symbols = range(1, grid.n + 1)
+    held: dict = {}
+    for r, c, v in grid.filled():
+        if v in symbols:
+            for key in _constraint_keys(grid, r, c, flavor):
+                held[key] = held.get(key, 0) | 1 << v
+    lists: list[frozenset[int]] = []
+    groups: dict = {}
+    for i, (r, c) in enumerate(cells):
+        taken = 0
+        for key in _constraint_keys(grid, r, c, flavor):
+            taken |= held.get(key, 0)
+            groups.setdefault(key, []).append(i)
+        v = grid.at(r, c)
+        lists.append(frozenset(k for k in symbols if not taken >> k & 1)
+                     if v is None else frozenset((v,)))
+    return cells, lists, list(groups.values())
+
+
 def list_assignment(grid: PartialGrid, flavor: Optional[str] = None) -> dict[Cell, frozenset[int]]:
     """Candidate lists: the symbol itself for filled cells, exclusions otherwise."""
-    flavor = _flavor_of(grid, flavor)
-    n = grid.n
-    lists: dict[Cell, frozenset[int]] = {}
-    for r in range(1, grid.rows + 1):
-        for c in range(1, grid.cols + 1):
-            v = grid.at(r, c)
-            if v is not None:
-                lists[(r, c)] = frozenset((v,))
-                continue
-            excluded = grid.row_symbols(r) | grid.col_symbols(c)
-            if flavor == "sudoku":
-                br, bc = big_cell_of(grid.geometry, r, c)
-                excluded |= grid.big_cell_symbols(br, bc)
-            elif flavor == "gerechte":
-                excluded |= grid.part_symbols(grid.part_id(r, c))
-            lists[(r, c)] = frozenset(k for k in range(1, n + 1) if k not in excluded)
-    return lists
+    every = product(range(1, grid.rows + 1), range(1, grid.cols + 1))
+    cells, lists, _ = _cell_model(grid, _flavor_of(grid, flavor), every)
+    return dict(zip(cells, lists))
 
 
 def _max_independent(cand: int, adj: list[int]) -> int:
@@ -118,46 +141,56 @@ def _adjacency(verts: list, edges: Iterable[tuple]) -> list[int]:
     return adj
 
 
-def _conflicts(grid: PartialGrid, flavor: str, cells: list[Cell]) -> list[tuple[Cell, Cell]]:
-    """Pairs of the cells that share a row, a column or the flavor's unit."""
-    keys = [set(_constraint_keys(grid, r, c, flavor)) for r, c in cells]
-    return [(cells[i], cells[j]) for i, j in combinations(range(len(cells)), 2)
-            if keys[i] & keys[j]]
+def _alpha(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
+    """The distinct cells of Q in order, and sigma -> alpha(L, sigma, Q).
 
+    In the latin flavor alpha is a maximum matching of rows to columns along
+    sigma's candidate cells, on adjacency lists; otherwise the exact search
+    over the conflict masks, refused past _GATE candidate cells.
+    """
+    cells, lists, groups = _cell_model(grid, flavor, cells)
+    adj = [0] * len(cells)
+    if flavor != "latin":  # the matching reads no conflict masks
+        for group in groups:
+            mask = sum(1 << i for i in group)
+            for i in group:
+                adj[i] |= mask & ~(1 << i)
 
-def _cell_graph(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
-    """The distinct cells in order, their lists and their conflict adjacency."""
-    cells = sorted(set(cells))
-    lists = list_assignment(grid, flavor)
-    cell_lists = [lists[cell] for cell in cells]
-    return cells, cell_lists, _adjacency(cells, _conflicts(grid, flavor, cells))
-
-
-def _alpha(cell_lists: list[frozenset[int]], adj: list[int], sigma: int,
-           max_exact: int) -> int:
-    cand = [i for i, lst in enumerate(cell_lists) if sigma in lst]
-    if len(cand) > max_exact:
-        raise ValueError(f"{len(cand)} candidate cells exceed the exact-search gate")
-    return _max_independent(sum(1 << i for i in cand), adj)
+    def alpha(sigma: int) -> int:
+        cand = [i for i, lst in enumerate(lists) if sigma in lst]
+        if flavor == "latin":
+            runs = groupby([cells[i] for i in cand], key=lambda cell: cell[0])
+            hood = [[c for _, c in run] for _, run in runs]  # each row's columns
+            return len(_augment_each_free(hood, *_greedy(hood, 1, grid.cols + 1)).pairs)
+        if len(cand) > _GATE:
+            raise ValueError(f"{len(cand)} candidate cells of symbol {sigma} exceed "
+                             f"the exact-search gate of {_GATE}")
+        return _max_independent(sum(1 << i for i in cand), adj)
+    return cells, alpha
 
 
 def alpha_cells(grid: PartialGrid, sigma: int, cells: Iterable[Cell],
-                flavor: Optional[str] = None, max_exact: int = _MAX_EXACT) -> int:
-    """Exact maximum number of independent cells of Q whose lists hold sigma."""
-    _, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
-    return _alpha(cell_lists, adj, sigma, max_exact)
+                flavor: Optional[str] = None) -> int:
+    """Exact maximum number of independent cells of Q whose lists hold sigma;
+    ValueError past the sudoku and gerechte flavors' exact-search gate."""
+    return _alpha(grid, _flavor_of(grid, flavor), cells)[1](sigma)
 
 
 def hall_inequality(grid: PartialGrid, cells: Iterable[Cell],
                     flavor: Optional[str] = None) -> tuple[int, int, bool]:
-    """(sum of alphas, |Q|, whether the inequality holds) for one subset.
-
-    Raises ValueError when some symbol has more than 26 candidate cells in
-    the subset, the exact-search gate that alpha_cells takes as max_exact.
-    """
-    subset, cell_lists, adj = _cell_graph(grid, _flavor_of(grid, flavor), cells)
-    lhs = sum(_alpha(cell_lists, adj, sigma, _MAX_EXACT) for sigma in range(1, grid.n + 1))
+    """(sum of alphas, |Q|, whether the inequality holds) for one subset;
+    ValueError past the sudoku and gerechte flavors' exact-search gate."""
+    subset, alpha = _alpha(grid, _flavor_of(grid, flavor), cells)
+    lhs = sum(map(alpha, range(1, grid.n + 1)))
     return lhs, len(subset), lhs >= len(subset)
+
+
+def whole_square_inequality(grid: PartialGrid,
+                            flavor: Optional[str] = None) -> tuple[int, int, bool]:
+    """Hall's Inequality for the set of all cells of the grid: hall_inequality
+    over every cell, under the same gate."""
+    every = product(range(1, grid.rows + 1), range(1, grid.cols + 1))
+    return hall_inequality(grid, every, flavor)
 
 
 def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
@@ -179,12 +212,12 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     condition holds.  More empty cells than the gate means giving up.
     """
     flavor = _flavor_of(grid, flavor)
-    empties = sorted(grid.empty_cells())
+    empties = grid.empty_cells()
     if len(empties) > gate:
         return HallReport(True, None, 0, True)
-    lists = list_assignment(grid, flavor)
-    return hall_condition_graph(empties, _conflicts(grid, flavor, empties),
-                                {cell: lists[cell] for cell in empties}, gate)
+    cells, lists, groups = _cell_model(grid, flavor, empties)
+    edges = {(cells[i], cells[j]) for group in groups for i, j in combinations(group, 2)}
+    return hall_condition_graph(cells, edges, dict(zip(cells, lists)), gate)
 
 
 def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
@@ -194,40 +227,6 @@ def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
     bound = grid.rows + grid.cols - n
     failing = tuple(k for k in range(1, n + 1) if counts[k] < bound)
     return RyserReport(counts, bound, not failing, failing)
-
-
-def _alpha_latin_matching(grid: PartialGrid, sigma: int,
-                          lists: dict[Cell, frozenset[int]]) -> int:
-    """Latin-flavor alpha over all cells via row-column maximum matching."""
-    cells = [cell for cell, lst in lists.items() if sigma in lst]
-    rows = sorted({r for r, _ in cells})
-    cols = sorted({c for _, c in cells})
-    ridx = {r: i for i, r in enumerate(rows)}
-    cidx = {c: i for i, c in enumerate(cols)}
-    edges = tuple((ridx[r], cidx[c]) for r, c in sorted(cells))
-    g = BipartiteMultigraph(tuple(rows), tuple(cols), edges)
-    return len(max_matching(g).pairs)
-
-
-def whole_square_inequality(grid: PartialGrid, flavor: Optional[str] = None,
-                            gate: int = 30) -> tuple[int, int, bool]:
-    """Hall's Inequality for the set of all cells of the grid.
-
-    In the latin flavor each alpha is a row-column matching number, so any
-    order is fine; the sudoku and gerechte flavors fall back to exact search
-    and respect the gate.
-    """
-    flavor = _flavor_of(grid, flavor)
-    total = grid.rows * grid.cols
-    if flavor == "latin":
-        lists = list_assignment(grid, flavor)
-        lhs = sum(_alpha_latin_matching(grid, sigma, lists)
-                  for sigma in range(1, grid.n + 1))
-        return lhs, total, lhs >= total
-    all_cells = [(r, c) for r in range(1, grid.rows + 1) for c in range(1, grid.cols + 1)]
-    _, cell_lists, adj = _cell_graph(grid, flavor, all_cells)
-    lhs = sum(_alpha(cell_lists, adj, sigma, gate) for sigma in range(1, grid.n + 1))
-    return lhs, total, lhs >= total
 
 
 def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict,

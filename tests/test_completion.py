@@ -361,6 +361,14 @@ def test_complete_rejects_invalid_input():
         assert verify_obstruction(grid, verdict.certificate)
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True])
+def test_complete_reports_a_symbol_that_is_not_an_int(value):
+    grid = grid_from_rows(2, 2, [[value, 2], [3, 4]])
+    ob = complete(grid).certificate
+    assert (ob.stage, ob.kind) == ("input-invalid", "invalid")
+    assert verify_obstruction(grid, ob)
+
+
 def test_verify_obstruction_rechecks_the_input_kind():
     # An input-invalid obstruction verifies only on a grid with the fault
     # its kind names, and an invalid one only with the grid's own report.

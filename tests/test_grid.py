@@ -79,6 +79,16 @@ def test_validate_range():
     assert report.violations[0].kind == "range"
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", True])
+def test_validate_reports_a_symbol_that_is_not_an_int(value):
+    # 1.0 and True equal 1, so a set of the values would not see them.
+    report = validate_partial(grid_from_rows(2, 2, [[value, 2], [3, 4]]))
+    assert not report.ok
+    assert [(v.kind, v.coordinates, v.symbol) for v in report.violations] == [
+        ("range", ((1, 1),), value)]
+    assert type(report.violations[0].symbol) is type(value)
+
+
 def test_validate_filled_cell_outside_square_raises():
     # Row 5 of a 5x4 (2,2) grid lies outside the order-4 square, so its
     # cell has no big cell.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -72,26 +73,116 @@ def test_alpha_big_cell_clause():
 
 
 def test_alpha_matches_exhaustive_reference():
+    # Sampled cells of (2,2) embeddings in both flavors, and sampled cells
+    # and every cell of (1,4) embeddings in the latin flavor, where alpha is
+    # a row-column matching.  The reference tries sets of sigma's candidate
+    # cells by size; a set holding an independent k-set holds one of every
+    # smaller size, so it stops at the first size with none.
     rng = random.Random(31)
+    cases = []
     for _ in range(40):
         grid = gen_random_valid_rectangle(2, 2, rng.randint(1, 3), rng.randint(1, 3),
                                           rng.randint(0, 999))
         square = embed_in_square(grid)
         empties = square.empty_cells()
         cells = rng.sample(empties, min(len(empties), 6))
-        lists = list_assignment(square)
+        cases += [(square, cells, "sudoku"), (square, cells, "latin")]
+    every = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+    for _ in range(20):
+        grid = gen_random_valid_rectangle(1, 4, rng.randint(1, 3), rng.randint(1, 3),
+                                          rng.randint(0, 999))
+        square = embed_in_square(grid)
+        cases += [(square, rng.sample(every, 8), "latin"), (square, every, "latin")]
+    for square, cells, flavor in cases:
+        lists = list_assignment(square, flavor)
+        p, q = square.geometry.p, square.geometry.q
+
+        def independent(combo):
+            units = [{r for r, _ in combo}, {c for _, c in combo}]
+            if flavor == "sudoku":
+                units.append({((r - 1) // p, (c - 1) // q) for r, c in combo})
+            return all(len(unit) == len(combo) for unit in units)
+
         for sigma in range(1, 5):
+            cand = [cell for cell in cells if sigma in lists[cell]]
             best = 0
-            for k in range(len(cells) + 1):
-                for combo in itertools.combinations(cells, k):
-                    if any(sigma not in lists[c] for c in combo):
+            for k in range(1, len(cand) + 1):
+                if not any(map(independent, itertools.combinations(cand, k))):
+                    break
+                best = k
+            assert alpha_cells(square, sigma, cells, flavor=flavor) == best
+
+
+def test_lists_match_scan_reference():
+    # Each empty cell lists the symbols absent from its row, its column and
+    # the flavor's unit, read straight from the cells.  The parts are the
+    # broken diagonals, which cross every big cell.
+    rng = random.Random(3)
+    partition = [[(r + c) % 4 + 1 for c in range(4)] for r in range(4)]
+    boxes = [[r // 2 * 2 + c // 2 for c in range(4)] for r in range(4)]
+    for _ in range(10):
+        square = embed_in_square(gen_random_valid_rectangle(2, 2, rng.randint(1, 4),
+                                                            rng.randint(1, 4), rng.randint(0, 999)))
+        gerechte = grid_from_rows(2, 2, [list(row) for row in square.cells], partition=partition)
+        for grid, flavor, units in ((square, "latin", None), (square, "sudoku", boxes),
+                                    (gerechte, "gerechte", partition)):
+            lists = list_assignment(grid, flavor)
+            for r in range(1, 5):
+                for c in range(1, 5):
+                    if grid.at(r, c) is not None:
+                        assert lists[(r, c)] == {grid.at(r, c)}
                         continue
-                    rows = {r for r, _ in combo}
-                    cols = {c for _, c in combo}
-                    boxes = {((r - 1) // 2, (c - 1) // 2) for r, c in combo}
-                    if len(rows) == len(combo) == len(cols) == len(boxes):
-                        best = max(best, k)
-            assert alpha_cells(square, sigma, cells) == best
+                    seen = grid.row_symbols(r) | {grid.at(i, c) for i in range(1, 5)}
+                    if units is not None:
+                        seen |= {grid.at(i, j) for i in range(1, 5) for j in range(1, 5)
+                                 if units[i - 1][j - 1] == units[r - 1][c - 1]}
+                    assert lists[(r, c)] == set(range(1, 5)) - seen
+
+
+def test_latin_hall_inequality_has_no_gate():
+    # 36 cells each list every symbol: the latin alpha is a matching at any
+    # size, while the sudoku flavor's exact search refuses past its gate.
+    grid = empty_grid(2, 3)
+    cells = [(r, c) for r in range(1, 7) for c in range(1, 7)]
+    assert hall_inequality(grid, cells, flavor="latin") == (36, 36, True)
+    assert whole_square_inequality(grid, flavor="latin") == (36, 36, True)
+    with pytest.raises(ValueError, match="gate"):
+        alpha_cells(grid, 1, cells, flavor="sudoku")
+    with pytest.raises(ValueError, match="gate"):
+        hall_inequality(grid, cells, flavor="sudoku")
+    with pytest.raises(ValueError, match="gate"):
+        whole_square_inequality(grid, flavor="sudoku")
+
+
+def test_whole_square_is_hall_inequality_over_every_cell():
+    # (2,3) squares give the latin flavor symbols with more than 30
+    # candidate cells; the sudoku flavor refuses those in both calls alike.
+    rng = random.Random(14)
+    answered = 0
+    for p, q in ((2, 2), (1, 4), (2, 3)):
+        n = p * q
+        every = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+        for _ in range(6):
+            square = embed_in_square(gen_random_valid_rectangle(
+                p, q, rng.randint(1, n - 1), rng.randint(1, n - 1), rng.randint(0, 999)))
+            for flavor in ("latin", "sudoku"):
+                try:
+                    whole = whole_square_inequality(square, flavor)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        hall_inequality(square, every, flavor)
+                    continue
+                assert hall_inequality(square, every, flavor) == whole
+                answered += 1
+    assert answered > 30
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (5, 1), (1, -1)])
+def test_cells_outside_the_grid_are_refused(cell):
+    with pytest.raises(ValueError, match=re.escape(str(cell))):
+        alpha_cells(empty_grid(2, 2), 1, [cell])
+    with pytest.raises(ValueError, match=re.escape(str(cell))):
+        hall_inequality(empty_grid(2, 2), [(1, 1), cell])
 
 
 def test_hall_inequality_blocked_pair():
@@ -211,20 +302,6 @@ def test_graph_condition_path():
     report = hall_condition_graph(["a", "b", "c"], [("a", "b"), ("b", "c")],
                                   {v: {1, 2} for v in "abc"})
     assert report.holds
-
-
-def test_latin_alpha_matching_equals_search():
-    rng = random.Random(77)
-    for _ in range(20):
-        grid = gen_random_valid_rectangle(1, 4, rng.randint(1, 3), rng.randint(1, 3),
-                                          rng.randint(0, 999))
-        square = embed_in_square(grid)
-        lists = list_assignment(square, "latin")
-        cells = sorted(lists)
-        for sigma in range(1, 5):
-            from sudoku_ryser.hall import _alpha_latin_matching
-            assert (_alpha_latin_matching(square, sigma, lists)
-                    == alpha_cells(square, sigma, cells, flavor="latin"))
 
 
 def test_whole_square_stable_under_legal_fill():
