@@ -72,45 +72,56 @@ def test_alpha_big_cell_clause():
     assert alpha_cells(grid, 1, [(1, 1), (2, 2)], flavor="latin") == 2
 
 
+def _alpha_reference(square, sigma, cells, flavor):
+    # Tries sets of sigma's candidate cells by size; a set holding an
+    # independent k-set holds one of every smaller size, so it stops at the
+    # first size with none.
+    lists = list_assignment(square, flavor)
+    p, q = square.geometry.p, square.geometry.q
+
+    def independent(combo):
+        units = [{r for r, _ in combo}, {c for _, c in combo}]
+        if flavor == "sudoku":
+            units.append({((r - 1) // p, (c - 1) // q) for r, c in combo})
+        return all(len(unit) == len(combo) for unit in units)
+
+    cand = [cell for cell in cells if sigma in lists[cell]]
+    best = 0
+    for k in range(1, len(cand) + 1):
+        if not any(map(independent, itertools.combinations(cand, k))):
+            break
+        best = k
+    return best
+
+
 def test_alpha_matches_exhaustive_reference():
-    # Sampled cells of (2,2) embeddings in both flavors, and sampled cells
-    # and every cell of (1,4) embeddings in the latin flavor, where alpha is
-    # a row-column matching.  The reference tries sets of sigma's candidate
-    # cells by size; a set holding an independent k-set holds one of every
-    # smaller size, so it stops at the first size with none.
+    # Sampled cells of (2,2) embeddings in both flavors.
     rng = random.Random(31)
-    cases = []
     for _ in range(40):
         grid = gen_random_valid_rectangle(2, 2, rng.randint(1, 3), rng.randint(1, 3),
                                           rng.randint(0, 999))
         square = embed_in_square(grid)
         empties = square.empty_cells()
         cells = rng.sample(empties, min(len(empties), 6))
-        cases += [(square, cells, "sudoku"), (square, cells, "latin")]
+        for flavor in ("sudoku", "latin"):
+            for sigma in range(1, 5):
+                assert (alpha_cells(square, sigma, cells, flavor=flavor)
+                        == _alpha_reference(square, sigma, cells, flavor))
+
+
+def test_latin_alpha_matching_equals_search():
+    # The latin alpha is a row-column matching; on sampled cells and on
+    # every cell of (1,4) embeddings it equals the exhaustive search.
+    rng = random.Random(77)
     every = [(r, c) for r in range(1, 5) for c in range(1, 5)]
     for _ in range(20):
         grid = gen_random_valid_rectangle(1, 4, rng.randint(1, 3), rng.randint(1, 3),
                                           rng.randint(0, 999))
         square = embed_in_square(grid)
-        cases += [(square, rng.sample(every, 8), "latin"), (square, every, "latin")]
-    for square, cells, flavor in cases:
-        lists = list_assignment(square, flavor)
-        p, q = square.geometry.p, square.geometry.q
-
-        def independent(combo):
-            units = [{r for r, _ in combo}, {c for _, c in combo}]
-            if flavor == "sudoku":
-                units.append({((r - 1) // p, (c - 1) // q) for r, c in combo})
-            return all(len(unit) == len(combo) for unit in units)
-
-        for sigma in range(1, 5):
-            cand = [cell for cell in cells if sigma in lists[cell]]
-            best = 0
-            for k in range(1, len(cand) + 1):
-                if not any(map(independent, itertools.combinations(cand, k))):
-                    break
-                best = k
-            assert alpha_cells(square, sigma, cells, flavor=flavor) == best
+        for cells in (rng.sample(every, 8), every):
+            for sigma in range(1, 5):
+                assert (alpha_cells(square, sigma, cells, flavor="latin")
+                        == _alpha_reference(square, sigma, cells, "latin"))
 
 
 def test_lists_match_scan_reference():
