@@ -1,8 +1,9 @@
 """Bipartite multigraphs: equitable edge-coloring, matching, Hall certificates.
 
-Every matching grows by one augmenting-path search, _augment_from.  When
-no augmenting path is left, the left vertices reachable by alternating
-paths from a short one form a Hall violator.
+Every matching grows by one augmenting-path search, _augment_from, on
+adjacency lists.  Hall violators are found and rechecked on the same
+lists: _violator extracts one from a maximum matching (capacitated_matching
+from its failed search), and _is_violator is the one recheck.
 
 Every equitable edge-coloring comes from one kernel, _color_cells.  It
 takes the edges as cells, one list of right vertices per left vertex,
@@ -261,15 +262,12 @@ def _augment_each_free(adj: list[list[int]], owner: list[int],
     return Matching(tuple((u, w) for u, got in enumerate(held) for w in got))
 
 
-def _violator_from_matching(g: BipartiteMultigraph, m: Matching) -> HallViolator:
-    """Certificate extraction: left vertices reachable by alternating paths
-    from unmatched left vertices form a deficient set.  For a maximum m
-    this set is the same whichever maximum matching m is."""
-    owner = [-1] * g.right_count
-    for u, w in m.pairs:
-        owner[w] = u
-    adj = _left_adjacency(g)
-    reach_l = set(range(g.left_count)).difference(u for u, _ in m.pairs)
+def _violator(adj: list[list[int]], owner: list[int]) -> HallViolator:
+    """Certificate extraction: the left vertices reachable by alternating
+    paths from those that owner (each right vertex's left vertex, or -1)
+    leaves unmatched form a deficient set.  For a maximum matching this set
+    is the same whichever maximum matching owner holds."""
+    reach_l = set(range(len(adj))).difference(owner)
     reach_r: set[int] = set()
     todo = list(reach_l)
     while todo:
@@ -285,10 +283,10 @@ def _violator_from_matching(g: BipartiteMultigraph, m: Matching) -> HallViolator
 
 def saturating_matching(g: BipartiteMultigraph) -> Union[Matching, HallViolator]:
     """A matching covering every left vertex, or a deficiency certificate."""
-    m = max_matching(g)
-    if len(m.pairs) == g.left_count:
-        return m
-    return _violator_from_matching(g, m)
+    adj = _left_adjacency(g)
+    owner, held = _greedy(adj, 1, g.right_count)
+    m = _augment_each_free(adj, owner, held)
+    return m if len(m.pairs) == g.left_count else _violator(adj, owner)
 
 
 def capacitated_matching(adj: list[list[int]], capacity: int,
@@ -380,11 +378,18 @@ def _augment_from(root: int, adj: list[list[int]], owner: list[int],
     return seen_left
 
 
-def verify_violator(g: BipartiteMultigraph, v: HallViolator) -> bool:
-    """Recompute the neighborhood of the claimed subset and check deficiency.
+def _is_violator(adj: list[list[int]], v: object) -> bool:
+    """Whether v is a HallViolator of the graph whose left vertex u has the
+    right neighbors adj[u]: its left subset is a set of left vertices (int
+    indices into adj), its neighborhood is theirs, and it is smaller."""
+    if not (isinstance(v, HallViolator) and isinstance(v.left_subset, (set, frozenset))
+            and all(type(u) is int and 0 <= u < len(adj) for u in v.left_subset)):
+        return False
+    hood = set().union(*(adj[u] for u in v.left_subset))
+    return hood == v.neighborhood and len(hood) < len(v.left_subset)
 
-    One pass over the edges; a claimed vertex the graph does not have
-    contributes no neighbors.
-    """
-    hood = {w for u, w in g.edges if u in v.left_subset}
-    return hood == set(v.neighborhood) and len(hood) < len(v.left_subset)
+
+def verify_violator(g: BipartiteMultigraph, v: HallViolator) -> bool:
+    """Recheck v on g's adjacency lists (_is_violator): a claimed vertex the
+    graph does not have refuses the claim."""
+    return _is_violator(_left_adjacency(g), v)

@@ -62,8 +62,18 @@ def _is_corner_rectangle(grid: PartialGrid) -> Optional[PartialGrid]:
     return PartialGrid(grid.geometry, rows, cols, cells, grid.flavor, None)
 
 
+def _invalid(grid: PartialGrid) -> bool:
+    """Whether the grid fails validation; its first violation goes to stderr."""
+    for v in validate_partial(grid).violations[:1]:
+        print(f"invalid: {v.kind} {v.coordinates} symbol {v.symbol}", file=sys.stderr)
+        return True
+    return False
+
+
 def _brute_force(grid: PartialGrid, node_limit: int) -> int:
     """Complete the grid by exhaustive search and report the outcome."""
+    if _invalid(grid):
+        return EXIT_FAIL
     result = fixtures.brute_force_complete(grid, node_limit=node_limit)
     if result.outcome == "found":
         sys.stdout.write(serialize_grid(result.square))
@@ -111,8 +121,7 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("ryser check needs a corner rectangle", file=sys.stderr)
             return EXIT_USAGE
-        if not validate_partial(replace(rectangle, flavor="latin", partition=None)).ok:
-            print("invalid: the corner rectangle is not latin", file=sys.stderr)
+        if _invalid(replace(rectangle, flavor="latin", partition=None)):
             return EXIT_FAIL
         report = hall.ryser_counts(rectangle, grid.n)
         for k in sorted(report.counts):
@@ -139,6 +148,8 @@ def _cmd_check(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         grid = embed_in_square(grid)
+    if _invalid(replace(grid, flavor=hall._flavor_of(grid, args.flavor))):
+        return EXIT_FAIL
     report = hall.hall_condition(grid, flavor=args.flavor, gate=args.gate)
     if report.gave_up:
         print(f"gave up: more than {args.gate} empty cells", file=sys.stderr)

@@ -45,7 +45,8 @@ from .bipartite import (
     HallViolator,
     _augment_each_free,
     _greedy,
-    _violator_from_matching,
+    _is_violator,
+    _violator,
     capacitated_matching,
     equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
     extend_matching,  # unused here; the benchmark's tracer rebinds this name
@@ -366,10 +367,15 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
 def _corner_slots(axes: tuple[_Axis, _Axis], must_h: int, must_v: int) -> tuple[list, ...]:
     """The corner big cell's slots and forced symbols, with their adjacency.
 
-    A slot is labelled (side, line, copy), b (a) per leftover row (column),
-    and may take the 0-based symbols absent from its line and the corner,
-    less the other side's musts.  A forced symbol is labelled ("must-h" |
-    "must-v", k) and may take the slots of its side whose line lacks it.
+    A slot is labelled (side, line, copy), b (a) per leftover row (column);
+    on the column axis a is b, so both sides are the rows of their axis.
+    musts lists the symbols forced into the row share, then the column
+    share (must_h, must_v, from _placements); each is hosted by the slots of
+    its side whose line lacks it.  A slot may take the 0-based symbols
+    absent from its line and the corner, less the other side's musts: a
+    forced symbol keeps only its own side's slots, since any completion
+    places it there, so dropping the other side never loses a solution, and
+    it stops augmenting paths from rerouting the symbol across sides.
     """
     slots: list = []
     allowed: list[list[int]] = []
@@ -384,60 +390,35 @@ def _corner_slots(axes: tuple[_Axis, _Axis], must_h: int, must_v: int) -> tuple[
                 slots.append((tag, i, c))
                 allowed.append(hood)
         for k in _bits(own):
-            musts.append(("must-" + tag, k))
+            musts.append(k)
             hosts.append([si for si in range(first, len(slots))
                           if not (ax.lines[slots[si][1]] | ax.corner) >> k & 1])
     return slots, allowed, musts, hosts
 
 
-def _corner_slot_graph(axes: tuple[_Axis, _Axis], must_h: int = 0,
-                       must_v: int = 0) -> BipartiteMultigraph:
-    """Corner big cell slots (row and column replicas) versus symbols.
-
-    must_h and must_v are the masks of the symbols forced into the row and
-    the column share (_placements).
-
-    A symbol whose placement counts force it into the row (column) share
-    keeps only its row-slot (column-slot) edges: any completion places it
-    on that side, so dropping the other side never loses a solution, and it
-    stops augmenting paths from rerouting the symbol across sides.  Each
-    leftover row (column) of the rectangle has b (a) slots; on the column
-    axis a is b, so both sides are the rows of their axis.
-    """
-    slots, allowed, _, _ = _corner_slots(axes, must_h, must_v)
-    return _graph(slots, range(1, axes[0].n + 1), allowed)
-
-
-def _corner_must_graph(axes: tuple[_Axis, _Axis], must_h: int,
-                       must_v: int) -> BipartiteMultigraph:
-    """Forced corner symbols versus the slots that can host them."""
-    slots, _, musts, hosts = _corner_slots(axes, must_h, must_v)
-    return _graph(musts, slots, hosts)
-
-
 def _solve_corner(axes: tuple[_Axis, _Axis], must_h: int, must_v: int):
     """One matching for both corner directions; returns (h_fills, v_fills).
 
-    The forced symbols are matched to their slots first, and that matching
-    seeds the slot matching, both on adjacency lists.  A graph is built
-    only to state a violator: any maximum matching gives the same one.
+    The forced symbols are matched to their hosts first, and that matching
+    seeds the slot matching.  A failure's violator is stated on the lists
+    that failed, hosts (corner-must) or allowed (corner-flow); any maximum
+    matching gives the same one.
     """
     slots, allowed, musts, hosts = _corner_slots(axes, must_h, must_v)
     owner = [-1] * axes[0].n
     held: list[set[int]] = [set() for _ in slots]
     if musts:
-        forced = _augment_each_free(hosts, *_greedy(hosts, 1, len(slots)))
+        host_owner, host_held = _greedy(hosts, 1, len(slots))
+        forced = _augment_each_free(hosts, host_owner, host_held)
         if len(forced.pairs) < len(musts):
-            violator = _violator_from_matching(_corner_must_graph(axes, must_h, must_v), forced)
-            return Obstruction("corner-conflict", violator, kind="corner-must")
+            return Obstruction("corner-conflict", _violator(hosts, host_owner), kind="corner-must")
         for mi, si in forced.pairs:
-            owner[musts[mi][1] - 1] = si
-            held[si].add(musts[mi][1] - 1)
+            owner[musts[mi] - 1] = si
+            held[si].add(musts[mi] - 1)
 
     full = _augment_each_free(allowed, owner, held)
     if len(full.pairs) < len(slots):
-        violator = _violator_from_matching(_corner_slot_graph(axes, must_h, must_v), full)
-        return Obstruction("corner-conflict", violator, kind="corner-flow")
+        return Obstruction("corner-conflict", _violator(allowed, owner), kind="corner-flow")
 
     fills: tuple[dict, dict] = ({}, {})
     for si, w in full.pairs:
@@ -705,7 +686,8 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     empty cell; invalid, a grid within the order whose validation under
     complete()'s rules (_as_built) fails with the report given as detail.
     Any other holds only on a grid that passes those checks, and only if it
-    names no symbol outside 1..n.
+    names no symbol outside 1..n and no band without a partially covered big
+    cell; a corner kind needs a corner big cell.  None raises.
     """
     oversized = grid.rows > grid.n or grid.cols > grid.n
     if ob.stage == "input-invalid":
@@ -719,20 +701,21 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         return False
     if oversized or not grid.is_fully_filled() or not validate_partial(_as_built(grid)).ok:
         return False
-    symbol_ok = isinstance(ob.symbol, int) and 1 <= ob.symbol <= grid.n
+    symbol_ok = type(ob.symbol) is int and 1 <= ob.symbol <= grid.n
     axes = _shape(grid).axes
     for ax in axes:
         if ob.kind == ax.band_kind:
-            return verify_violator(_side_graph(ax, ob.index, True), ob.detail)
+            return (not ax.q_divides and type(ob.index) is int
+                    and 1 <= ob.index < len(ax.band_cells)
+                    and verify_violator(_side_graph(ax, ob.index, True), ob.detail))
         if ob.kind == ax.coverage_kind:
             return symbol_ok and verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
     musts = [_placements(ax)[1] for ax in axes]
     if ob.kind == "corner-double-must":
         return symbol_ok and all(must >> ob.symbol & 1 for must in musts)
-    if ob.kind in ("corner-must", "corner-flow"):
-        must_h, must_v = musts
-        build = _corner_must_graph if ob.kind == "corner-must" else _corner_slot_graph
-        return verify_violator(build(axes, must_h, must_v), ob.detail)
+    if ob.kind in ("corner-must", "corner-flow") and axes[0].corner:
+        _, allowed, _, hosts = _corner_slots(axes, *musts)
+        return _is_violator(hosts if ob.kind == "corner-must" else allowed, ob.detail)
     if ob.kind == "ryser":
         ryser = ryser_counts(grid, grid.n)
         return symbol_ok and ryser.counts[ob.symbol] < ryser.bound

@@ -160,9 +160,28 @@ def test_violator_does_not_depend_on_the_maximum_matching():
         assert len(greedy.pairs) == len(kuhn.pairs)
         if len(greedy.pairs) < g.left_count:
             differ += greedy != kuhn
-            assert (bipartite._violator_from_matching(g, greedy)
-                    == bipartite._violator_from_matching(g, kuhn))
+            adj = bipartite._left_adjacency(g)
+            violators = []
+            for m in (greedy, kuhn):
+                owner = [-1] * g.right_count
+                for u, w in m.pairs:
+                    owner[w] = u
+                violators.append(bipartite._violator(adj, owner))
+            assert violators[0] == violators[1]
+            assert verify_violator(g, violators[0])
     assert differ > 20, differ
+
+
+def test_verify_violator_refuses_vertices_the_graph_does_not_have():
+    # A claimed left vertex outside 0 .. left_count - 1, or one that is not
+    # an int, would pad the subset past its neighborhood's size.
+    g = BipartiteMultigraph((0, 1), (0, 1), ((0, 0), (1, 1)))
+    assert verify_violator(g, HallViolator(frozenset({0, 1}), frozenset({0, 1}))) is False
+    for extra in (99, 2, -1, True, 1.0, "1", None):
+        assert not verify_violator(g, HallViolator(frozenset({0, extra}), frozenset({0})))
+    assert not verify_violator(g, HallViolator([0, 0], frozenset({0})))
+    assert not verify_violator(g, HallViolator(3, frozenset()))
+    assert not verify_violator(g, 3)
 
 
 def test_extend_matching_preserves_right_saturation():

@@ -143,6 +143,29 @@ def test_check_hall(tmp_path, capsys):
     assert "fails" in out and "(1,3)" in out
 
 
+INVALID_GRIDS = {
+    # Fully filled (2,2) square whose last row repeats symbol 2.
+    "filled": "sudoku v1\n2 2 4 4\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 2\n",
+    # Row 1 repeats symbol 1 over three empty rows: not a corner rectangle.
+    "sparse": "sudoku v1\n2 2 4 4\n1 . . 1\n. . . .\n. . . .\n. . . .\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_GRIDS))
+@pytest.mark.parametrize("argv", [["check", "--hall"], ["complete"],
+                                  ["complete", "--method", "brute"]])
+def test_invalid_input_exits_1_on_every_path(tmp_path, capsys, name, argv):
+    # Invalid input is a verdict (exit 1), reported as such, on the Hall
+    # check and the oracle paths too: not "holds", not a subset witness and
+    # not a usage error.
+    path = tmp_path / f"{name}.grid"
+    path.write_text(INVALID_GRIDS[name])
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid" in captured.err and "error" not in captured.err
+
+
 def test_check_hall_gate(tmp_path, capsys):
     path = tmp_path / "empty.grid"
     path.write_text(serialize_grid(grid_from_rows(2, 3, [[0] * 6] * 6)))

@@ -838,6 +838,33 @@ def test_complete_sets_up_once_and_builds_no_graph_on_success(monkeypatch):
         assert counts == {"_Shape": 1, "PartialGrid": 2, "BipartiteMultigraph": 0}
 
 
+def test_corner_failures_build_no_graph(monkeypatch):
+    # corner-must and corner-flow state their violators on the corner's
+    # adjacency lists, so a complete() that ends in either builds no graph
+    # object.  Draws cycle through the corner-kind test's shapes, with no
+    # side a multiple of its box side, until both kinds have turned up.
+    rng = random.Random(23)
+    shapes = [(3, 3), (2, 4), (3, 4), (4, 3)]
+    counts = count_constructions(monkeypatch)
+    seen = set()
+    draws = 0
+    while seen != {"corner-must", "corner-flow"}:
+        assert draws < 4_000, f"only {sorted(seen)} after {draws} draws"
+        p, q = shapes[draws % len(shapes)]
+        draws += 1
+        n = p * q
+        r = rng.choice([side for side in range(1, n) if side % p])
+        s = rng.choice([side for side in range(1, n) if side % q])
+        grid = gen_random_valid_rectangle(p, q, r, s, rng.randrange(10 ** 9))
+        counts["BipartiteMultigraph"] = 0
+        verdict = complete(grid)
+        if verdict.completable or verdict.certificate.kind not in ("corner-must", "corner-flow"):
+            continue
+        assert counts["BipartiteMultigraph"] == 0, verdict.certificate
+        assert verify_obstruction(grid, verdict.certificate)
+        seen.add(verdict.certificate.kind)
+
+
 def reference_lists(grid) -> dict:
     """Every allowed list the planning stage reads, straight from the cells
     with Python sets: per axis (0 rows, 1 columns), each band's allowed
@@ -1010,6 +1037,80 @@ def test_tampered_obstructions_fail_verification():
     violator = HallViolator(frozenset({0}), frozenset({0, 1}))
     bogus = Obstruction("corner-conflict", violator, kind="corner-flow")
     assert not verify_obstruction(grid_from_rows(2, 2, [[1, 2, 3]]), bogus)
+
+
+MALFORMED_CASES = (  # (p, q, rows): one real obstruction of each kind, stated on index or symbol 1
+    (3, 3, [[6, 4, 2, 5, 3], [3, 8, 7, 1, 9], [1, 5, 9, 7, 8], [9, 7, 5, 2, 4],
+            [2, 3, 4, 6, 5], [8, 6, 1, 3, 7], [4, 9, 3, 8, 1]]),
+    (3, 3, [[4, 5, 2, 9, 7, 6, 8, 1], [7, 3, 1, 8, 4, 5, 9, 6], [6, 9, 8, 3, 2, 1, 7, 5],
+            [3, 6, 4, 7, 5, 9, 2, 8], [9, 7, 5, 1, 8, 4, 6, 3]]),
+    (3, 2, [[1, 5, 4, 2], [3, 2, 1, 6], [6, 4, 5, 3], [2, 6, 3, 4], [4, 3, 6, 5]]),
+    (2, 3, [[6, 3], [5, 2], [2, 6], [3, 5]]),
+    (2, 3, [[3, 1, 6, 2], [2, 5, 4, 3], [1, 3, 5, 6], [6, 4, 2, 5], [5, 6, 3, 4]]),
+    (2, 4, [[5, 2, 8], [3, 1, 7], [7, 3, 4], [6, 8, 2], [2, 7, 3]]),
+    (2, 4, [[2, 1, 6, 7, 8, 3], [3, 8, 5, 4, 2, 6], [6, 4, 7, 5, 3, 8], [1, 3, 8, 2, 5, 7],
+            [8, 5, 2, 3, 4, 1]]),
+    (1, 3, [[2, 3], [3, 2]]),
+)
+
+
+def test_malformed_obstructions_are_refused_without_raising():
+    # Each real obstruction re-verifies; with one field made malformed it
+    # must be refused, and never raise: a detail that is no violator, a
+    # bool for the symbol or index 1, and a band index outside the axis'
+    # bands with a partially covered big line.
+    kinds = []
+    for p, q, rows in MALFORMED_CASES:
+        grid = grid_from_rows(p, q, rows)
+        ob = complete(grid).certificate
+        assert verify_obstruction(grid, ob), ob
+        kinds.append(ob.kind)
+        bad = []
+        if isinstance(ob.detail, HallViolator):  # corner-double-must and ryser read none
+            bad.append(dataclasses.replace(ob, detail=3))
+        if ob.symbol is not None:
+            assert ob.symbol == 1
+            bad.append(dataclasses.replace(ob, symbol=True))
+        if ob.index is not None:
+            assert ob.index == 1
+            axis = completion._shape(grid).axes[ob.kind == "bottom-beta"]
+            bad += [dataclasses.replace(ob, index=index)
+                    for index in (99, 0, -1, None, True, 1.0, "1", len(axis.band_cells))]
+        for tampered in bad:
+            assert verify_obstruction(grid, tampered) is False, tampered
+    assert kinds == ["side-alpha", "bottom-beta", "row-coverage", "col-coverage",
+                     "corner-double-must", "corner-must", "corner-flow", "ryser"]
+
+    # When q divides s (p divides r) there is no partially covered big
+    # column (row), so no side (bottom) graph to state a violator on.
+    aligned = grid_from_rows(2, 2, [[1, 2], [3, 4]])
+    for kind in ("side-alpha", "bottom-beta"):
+        for index in (1, 2):
+            ob = Obstruction("side-matching", HallViolator(frozenset({0}), frozenset()),
+                             kind=kind, index=index)
+            assert verify_obstruction(aligned, ob) is False
+
+
+def test_forged_violators_on_completable_grids_are_refused():
+    # A side-alpha violator padded with vertices the side graph does not
+    # have: vertex 0 and its neighbors, plus made-up vertices 10**6 ...
+    grid = grid_from_rows(2, 3, [[5], [1], [6], [4], [3]])
+    assert complete(grid).completable
+    graph = side_graph(grid, 1)
+    hood = frozenset(w for u, w in graph.edges if u == 0)
+    padded = HallViolator(frozenset({0, *range(10 ** 6, 10 ** 6 + len(hood))}), hood)
+    assert not verify_obstruction(grid, Obstruction("side-matching", padded,
+                                                    kind="side-alpha", index=1))
+    # A corner violator on a grid with no corner big cell: p divides r, so
+    # the column slots of its leftover column are all that _corner_slots
+    # lists, and they may take no symbol.
+    full = grid_from_rows(2, 2, [[1, 2, 3], [3, 4, 1], [2, 1, 4], [4, 3, 2]])
+    assert complete(full).completable
+    for kind in ("corner-must", "corner-flow"):
+        for left in ({0}, {0, 1}):
+            ob = Obstruction("corner-conflict", HallViolator(frozenset(left), frozenset()),
+                             kind=kind)
+            assert not verify_obstruction(full, ob)
 
 
 def test_decide_matches_oracle_on_small_sweep():
