@@ -28,7 +28,7 @@ Axis convention: every construction that has a row and a column version is
 written once, for rows, on an _Axis.  The column axis' lines, bands and
 partially covered big column are the rectangle's columns, stacks and
 partially covered big row, read from the same cells, so the column side
-(bottom graphs, column coverage and distribution) is the row side run on
+(bottom replicas, column coverage and distribution) is the row side run on
 it.  Only the corner big cell is solved jointly, on both axes.  An axis
 holds every line set as an int bit mask (bit k is symbol k).  One
 complete() builds both axes once, in one pass over the cells (_shape):
@@ -50,8 +50,7 @@ from .bipartite import (
     capacitated_matching,
     equitable_edge_coloring,  # unused here; the benchmark's tracer rebinds this name
     extend_matching,  # unused here; the benchmark's tracer rebinds this name
-    saturating_matching,
-    verify_violator,
+    saturating_matching,  # unused here; the benchmark's tracer rebinds this name
 )
 from .grid import (
     PartialGrid,
@@ -141,11 +140,10 @@ class _Axis:
     lines: list[int]  # each line's symbols, 1-based (lines[0] is 0)
     band_cells: list[int]  # each band's partially covered big cell, 1-based
     corner: int  # the doubly covered corner big cell, 0 when there is none
-    line: str  # left label of replica and coverage graphs
-    cross: str  # right label of the empty big lines in coverage graphs
+    line: str  # left label of replica graphs
     stage: str  # Obstruction stage of this axis' matchings
-    band_kind: str  # Obstruction kind when a side (bottom) graph does not saturate
-    coverage_kind: str  # Obstruction kind when a coverage graph does not saturate
+    band_kind: str  # Obstruction kind when a band's replica lists do not saturate
+    coverage_kind: str  # Obstruction kind when a symbol's leftover rows outnumber its slots
 
 
 @dataclass
@@ -156,8 +154,8 @@ class _Shape:
     axes: tuple[_Axis, _Axis]  # row axis, then column axis: the order every stage checks
 
 
-_ROW_NAMES = ("row", "bigcol", "side-matching", "side-alpha", "row-coverage")
-_COL_NAMES = ("col", "bigrow", "bottom-matching", "bottom-beta", "col-coverage")
+_ROW_NAMES = ("row", "side-matching", "side-alpha", "row-coverage")
+_COL_NAMES = ("col", "bottom-matching", "bottom-beta", "col-coverage")
 
 
 def _mask(symbols: Iterable[Optional[int]]) -> int:
@@ -211,12 +209,6 @@ def _made_for(grid: PartialGrid, shape: Optional[_Shape]) -> _Shape:
     return shape if shape is not None and shape.grid is grid else _shape(grid)
 
 
-def _graph(left, right, adj: list[list[int]]) -> BipartiteMultigraph:
-    """The graph joining left vertex u to each right vertex in adj[u]."""
-    return BipartiteMultigraph(tuple(left), tuple(right),
-                               tuple((u, w) for u, hood in enumerate(adj) for w in hood))
-
-
 def _band_rows(ax: _Axis, alpha: int) -> range:
     """Rows of band alpha that lie inside the rectangle."""
     return range((alpha - 1) * ax.p + 1, min(alpha * ax.p, ax.r) + 1)
@@ -234,12 +226,17 @@ def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
     return [_bits((free & ~ax.lines[i]) >> 1) for i in _band_rows(ax, alpha)]
 
 
+def _replicas(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
+    """Band alpha's rows, b copies each, with the symbols they may take:
+    replica pos * b + c is copy c of the band's row at position pos."""
+    return [hood for hood in _band_allowed(ax, alpha, strengthen) for _ in range(ax.b)]
+
+
 def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
-    """Band alpha's rows, b copies each, against the symbols they may take."""
-    b = ax.b
-    left = ((ax.line, i, c) for i in _band_rows(ax, alpha) for c in range(1, b + 1))
-    adj = [hood for hood in _band_allowed(ax, alpha, strengthen) for _ in range(b)]
-    return _graph(left, range(1, ax.n + 1), adj)
+    """The replica lists as a graph, for side_graph and bottom_graph."""
+    left = tuple((ax.line, i, c) for i in _band_rows(ax, alpha) for c in range(1, ax.b + 1))
+    edges = tuple((u, w) for u, hood in enumerate(_replicas(ax, alpha, strengthen)) for w in hood)
+    return BipartiteMultigraph(left, tuple(range(1, ax.n + 1)), edges)
 
 
 def _match_band(ax: _Axis, alpha: int,
@@ -248,8 +245,7 @@ def _match_band(ax: _Axis, alpha: int,
     symbol at most once in the band, keyed by row.
 
     The capacitated matcher works on one vertex per row; its violator is
-    stated on _side_graph, whose replica pos * b + c is copy c of the
-    band's row at position pos.
+    stated on the replica lists (_replicas), in the numbering they share.
     """
     res = capacitated_matching(_band_allowed(ax, alpha, strengthen), ax.b, ax.n)
     if isinstance(res, HallViolator):
@@ -275,28 +271,24 @@ def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> Bi
     return _side_graph(_shape(grid).axes[1], beta, strengthen)
 
 
-def _coverage_graph(ax: _Axis, symbol: int) -> BipartiteMultigraph:
+def _coverage(ax: _Axis, symbol: int) -> tuple[list[int], range]:
     """Placement options for one symbol across the leftover rows.
 
-    Left vertices are the rows below the box-aligned part that miss the
-    symbol; right vertices are the empty big columns plus, when the corner
-    big cell exists and does not already hold the symbol, one corner slot.
-    Every slot is open to every row, so the graph saturates exactly when
-    there are no more rows than slots (see _placements).  A saturating
-    matching is necessary for completability because the symbol must appear
-    in each such row exactly once, at most once per big cell of the
-    leftover band.
+    These are the rows below the box-aligned part that miss the symbol, and
+    its open slots: the empty big columns (0 .. t - 1) and, when the corner
+    big cell exists and does not already hold the symbol, the corner (t).
+    The symbol must appear in each such row exactly once, at most once per
+    big cell of the leftover band, and every slot is open to every row, so
+    with more rows than slots all of them, each listing every slot, are a
+    Hall violator (see _placements).
     """
-    right: list = [(ax.cross, J) for J in ax.targets]
-    if not ax.q_divides and not ax.corner >> symbol & 1:
-        right.append(("corner",))
-    left = [(ax.line, i) for i in range(ax.r_star + 1, ax.r + 1) if not ax.lines[i] >> symbol & 1]
-    return _graph(left, right, [range(len(right))] * len(left))
+    slots = range(len(ax.targets) + (not ax.q_divides and not ax.corner >> symbol & 1))
+    return [i for i in range(ax.r_star + 1, ax.r + 1) if not ax.lines[i] >> symbol & 1], slots
 
 
 def _placements(ax: _Axis) -> tuple[int, int]:
-    """Masks of the symbols whose leftover rows outnumber their slots in the
-    coverage graph, and of the others whose leftover rows need every slot,
+    """Masks of the symbols whose leftover rows outnumber their slots
+    (_coverage), and of the others whose leftover rows need every slot,
     the corner included: the symbols the corner must take on this side."""
     every, t = (2 << ax.n) - 2, len(ax.targets)
     least = [every] + [0] * (t + 2)  # least[c]: symbols at least c leftover rows miss
@@ -317,10 +309,10 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     horizontal and a vertical share; those are found together as one
     replica matching so a symbol is never claimed twice, and symbols that
     every placement count forces into the corner are matched first.  The
-    placement counts come from the sizes of each symbol's coverage graph,
-    which is built only to certify a failure.  Both axes are built once,
-    with their line sets, and read by every graph; the plan hands them on
-    to distribute_free.
+    placement counts compare each symbol's leftover rows with its open
+    slots (_coverage), and a failing count is its own violator.  Both axes
+    are built once, with their line sets, and read by every stage; the plan
+    hands them on to distribute_free.
     """
     if grid.geometry.p == 1 or grid.geometry.q == 1:
         raise ValueError("medium-cell planning needs p >= 2 and q >= 2")
@@ -344,7 +336,8 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         over, must = _placements(ax)
         if over:
             k = (over & -over).bit_length() - 1
-            res = saturating_matching(_coverage_graph(ax, k))
+            rows, slots = _coverage(ax, k)
+            res = HallViolator(frozenset(range(len(rows))), frozenset(slots))
             return Obstruction(ax.stage, res, kind=ax.coverage_kind, symbol=k)
         musts.append(must)
 
@@ -707,9 +700,12 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         if ob.kind == ax.band_kind:
             return (not ax.q_divides and type(ob.index) is int
                     and 1 <= ob.index < len(ax.band_cells)
-                    and verify_violator(_side_graph(ax, ob.index, True), ob.detail))
+                    and _is_violator(_replicas(ax, ob.index, True), ob.detail))
         if ob.kind == ax.coverage_kind:
-            return symbol_ok and verify_violator(_coverage_graph(ax, ob.symbol), ob.detail)
+            if not symbol_ok:
+                return False
+            rows, slots = _coverage(ax, ob.symbol)
+            return _is_violator([slots] * len(rows), ob.detail)
     musts = [_placements(ax)[1] for ax in axes]
     if ob.kind == "corner-double-must":
         return symbol_ok and all(must >> ob.symbol & 1 for must in musts)

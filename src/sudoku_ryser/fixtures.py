@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 from .grid import (
     PartialGrid,
@@ -141,6 +141,17 @@ def base_block_matrix(k: int) -> RotatedBlockMatrix:
     return RotatedBlockMatrix(k, rows)
 
 
+def _square_with(p: int, q: int, placed: Iterable[tuple[int, int, int]],
+                 flavor: Optional[str] = None) -> PartialGrid:
+    """The empty square of empty_grid(p, q, flavor=flavor) with each
+    (row, col, symbol) of placed written in, in order, built once."""
+    grid = empty_grid(p, q, flavor=flavor)
+    rows = [list(row) for row in grid.cells]
+    for r, c, v in placed:
+        rows[r - 1][c - 1] = v
+    return replace(grid, cells=tuple(map(tuple, rows)))
+
+
 def gen_evans_small(p: int, q: int) -> PartialGrid:
     """Minimal incompletable partial square with p+q-1 preassigned small cells.
 
@@ -150,12 +161,8 @@ def gen_evans_small(p: int, q: int) -> PartialGrid:
     """
     if p < 2 or q < 2:
         raise ValueError("construction needs p >= 2 and q >= 2")
-    grid = empty_grid(p, q)
-    for j in range(1, q + 1):
-        grid = grid.with_cell(1, j, j)
-    for m in range(2, p + 1):
-        grid = grid.with_cell(m, (m - 1) * q + 1, q + 1)
-    return grid
+    return _square_with(p, q, [(1, j, j) for j in range(1, q + 1)]
+                        + [(m, (m - 1) * q + 1, q + 1) for m in range(2, p + 1)])
 
 
 def gen_evans_big(k: int, i: int) -> PartialGrid:
@@ -168,23 +175,17 @@ def gen_evans_big(k: int, i: int) -> PartialGrid:
     if k < 2 or not (2 <= i <= k):
         raise ValueError("need k >= 2 and 2 <= i <= k")
     m = base_block_matrix(k)
-    grid = empty_grid(k, k)
-
-    def put_block(big_row: int, big_col: int, block: tuple[tuple[int, ...], ...]) -> None:
-        nonlocal grid
-        for dr in range(k):
-            for dc in range(k):
-                grid = grid.with_cell((big_row - 1) * k + dr + 1,
-                                      (big_col - 1) * k + dc + 1,
-                                      block[dr][dc])
-
-    for t in range(1, i):
-        put_block(1, t, m.rotation(t))
-    for t in range(i, k + 1):
+    placed = []
+    for t in range(1, k + 1):
         block = m.rotation(t)
-        transposed = tuple(tuple(block[dc][dr] for dc in range(k)) for dr in range(k))
-        put_block(2 + (t - i), i, transposed)
-    return grid
+        if t < i:
+            top, left = 0, (t - 1) * k
+        else:
+            top, left = (1 + t - i) * k, (i - 1) * k
+            block = tuple(zip(*block))
+        placed += [(top + dr + 1, left + dc + 1, block[dr][dc])
+                   for dr in range(k) for dc in range(k)]
+    return _square_with(k, k, placed)
 
 
 def gen_fig6(n: int, x: int, variant: str) -> PartialGrid:
@@ -198,21 +199,14 @@ def gen_fig6(n: int, x: int, variant: str) -> PartialGrid:
     if variant == "column":
         if not (1 <= x <= n - 1):
             raise ValueError("column variant needs 1 <= x <= n-1")
-        grid = empty_grid(1, n, flavor="latin")
-        for j in range(1, x + 1):
-            grid = grid.with_cell(1, j, j)
-        for t, symbol in enumerate(range(x + 1, n + 1)):
-            grid = grid.with_cell(2 + t, x + 1, symbol)
-        return grid
+        return _square_with(1, n, [(1, j, j) for j in range(1, x + 1)]
+                            + [(2 + t, x + 1, v) for t, v in enumerate(range(x + 1, n + 1))],
+                            "latin")
     if variant == "diagonal":
         if not (2 <= x <= n):
             raise ValueError("diagonal variant needs 2 <= x <= n")
-        grid = empty_grid(1, n, flavor="latin")
-        for j in range(1, x):
-            grid = grid.with_cell(1, j, j)
-        for t in range(n - x + 1):
-            grid = grid.with_cell(2 + t, x + t, x)
-        return grid
+        return _square_with(1, n, [(1, j, j) for j in range(1, x)]
+                            + [(2 + t, x + t, x) for t in range(n - x + 1)], "latin")
     raise ValueError(f"unknown variant {variant!r}")
 
 

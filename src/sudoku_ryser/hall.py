@@ -8,8 +8,10 @@ Condition asks this for every subset.
 
 Lists and conflicts both come from the constraint keys (_cell_model): an
 empty cell lists the symbols none of its keys holds, and two cells conflict
-when they share a key.  So on a grid Hall's Condition is the
-list-assigned-graph condition for the conflict graph (Hilton and Johnson).
+when they share a key, each cell's conflicts one bit mask.  So on a grid
+Hall's Condition is the list-assigned-graph condition for the conflict graph
+(Hilton and Johnson), and hall_condition hands its masks to the same subset
+walk (_hall_walk) that hall_condition_graph runs on masks of its edges.
 
 One alpha (_alpha) serves alpha_cells, hall_inequality and
 whole_square_inequality: in the latin flavor the row-column matching number
@@ -17,19 +19,19 @@ of sigma's candidate cells, at any size; in the sudoku and gerechte flavors
 the exact, worst-case exponential independence search.  These owe their
 caller a number, so past _GATE candidate cells they raise ValueError.
 hall_condition and hall_condition_graph report gave_up past their gate on
-the number of cells, before any work: the condition spans 2**e subsets, and
+the number of cells, before any subset: the condition spans 2**e subsets, and
 declining by size is an answer the CLI reports (exit 3).  Below the gate
 the check is exact, certifying whole subtrees by one bound.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, combinations, groupby, product
+from dataclasses import dataclass, replace
+from itertools import chain, groupby, product
 from typing import Iterable, Optional
 
 from .bipartite import _augment_each_free, _greedy
-from .grid import FLAVORS, PartialGrid, _constraint_keys
+from .grid import FLAVORS, PartialGrid, _constraint_keys, validate_partial
 
 Cell = tuple[int, int]
 # Most candidate cells of one symbol the exact alpha search takes on.
@@ -62,12 +64,12 @@ def _flavor_of(grid: PartialGrid, flavor: Optional[str]) -> str:
 
 
 def _cell_model(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
-    """The distinct cells in order, their lists and their conflict groups.
+    """The distinct cells in order, their lists and their conflict masks.
 
     One pass over the filled cells gives each constraint key the mask of the
     symbols it holds.  A filled cell lists its own symbol, an empty one the
-    symbols that none of its keys holds.  Each group is the positions of the
-    cells that share one key, so every conflict lies within some group.
+    symbols that none of its keys holds.  Cell i's conflict mask has bit j
+    set when cell j is another cell sharing one of its keys.
     """
     cells = sorted(set(cells))
     for r, c in cells:
@@ -89,7 +91,12 @@ def _cell_model(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
         v = grid.at(r, c)
         lists.append(frozenset(k for k in symbols if not taken >> k & 1)
                      if v is None else frozenset((v,)))
-    return cells, lists, list(groups.values())
+    adj = [0] * len(cells)
+    for group in groups.values():
+        mask = sum(1 << i for i in group)
+        for i in group:
+            adj[i] |= mask & ~(1 << i)
+    return cells, lists, adj
 
 
 def list_assignment(grid: PartialGrid, flavor: Optional[str] = None) -> dict[Cell, frozenset[int]]:
@@ -148,13 +155,7 @@ def _alpha(grid: PartialGrid, flavor: str, cells: Iterable[Cell]):
     sigma's candidate cells, on adjacency lists; otherwise the exact search
     over the conflict masks, refused past _GATE candidate cells.
     """
-    cells, lists, groups = _cell_model(grid, flavor, cells)
-    adj = [0] * len(cells)
-    if flavor != "latin":  # the matching reads no conflict masks
-        for group in groups:
-            mask = sum(1 << i for i in group)
-            for i in group:
-                adj[i] |= mask & ~(1 << i)
+    cells, lists, adj = _cell_model(grid, flavor, cells)
 
     def alpha(sigma: int) -> int:
         cand = [i for i, lst in enumerate(lists) if sigma in lst]
@@ -209,15 +210,16 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     S's exact alpha sum exceeds |S| by the number of later cells: either
     gives every subset of the subtree an alpha sum of at least its size.
     Its subsets still count in subsets_checked, which is 2**e whenever the
-    condition holds.  More empty cells than the gate means giving up.
+    condition holds.  More empty cells than the gate means giving up.  A
+    grid that fails validation under the flavor checked raises ValueError.
     """
     flavor = _flavor_of(grid, flavor)
+    for v in validate_partial(replace(grid, flavor=flavor)).violations[:1]:
+        raise ValueError(f"invalid grid: {v.kind} {v.coordinates} symbol {v.symbol}")
     empties = grid.empty_cells()
     if len(empties) > gate:
         return HallReport(True, None, 0, True)
-    cells, lists, groups = _cell_model(grid, flavor, empties)
-    edges = {(cells[i], cells[j]) for group in groups for i, j in combinations(group, 2)}
-    return hall_condition_graph(cells, edges, dict(zip(cells, lists)), gate)
+    return _hall_walk(*_cell_model(grid, flavor, empties))
 
 
 def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
@@ -260,9 +262,14 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     verts = list(vertices)
     if len(verts) > gate:
         return HallReport(True, None, 0, True)
+    return _hall_walk(verts, [frozenset(lists.get(v, ())) for v in verts],
+                      _adjacency(verts, edges))
+
+
+def _hall_walk(verts: list, vlists: list[frozenset], adj: list[int]) -> HallReport:
+    """hall_condition_graph's subset walk, on each vertex's list and
+    neighbour bit mask by position in verts."""
     count = len(verts)
-    adj = _adjacency(verts, edges)
-    vlists = [frozenset(lists.get(v, ())) for v in verts]
     colors = sorted({c for lst in vlists for c in lst})
     index = {color: k for k, color in enumerate(colors)}
     # per position: its neighbours, the indices of its colors and its bit

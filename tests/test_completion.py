@@ -728,12 +728,12 @@ def test_row_coverage_obstruction():
     assert verify_obstruction(grid, ob)
 
 
-def test_plan_builds_band_and_coverage_graphs_only_to_certify(monkeypatch):
-    # Full bands are matched without their replica graph, and placement
-    # counts come from coverage graph sizes; a graph is built only for the
-    # obstruction it certifies.
+def test_plan_builds_replica_and_coverage_lists_only_to_certify(monkeypatch):
+    # Full bands are matched on one list per row, not on their replica
+    # lists, and placement counts come from bit masks; a symbol's coverage
+    # lists are read only for the obstruction they state.
     built = []
-    for name in ("_side_graph", "_coverage_graph"):
+    for name in ("_replicas", "_coverage"):
         def spy(*args, fn=getattr(completion, name), name=name):
             built.append(name)
             return fn(*args)
@@ -744,7 +744,7 @@ def test_plan_builds_band_and_coverage_graphs_only_to_certify(monkeypatch):
     coverage = grid_from_rows(3, 2, [[2, 1, 4, 3], [4, 3, 6, 5], [5, 6, 2, 1],
                                      [1, 2, 3, 4], [3, 4, 1, 2]])
     assert plan_medium_cells(coverage).kind == "row-coverage"
-    assert built == ["_coverage_graph"]
+    assert built == ["_coverage"]
 
 
 ROW_COVERAGE = grid_from_rows(3, 2, [[2, 1, 4, 3], [4, 3, 6, 5], [5, 6, 2, 1],
@@ -838,17 +838,35 @@ def test_complete_sets_up_once_and_builds_no_graph_on_success(monkeypatch):
         assert counts == {"_Shape": 1, "PartialGrid": 2, "BipartiteMultigraph": 0}
 
 
+def test_band_and_coverage_failures_build_no_graph(monkeypatch):
+    # Side and bottom violators are stated and rechecked on the band's
+    # replica lists, coverage violators on each leftover row's open slots,
+    # so neither complete() nor verify_obstruction() builds a graph object
+    # for them.  The transposes turn the row kinds into the column kinds.
+    counts = count_constructions(monkeypatch)
+    kinds = []
+    for grid in (ROW_COVERAGE, SIDE_ALPHA, transpose(ROW_COVERAGE), transpose(SIDE_ALPHA)):
+        verdict = complete(grid)
+        assert not verdict.completable
+        assert verify_obstruction(grid, verdict.certificate)
+        assert counts["BipartiteMultigraph"] == 0, verdict.certificate
+        kinds.append(verdict.certificate.kind)
+    assert kinds == ["row-coverage", "side-alpha", "col-coverage", "bottom-beta"]
+
+
 def test_corner_failures_build_no_graph(monkeypatch):
-    # corner-must and corner-flow state their violators on the corner's
-    # adjacency lists, so a complete() that ends in either builds no graph
-    # object.  Draws cycle through the corner-kind test's shapes, with no
-    # side a multiple of its box side, until both kinds have turned up.
+    # The corner kinds state their violators on the corner's adjacency
+    # lists, or name a symbol, so neither a complete() that ends in one nor
+    # its verify_obstruction() builds a graph object.  Draws cycle through
+    # the corner-kind test's shapes, with no side a multiple of its box
+    # side, until all three kinds have turned up.
     rng = random.Random(23)
     shapes = [(3, 3), (2, 4), (3, 4), (4, 3)]
     counts = count_constructions(monkeypatch)
+    wanted = {"corner-double-must", "corner-must", "corner-flow"}
     seen = set()
     draws = 0
-    while seen != {"corner-must", "corner-flow"}:
+    while seen != wanted:
         assert draws < 4_000, f"only {sorted(seen)} after {draws} draws"
         p, q = shapes[draws % len(shapes)]
         draws += 1
@@ -858,10 +876,10 @@ def test_corner_failures_build_no_graph(monkeypatch):
         grid = gen_random_valid_rectangle(p, q, r, s, rng.randrange(10 ** 9))
         counts["BipartiteMultigraph"] = 0
         verdict = complete(grid)
-        if verdict.completable or verdict.certificate.kind not in ("corner-must", "corner-flow"):
+        if verdict.completable or verdict.certificate.kind not in wanted:
             continue
-        assert counts["BipartiteMultigraph"] == 0, verdict.certificate
         assert verify_obstruction(grid, verdict.certificate)
+        assert counts["BipartiteMultigraph"] == 0, verdict.certificate
         seen.add(verdict.certificate.kind)
 
 
@@ -920,10 +938,9 @@ def pipeline_lists(grid) -> dict:
                         ax, alpha, strengthen)
         over, must = completion._placements(ax)
         for k in range(1, ax.n + 1):
-            graph = completion._coverage_graph(ax, k)
-            rows = [label[1] for label in graph.left_labels]
-            out[side, "coverage", k] = (rows, graph.right_count)
-            assert bool(over >> k & 1) == (len(rows) > graph.right_count)
+            rows, slots = completion._coverage(ax, k)
+            out[side, "coverage", k] = (rows, len(slots))
+            assert bool(over >> k & 1) == (len(rows) > len(slots))
         musts.append(must)
     if not axes[0].p_divides and not axes[0].q_divides:
         out["corner"] = completion._corner_slots(axes, *musts)[1]

@@ -112,6 +112,43 @@ def test_evans_big_blocks_2_2():
     assert validate_partial(grid).ok
 
 
+def test_generators_match_a_cell_by_cell_construction():
+    # Each generator, against its construction written here one with_cell
+    # at a time from the empty square, at a few sizes.
+    def placed(p, q, cells, flavor=None):
+        grid = empty_grid(p, q, flavor=flavor)
+        for r, c, v in cells:
+            grid = grid.with_cell(r, c, v)
+        return grid
+
+    for p, q in ((2, 2), (2, 3), (3, 2), (4, 3)):
+        cells = [(1, j, j) for j in range(1, q + 1)]
+        cells += [(m, (m - 1) * q + 1, q + 1) for m in range(2, p + 1)]
+        assert gen_evans_small(p, q) == placed(p, q, cells)
+    for k, i in ((2, 2), (3, 2), (3, 3), (4, 3)):
+        rows = [[(t * k) + j + 1 for j in range(k)] for t in range(k)]
+        cells = []
+        for t in range(1, k + 1):
+            block = rows[t - 1:] + rows[:t - 1]
+            for dr in range(k):
+                for dc in range(k):
+                    if t < i:
+                        cells.append((dr + 1, (t - 1) * k + dc + 1, block[dr][dc]))
+                    else:
+                        cells.append(((1 + t - i) * k + dr + 1, (i - 1) * k + dc + 1,
+                                      block[dc][dr]))
+        assert gen_evans_big(k, i) == placed(k, k, cells)
+    for n in (3, 4, 6):
+        for x in range(1, n):
+            cells = [(1, j, j) for j in range(1, x + 1)]
+            cells += [(2 + t, x + 1, v) for t, v in enumerate(range(x + 1, n + 1))]
+            assert gen_fig6(n, x, "column") == placed(1, n, cells, "latin")
+        for x in range(2, n + 1):
+            cells = [(1, j, j) for j in range(1, x)]
+            cells += [(1 + t, x + t - 1, x) for t in range(1, n - x + 2)]
+            assert gen_fig6(n, x, "diagonal") == placed(1, n, cells, "latin")
+
+
 def test_evans_big_incompletable():
     assert brute_force_complete(gen_evans_big(2, 2)).outcome == "incompletable"
     result = brute_force_complete(gen_evans_big(3, 2), node_limit=2_000_000)

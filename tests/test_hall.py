@@ -229,6 +229,23 @@ def test_hall_condition_completed_square_holds():
     assert report.subsets_checked == 1  # only the empty subset
 
 
+def test_hall_condition_refuses_an_invalid_grid():
+    # The filled square repeats 2 in its last row, so it has no completion
+    # for the condition to speak of; validation runs under the flavor
+    # checked and before the gate.  The latin square clashes only in its
+    # big cells, so it is refused as sudoku and holds as latin.
+    clash = grid_from_rows(2, 2, [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 2]])
+    for flavor in ("sudoku", "latin"):
+        with pytest.raises(ValueError, match="invalid grid: row"):
+            hall_condition(clash, flavor=flavor)
+    with pytest.raises(ValueError, match="invalid grid: bigcell"):
+        hall_condition(empty_grid(2, 3).with_cell(1, 1, 1).with_cell(2, 2, 1), gate=18)
+    latin = grid_from_rows(2, 2, [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
+    with pytest.raises(ValueError, match="invalid grid: bigcell"):
+        hall_condition(latin)
+    assert hall_condition(latin, flavor="latin").holds
+
+
 def test_hall_condition_gate():
     report = hall_condition(empty_grid(2, 3), gate=18)
     assert report.gave_up
