@@ -3,7 +3,7 @@
 Exit codes: 0 completable / holds / valid, 1 incompletable / fails /
 invalid, 2 usage or format error, 3 gave up (gate or node limit), 4
 internal error (a construction bug, such as a completed square that fails
-validation, or exhausted recursion; never a verdict).  Grid output
+validation, or exhausted recursion or memory; never a verdict).  Grid output
 goes to stdout in the grid file format; diagnostics go to stderr.
 """
 from __future__ import annotations
@@ -259,7 +259,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GridFormatError, OSError, ValueError) as exc:  # an unreadable file is OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # RecursionError included
+    except (RuntimeError, MemoryError) as exc:  # RecursionError included
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

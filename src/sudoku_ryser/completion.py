@@ -37,7 +37,9 @@ _layout.  verify_obstruction builds its own, as the independent recheck.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .bipartite import (
@@ -427,7 +429,9 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
     big column: its cells are the rows' missing symbols once the plan's share
     is placed and, for the leftover band, the leftover block, which holds
     symbol k T - (rows missing k) times for T empty big columns.  Colour c
-    fills the c-th empty big column.
+    fills the c-th empty big column.  The rows missing each symbol come
+    from one Counter over the band's cells, not from a pass over the rows
+    per symbol.
     """
     n, targets = ax.n, ax.targets
     every = (2 << n) - 2
@@ -441,9 +445,10 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
         cells = [_bits(every & ~contents[i]) for i in rows]
         leftover = alpha > ax.full_bands
         if leftover:
+            missing = Counter(chain.from_iterable(cells))
             block: list[int] = []
             for k in range(1, n + 1):
-                m_hat = len(targets) - sum(not contents[i] >> k & 1 for i in rows)
+                m_hat = len(targets) - missing[k]
                 if m_hat < 0:
                     raise RuntimeError(f"symbol {k} misses more {ax.line}s than there are "
                                        f"empty big lines across them")
@@ -551,10 +556,14 @@ def _as_built(grid: PartialGrid) -> PartialGrid:
 
     That square is latin when a box is one row or column and Sudoku
     otherwise, whatever the grid's flavor; the pipeline reads no partition,
-    so a gerechte grid is judged as its (p,q) rectangle.
+    so a gerechte grid is judged as its (p,q) rectangle.  A grid that
+    already has that flavor and no partition is returned itself, not
+    copied; only another flavor or a partition costs a copy.
     """
     geom = grid.geometry
     flavor = "latin" if geom.p == 1 or geom.q == 1 else "sudoku"
+    if grid.flavor == flavor and grid.partition is None:
+        return grid
     return replace(grid, flavor=flavor, partition=None)
 
 

@@ -226,6 +226,12 @@ def gen_random_rectangle(p: int, q: int, r: int, s: int, seed: int) -> PartialGr
 # each later attempt may make.
 FIRST_BUDGET = 1 << 14
 NODES_PER_CELL = 8
+# Cell visits the later attempts may make in all: each of their assignments
+# visits every cell of the rectangle to pick the next one.  The most any
+# seeded draw of the test suite makes is 1,424,662, a (4,4) 13 x 13
+# rectangle after four restarts; a 36 x 36 square's first restart alone
+# may make 13,436,928.
+RESTART_VISITS = 2_000_000
 
 
 def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> PartialGrid:
@@ -239,7 +245,9 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
     makes.  That order can wander for minutes on some n = 12 shapes, so
     attempt k >= 1 fills the most constrained cell first, within
     k * NODES_PER_CELL assignments per cell.  All attempts draw from one
-    random stream, and the budget grows until one finishes.
+    random stream, and the budget grows until one finishes or the later
+    attempts have made RESTART_VISITS cell visits; the draw is then the
+    corner of a pattern square shuffled by the same stream.
     """
     rng = random.Random(seed)
     geom = SudokuGeometry(p, q)
@@ -247,17 +255,46 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
     if r > n or s > n:
         raise ValueError("rectangle larger than the order")
     base = empty_grid(p, q, rows=r, cols=s)
+    cells = r * s
     keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
+    visits = 0
     for attempt in itertools.count():
-        budget = NODES_PER_CELL * len(keys_of) * attempt if attempt else FIRST_BUDGET
+        if attempt:
+            budget = min(NODES_PER_CELL * cells * attempt, (RESTART_VISITS - visits) // cells)
+        else:
+            budget = FIRST_BUDGET
         used = {key: 0 for keys in keys_of for key in keys}
-        outcome, values, _ = _backtrack(keys_of, used, n, attempt > 0, rng.shuffle, budget)
+        outcome, values, nodes = _backtrack(keys_of, used, n, attempt > 0, rng.shuffle, budget)
         if outcome == "found":
+            rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
             break
         if outcome == "incompletable":
             raise RuntimeError("random rectangle generation failed")
-    rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
+        if attempt:
+            visits += nodes * cells
+        if visits >= RESTART_VISITS:
+            rows = tuple(tuple(row[:s]) for row in _pattern_square(p, q, rng)[:r])
+            break
     return PartialGrid(geom, r, s, rows, base.flavor, None)
+
+
+def _pattern_square(p: int, q: int, rng: random.Random) -> list[list[int]]:
+    """A full (p,q)-Sudoku square shuffled by rng.
+
+    The pattern puts (q (i mod p) + i div p + j) mod n + 1 at 0-based
+    (i, j); relabelling the symbols and permuting the rows within a band,
+    the bands, the columns within a stack and the stacks keep it valid.
+    """
+    n = p * q
+    symbols = rng.sample(range(1, n + 1), n)
+    orders = []
+    for blocks, size in ((q, p), (p, q)):  # q bands of p rows, then p stacks of q columns
+        order: list[int] = []
+        for block in rng.sample(range(blocks), blocks):
+            order += [block * size + x for x in rng.sample(range(size), size)]
+        orders.append(order)
+    rows, cols = orders
+    return [[symbols[(q * (i % p) + i // p + j) % n] for j in cols] for i in rows]
 
 
 def random_latin_square(n: int, seed: int) -> PartialGrid:

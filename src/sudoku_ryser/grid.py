@@ -12,6 +12,11 @@ from typing import Iterator, Optional
 
 EMPTY_TOKEN = "."
 FLAVORS = ("latin", "sudoku", "gerechte")
+# The largest order p*q and the largest side a grid file may declare.  At
+# 1024, completing a 1 x 1 corner peaked at 159 MB (p = 1) and the oracle
+# fallback on a square with one filled cell at 382 MB, both within a 1 GB
+# address-space limit; order 10,000 would take about 100 times as much.
+MAX_ORDER = 1024
 
 
 class GridFormatError(ValueError):
@@ -307,7 +312,8 @@ def parse_grid(text: str | bytes) -> PartialGrid:
     Format: line 1 is ``sudoku v1``; line 2 is ``p q rows cols``; then
     ``rows`` lines of ``cols`` whitespace-separated tokens, each an integer
     in 1..pq or ``.``.  An optional section starting with a ``partition``
-    line carries part ids for the gerechte flavor.
+    line carries part ids for the gerechte flavor.  An order pq, rows or
+    cols above MAX_ORDER is rejected before anything is built.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -326,6 +332,9 @@ def parse_grid(text: str | bytes) -> PartialGrid:
     if p < 1 or q < 1 or rows < 0 or cols < 0:
         raise GridFormatError("geometry values out of range")
     n = p * q
+    if max(n, rows, cols) > MAX_ORDER:
+        raise GridFormatError(f"order {n}, {rows} rows or {cols} columns: "
+                              f"each may be at most {MAX_ORDER}")
 
     if cols == 0:
         # Zero-width rows have no tokens, so they are not serialized at all.

@@ -9,7 +9,7 @@ for every slice, so the fully split array is again a latin square.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 
 from .bipartite import (
     _color_cells,
@@ -223,17 +223,29 @@ def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -
 
     One _block_colors call splits each merged row part of size m: colour c
     goes to unit row c, straight into the square in a unit column, else into
-    that row's cell of the column part; a unit part's symbols all take
-    colour 1 without a call.  Each column part of size m >= 2 is
-    then split into its columns the same way.  Cells are read in stored
-    order, as splitting off unit slices in turn reads them.  A column part's
-    cell of the wrong size raises RuntimeError; an unwritten cell stays 0.
+    that row's new cell of the column part.  A unit row part needs no
+    colouring and no copy: its unit cells are written straight into its
+    row, and its column-part cells are handed on as they are.  Each column
+    part of size m >= 2 is then split into its columns the same way.  Cells
+    are read in stored order, as splitting off unit slices in turn reads
+    them.  A column part's cell of the wrong size raises RuntimeError; an
+    unwritten cell stays 0.
     """
     starts = tuple(accumulate(col_comp, initial=0))
     parts: list[list] = [[] for _ in col_comp]  # unit-row cells; none for a unit column
     square: list[list[int]] = []
     for m, line in zip(row_comp, cells):
-        colors = iter(_block_colors(line, m, n)) if m >= 2 else repeat(1)
+        if m == 1:
+            row = [0] * n
+            for start, width, cell, part in zip(starts, col_comp, line, parts):
+                if width == 1:
+                    for k in cell:
+                        row[start] = k
+                else:
+                    part.append(cell)
+            square.append(row)
+            continue
+        colors = iter(_block_colors(line, m, n))
         rows = [[0] * n for _ in range(m)]
         for start, width, cell, part in zip(starts, col_comp, line, parts):
             if width == 1:

@@ -1,9 +1,17 @@
+import time
+
 import pytest
 
 from sudoku_ryser import cli, completion
-from sudoku_ryser.cli import EXIT_INTERNAL, main
+from sudoku_ryser.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from sudoku_ryser.fixtures import gen_evans_small
-from sudoku_ryser.grid import grid_from_rows, parse_grid, serialize_grid, validate_partial
+from sudoku_ryser.grid import (
+    MAX_ORDER,
+    grid_from_rows,
+    parse_grid,
+    serialize_grid,
+    validate_partial,
+)
 
 
 @pytest.fixture
@@ -49,6 +57,24 @@ def test_internal_error_is_not_incompletable(worked_file, capsys, monkeypatch, e
     monkeypatch.setattr(completion, "complete", broken)
     assert main(["complete", worked_file]) == EXIT_INTERNAL  # not 1, "incompletable"
     assert "internal error" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_an_internal_error(worked_file, capsys, monkeypatch):
+    def exhausted(grid):
+        raise MemoryError
+
+    monkeypatch.setattr(completion, "complete", exhausted)
+    assert main(["complete", worked_file]) == EXIT_INTERNAL  # not 1, "incompletable"
+    assert capsys.readouterr().err.startswith("internal error: MemoryError")
+
+
+@pytest.mark.parametrize("header", [f"1 {MAX_ORDER + 1} 1 1", f"1 1 {MAX_ORDER + 1} 0"])
+def test_a_header_above_the_order_limit_is_a_format_error(tmp_path, capsys, header):
+    path = tmp_path / "big.grid"
+    path.write_text(f"sudoku v1\n{header}\n1\n")
+    for command in (["complete"], ["check", "--hall"], ["verify"]):
+        assert main(command + [str(path)]) == EXIT_USAGE, command
+        assert capsys.readouterr().err.startswith("error: "), command
 
 
 def test_invalid_assembled_outline_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -265,6 +291,17 @@ def test_gen_random_deterministic(capsys):
 def test_gen_random_square_deeper_than_the_recursion_limit(capsys):
     assert main(["gen", "random", "--p", "1", "--q", "34", "--r", "34", "--s", "34"]) == 0
     square = parse_grid(capsys.readouterr().out)
+    assert square.is_fully_filled() and validate_partial(square).ok
+
+
+def test_gen_random_full_square_of_order_36_terminates(capsys):
+    # Restarts do not finish this square; once they have spent their cell
+    # visits, the draw is the corner of a shuffled pattern square.
+    start = time.process_time()
+    assert main(["gen", "random", "--p", "6", "--q", "6", "--r", "36", "--s", "36"]) == 0
+    assert time.process_time() - start < 2.0
+    square = parse_grid(capsys.readouterr().out)
+    assert (square.n, square.rows, square.cols) == (36, 36, 36)
     assert square.is_fully_filled() and validate_partial(square).ok
 
 

@@ -824,18 +824,30 @@ def count_constructions(monkeypatch) -> dict[str, int]:
 
 
 def test_complete_sets_up_once_and_builds_no_graph_on_success(monkeypatch):
-    # One complete() that succeeds builds one set-up (both axes), copies the
-    # input once (_as_built) and builds the square, and builds no graph
-    # object: the band and corner matchings run on adjacency lists.  The
+    # One complete() that succeeds builds one set-up (both axes) and the
+    # square, and builds no graph object: the band and corner matchings run
+    # on adjacency lists.  A grid already under the square's rules is
+    # checked as it is; a latin-flavoured or partitioned one is copied under
+    # them once (_as_built), so a repeat inside a box is still invalid.  The
     # (4,3) corner needs the corner solve, which the (2,2) example has too.
     corner = gen_random_rectangle(4, 3, 5, 7, 2)
+    by_columns = ((1, 2, 3),) * 3
+    copied = (dataclasses.replace(WORKED, flavor="latin"),
+              dataclasses.replace(WORKED, flavor="gerechte", partition=by_columns))
     counts = count_constructions(monkeypatch)
-    for grid in (WORKED, corner):
+    for grid, built in ((WORKED, 1), (corner, 1), *((grid, 2) for grid in copied)):
         assert grid.rows % grid.geometry.p and grid.cols % grid.geometry.q
+        assert validate_partial(grid).ok
         for name in counts:
             counts[name] = 0
         assert complete(grid).completable
-        assert counts == {"_Shape": 1, "PartialGrid": 2, "BipartiteMultigraph": 0}
+        assert counts == {"_Shape": 1, "PartialGrid": built, "BipartiteMultigraph": 0}
+    for grid in copied:
+        repeat = dataclasses.replace(grid, rows=2, cols=2, cells=((1, 2), (2, 1)),
+                                     partition=grid.partition and ((1, 2), (1, 2)))
+        assert validate_partial(repeat).ok
+        verdict = complete(repeat)
+        assert not verdict.completable and verdict.certificate.kind == "invalid"
 
 
 def test_band_and_coverage_failures_build_no_graph(monkeypatch):

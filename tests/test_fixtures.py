@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from sudoku_ryser import fixtures
 from sudoku_ryser.fixtures import (
     brute_force_complete,
     extends,
@@ -275,6 +276,25 @@ def test_random_valid_rectangle_restarts_past_a_stall(p, q, r, s, seed):
     assert (grid.rows, grid.cols) == (r, s)
     assert grid.is_fully_filled() and validate_partial(grid).ok
     assert gen_random_valid_rectangle(p, q, r, s, seed) == grid
+
+
+def test_random_valid_rectangle_falls_back_to_a_pattern_corner(monkeypatch):
+    # With no room for any attempt, every draw with a cell is a
+    # pattern-square corner: valid at every shape, latin ones included, and
+    # the same for the same seed.
+    monkeypatch.setattr(fixtures, "FIRST_BUDGET", 0)
+    monkeypatch.setattr(fixtures, "RESTART_VISITS", 0)
+    rng = random.Random(11)
+    draws = set()
+    for p, q in [(1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3)] * 4:
+        n = p * q
+        r, s, seed = rng.randint(1, n), rng.randint(1, n), rng.randrange(10_000)
+        grid = gen_random_valid_rectangle(p, q, r, s, seed)
+        assert (grid.rows, grid.cols) == (r, s)
+        assert grid.is_fully_filled() and validate_partial(grid).ok, (p, q, r, s, seed)
+        assert gen_random_valid_rectangle(p, q, r, s, seed) == grid
+        draws.add(gen_random_valid_rectangle(p, q, n, n, seed).cells)
+    assert len(draws) > 12  # the shuffles differ from seed to seed
 
 
 def test_random_valid_rectangle_deeper_than_the_recursion_limit():

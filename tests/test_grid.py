@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sudoku_ryser.grid import (
+    MAX_ORDER,
     GridFormatError,
     PartialGrid,
     SudokuGeometry,
@@ -131,6 +132,18 @@ def test_parse_errors():
         parse_grid("sudoku v1\n2 2 1 2\n1 x\n")
     with pytest.raises(GridFormatError):
         parse_grid("sudoku v1\n2 2 1 2\n1 9\n")
+
+
+def test_parse_bounds_the_order_and_the_sides():
+    # The header is checked before anything is built from it: one above
+    # MAX_ORDER, as order or as side, is a format error; at it, a grid.
+    over = MAX_ORDER + 1
+    for header in (f"1 {over} 0 0", f"{over} 1 0 0", f"1 1 {over} 0", f"1 1 0 {over}"):
+        with pytest.raises(GridFormatError, match=str(MAX_ORDER)):
+            parse_grid(f"sudoku v1\n{header}\n")
+    for header in (f"1 {MAX_ORDER} 0 0", f"1 1 {MAX_ORDER} 0", f"1 1 0 {MAX_ORDER}"):
+        grid = parse_grid(f"sudoku v1\n{header}\n")
+        assert max(grid.n, grid.rows, grid.cols) == MAX_ORDER
 
 
 def test_serialize_empty():
