@@ -6,10 +6,14 @@ lists: _violator extracts one from a maximum matching (capacitated_matching
 from its failed search), and _is_violator is the one recheck.
 
 Every equitable edge-coloring comes from one kernel, _color_cells.  It
-takes the edges as cells, one list of right vertices per left vertex,
-splits the vertices into copies of degree at most k while it colors, and
-properly k-colors the split graph by first fit from a staggered start with
-alternating-chain recoloring.  equitable_edge_coloring groups any
+takes the edges as cells, one list of right vertices per left vertex, cuts
+each cell into copies of k edges, and properly k-colors the result by
+first fit from a staggered start with alternating-chain recoloring, each
+right vertex one row of the coloring state.  Only when a right vertex has
+more than k edges, so that one of them finds no free color there, are the
+right vertices split into copies of k edges (_split_rights) and the
+coloring restarted; every block complete() colors gives each symbol at
+most k edges, so it never restarts.  equitable_edge_coloring groups any
 BipartiteMultigraph's edges into such cells; the outline's block coloring
 (outline._block_colors) passes a merged block's cells as they are.
 
@@ -123,11 +127,10 @@ def _color_cells(cells, k: int, right: int) -> list[int]:
 
     cells[i] lists the right vertices (ints in 0..right-1, repeats allowed)
     of left vertex i's edges; returns each edge's color in 1..k, cell by
-    cell in stored order.  The vertices are split into copies of degree at
-    most k while coloring: copy c of a cell takes its entries c*k ..
-    c*k+k-1, and each right vertex starts a new copy every k appearances.
-    The split graph is properly k-edge-colored, so a full copy sees every
-    color once and every vertex sees balanced color counts.
+    cell in stored order.  Each cell is cut into copies of k entries: copy
+    c takes entries c*k .. c*k+k-1.  A right vertex of degree at most k is
+    its own copy.  The split graph is properly k-edge-colored, so a full
+    copy sees every color once and every vertex sees balanced color counts.
 
     The i-th cell copy starts its first fit at color (i mod k) + 1: each
     edge takes the first color at or above that start free at both its
@@ -135,60 +138,80 @@ def _color_cells(cells, k: int, right: int) -> list[int]:
     one made free by alternating-chain recoloring (_flip_chain).  The
     staggered start keeps cells whose sorted entries rank alike from all
     reaching for the same low colors.  With k = 1 every edge is color 1.
+    A right vertex with no free color has more than k entries: the cells
+    are then relabelled so that each right vertex starts a new copy every
+    k appearances (_split_rights), and coloring restarts on them.
 
     State: copy v is the offset of its row in the flat list at, one row of
-    k + 1 slots per copy.  at[v] holds bit c when color c is taken at v,
-    and at[v + c] is the edge holding color c at v, or -1.  Edge e's two
-    copies are kept as their sum ends[e], so the far end from v is
-    ends[e] - v.
+    k + 1 slots per copy: right vertex w's at w * (k + 1), then the cell
+    copies' in turn.  at[v] holds bit c when color c is taken at v, and
+    at[v + c] is the edge holding color c at v, or -1.  Edge e's two copies
+    are kept as their sum ends[e], so the far end from v is ends[e] - v.
+    The current cell copy's busy colors stay in busy until the copy ends:
+    a chain leaves the right end on a color free at the cell copy, so it
+    never reaches that copy.
     """
     if k == 1:
         return [1] * sum(map(len, cells))
     width = k + 1
     full = (1 << width) - 2
     row = [0] + [-1] * k
-    at: list[int] = []
-    current = [0] * right  # each right vertex's current copy
-    room = [0] * right  # edges that copy can still take
+    at = row * right
     ends: list[int] = []
     color: list[int] = []
     made = 0  # cell copies so far
+    end, paint = ends.append, color.append
     for cell in cells:
-        left = 0  # edges the cell's current copy can still take
-        for w in cell:
-            if not left:
-                cu = len(at)
-                at += row
-                above = full & -(2 << made % k)  # colors (made mod k) + 1 .. k
-                made += 1
-                left = k
-            left -= 1
-            if room[w]:
-                room[w] -= 1
-                cw = current[w]
-            else:
-                cw = current[w] = len(at)
-                at += row
-                room[w] = k - 1
-            free = full & ~(at[cu] | at[cw])
-            if free:
-                pick = free & above or free
-                pick = (pick & -pick).bit_length() - 1
-            else:
-                # Every color free at u is busy at w: free the first one there.
-                free_u = full & ~at[cu]
-                free_w = full & ~at[cw]
-                pick = (free_u & -free_u).bit_length() - 1
-                _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1, at, color, ends)
-            e = len(color)
-            at[cu + pick] = e
-            at[cw + pick] = e
-            bit = 1 << pick
-            at[cu] |= bit
-            at[cw] |= bit
-            ends.append(cu + cw)
-            color.append(pick)
+        for first in range(0, len(cell), k):
+            cu = len(at)
+            at += row
+            above = full & -(2 << made % k)  # colors (made mod k) + 1 .. k
+            made += 1
+            busy = 0
+            for w in cell[first:first + k]:
+                cw = w * width
+                taken = at[cw]
+                free = full & ~(busy | taken)
+                if free:
+                    bit = free & above or free
+                    bit &= -bit
+                    pick = bit.bit_length() - 1
+                else:
+                    # Every color free at u is busy at w: free the first one there.
+                    free_w = full & ~taken
+                    if not free_w:
+                        cells, right = _split_rights(cells, k)
+                        return _color_cells(cells, k, right)
+                    free_u = full & ~busy
+                    pick = (free_u & -free_u).bit_length() - 1
+                    _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1, at, color, ends)
+                    bit = 1 << pick
+                    taken = at[cw]
+                e = len(color)
+                at[cu + pick] = e
+                at[cw + pick] = e
+                busy |= bit
+                at[cw] = taken | bit
+                end(cu + cw)
+                paint(pick)
+            at[cu] = busy
     return color
+
+
+def _split_rights(cells, k: int) -> tuple[list[list[int]], int]:
+    """The cells with each right vertex's t-th entry, in cell order, relabelled
+    as its copy t // k; returns them and the number of copies."""
+    seen: dict[int, int] = {}
+    label: dict[tuple[int, int], int] = {}
+    out = []
+    for cell in cells:
+        new = []
+        for w in cell:
+            t = seen.get(w, 0)
+            seen[w] = t + 1
+            new.append(label.setdefault((w, t // k), len(label)))
+        out.append(new)
+    return out, len(label)
 
 
 def _flip_chain(start: int, a: int, b: int, at: list[int], color: list[int],

@@ -168,6 +168,9 @@ def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> l
     The colouring is bipartite._color_cells on the cells as they are, so
     symbol k is right vertex k and no graph object is built; the first fit
     of the i-th copy of m cell instances starts at colour (i mod m) + 1.
+    A symbol of degree above m makes the kernel split the symbols into
+    copies of m instances and colour again; no block of complete() or
+    expand_outline has one, only split_front's with non-unit symbol parts.
     Symbols are not range-checked: every caller passes cells of symbols in
     1..symbols.
     """

@@ -368,6 +368,31 @@ def test_coloring_matches_the_dict_reference(monkeypatch):
     assert len(flips) > 100
 
 
+def test_coloring_restarts_on_split_rights_after_chain_flips(monkeypatch):
+    # Right vertex 2 has three edges at k = 2.  Left vertex 1's edge to it
+    # finds no color free at both ends and flips a chain; only left vertex
+    # 2's edge then finds vertex 2 with no free color, so the kernel splits
+    # the right vertices into copies and colors again from the start.
+    events = []
+    flip, split = bipartite._flip_chain, bipartite._split_rights
+
+    def counted_flip(*args):
+        events.append("flip")
+        return flip(*args)
+
+    def counted_split(*args):
+        events.append("split")
+        return split(*args)
+
+    monkeypatch.setattr(bipartite, "_flip_chain", counted_flip)
+    monkeypatch.setattr(bipartite, "_split_rights", counted_split)
+    g = BipartiteMultigraph((0, 1, 2), (0, 1, 2), ((0, 2), (1, 0), (1, 2), (2, 2)))
+    coloring = equitable_edge_coloring(g, 2)
+    assert events[:2] == ["flip", "split"]
+    assert is_equitable(g, coloring)
+    assert coloring.color_of == reference_coloring(g, 2)
+
+
 def adjacency(g):
     return [sorted({w for u, w in g.edges if u == x}) for x in range(g.left_count)]
 

@@ -504,6 +504,36 @@ def test_complete_latin_rectangle_exhaustive_n4():
             assert validate_partial(result).ok and extends(grid, result)
 
 
+def test_complete_never_splits_the_symbols_of_a_block(monkeypatch):
+    # Every block complete() colours gives each symbol at most k entries, so
+    # the kernel's relabelling of over-degree right vertices stays for
+    # generic input: latin corners (p = 1 and q = 1) and Sudoku rectangles
+    # with p < q and p > q, completable or not.
+    splits, colorings = [], []
+    split, core = bipartite._split_rights, outline._color_cells
+
+    def counted_split(*args):
+        splits.append(args)
+        return split(*args)
+
+    def counted_coloring(cells, k, right):
+        colorings.append(k)
+        return core(cells, k, right)
+
+    monkeypatch.setattr(bipartite, "_split_rights", counted_split)
+    monkeypatch.setattr(outline, "_color_cells", counted_coloring)
+    rng = random.Random(26)
+    verdicts = set()
+    for p, q in ((1, 9), (9, 1), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4), (4, 3)):
+        n = p * q
+        for _ in range(12):
+            r, s = rng.randint(1, n), rng.randint(1, n)
+            verdicts.add(complete(gen_random_valid_rectangle(p, q, r, s, rng.randrange(10 ** 9)))
+                          .completable)
+    assert splits == []
+    assert len(colorings) > 100 and verdicts == {True, False}
+
+
 def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     # Ryser's order: an (n - s)-colouring extends the rows, then an
     # (n - r)-colouring adds the missing rows; no matching, no outline, and

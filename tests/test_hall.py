@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from sudoku_ryser.grid import (
     embed_in_square,
     empty_grid,
     grid_from_rows,
+    parse_grid,
     validate_partial,
 )
 from sudoku_ryser.hall import (
@@ -490,3 +493,58 @@ def test_max_independent_matches_brute_force():
                    if not sub & ~cand
                    and not any(sub >> i & 1 and adj[i] & sub for i in range(count)))
         assert hall_module._max_independent(cand, adj) == best
+
+
+HALL_GAP = Path(__file__).resolve().parent.parent / "fixtures" / "hall_gap_order5.grid"
+
+
+def test_hall_condition_holds_on_an_incompletable_order5_latin_square():
+    # The paper proves Hall's Condition sufficient for partial Sudoku
+    # rectangles; on a general partial square it is only necessary.  On this
+    # order-5 partial latin square every subset of the 16 empty cells meets
+    # Hall's Inequality, yet no completion exists.  A brute force written
+    # here, apart from the library, agrees on both points.
+    text = HALL_GAP.read_text(encoding="utf-8")
+    grid = parse_grid(text)
+    report = hall_condition(grid)
+    assert report.holds and not report.gave_up and report.subsets_checked == 2 ** 16
+    assert brute_force_complete(grid).outcome == "incompletable"
+
+    rows = [[0 if tok == "." else int(tok) for tok in line.split()]
+            for line in text.splitlines()[2:]]
+    n = len(rows)
+    empty = [(r, c) for r in range(n) for c in range(n) if not rows[r][c]]
+
+    def allowed(r, c):
+        return [k for k in range(1, n + 1)
+                if k not in rows[r] and all(row[c] != k for row in rows)]
+
+    has = [sum(1 << i for i, (r, c) in enumerate(empty) if k in allowed(r, c))
+           for k in range(1, n + 1)]
+    # clash[i]: the empty cells sharing a row or a column with cell i, and i.
+    clash = [sum(1 << j for j, (r2, c2) in enumerate(empty) if r2 == r or c2 == c)
+             for r, c in empty]
+
+    @functools.cache
+    def alpha(mask):  # most cells of mask with no two in one row or column
+        if not mask:
+            return 0
+        i = (mask & -mask).bit_length() - 1
+        return max(alpha(mask & ~(1 << i)), 1 + alpha(mask & ~clash[i]))
+
+    assert len(empty) == 16
+    assert all(sum(alpha(subset & h) for h in has) >= subset.bit_count()
+               for subset in range(1 << len(empty)))
+
+    def fill(i):  # some completion of the empty cells from i on
+        if i == len(empty):
+            return True
+        r, c = empty[i]
+        for k in allowed(r, c):
+            rows[r][c] = k
+            if fill(i + 1):
+                return True
+        rows[r][c] = 0
+        return False
+
+    assert not fill(0)
