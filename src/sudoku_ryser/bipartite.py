@@ -8,14 +8,16 @@ from its failed search), and _is_violator is the one recheck.
 Every equitable edge-coloring comes from one kernel, _color_cells.  It
 takes the edges as cells, one list of right vertices per left vertex, cuts
 each cell into copies of k edges, and properly k-colors the result by
-first fit from a staggered start with alternating-chain recoloring, each
-right vertex one row of the coloring state.  Only when a right vertex has
-more than k edges, so that one of them finds no free color there, are the
-right vertices split into copies of k edges (_split_rights) and the
-coloring restarted; every block complete() colors gives each symbol at
-most k edges, so it never restarts.  equitable_edge_coloring groups any
-BipartiteMultigraph's edges into such cells; the outline's block coloring
-(outline._block_colors) passes a merged block's cells as they are.
+first fit from a staggered start with alternating-chain recoloring.  It
+numbers no edge: it keeps the other end of each color at each cell copy
+and each right vertex, and returns the copies' rows, which callers slice
+into color classes.  Only when a right vertex has more than k edges, so
+that one of them finds no free color there, are the right vertices split
+into copies of k edges (_split_rights) and the coloring restarted; every
+block complete() colors gives each symbol at most k edges, so it never
+restarts.  equitable_edge_coloring groups any BipartiteMultigraph's edges
+into such cells; the outline's block coloring (outline._block_colors)
+passes a merged block's cells as they are.
 
 Everything here is deterministic for a fixed input ordering: vertices and
 edges are always visited in index order, so repeated runs return identical
@@ -108,6 +110,7 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     vertex, in edge order, and each group is one cell of right vertices.
     Full copies take exactly k edges and see every color once, so the
     merged counts at a vertex of degree d are floor(d/k) or ceil(d/k).
+    Parallel edges of one copy take their colors in ascending order.
     """
     if k < 1:
         raise ValueError("color count must be at least 1")
@@ -115,22 +118,28 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     for e, (u, _) in enumerate(g.edges):
         groups[u].append(e)
     edges = g.edges
-    cells = [[edges[e][1] for e in group] for group in groups]
+    rows = _color_cells([[edges[e][1] for e in group] for group in groups], k, g.right_count)
+    copies = (group[i:i + k] for group in groups for i in range(0, len(group), k))
     color_of = [0] * len(edges)
-    for e, c in zip(chain.from_iterable(groups), _color_cells(cells, k, g.right_count)):
-        color_of[e] = c
+    for at, copy in zip(range(0, len(rows), k), copies):
+        slots = sorted((w, c) for c, w in enumerate(rows[at:at + k], 1) if w >= 0)
+        for e, (_, c) in zip(sorted(copy, key=lambda e: edges[e][1]), slots):
+            color_of[e] = c
     return EdgeColoring(k, tuple(color_of))
 
 
 def _color_cells(cells, k: int, right: int) -> list[int]:
-    """Equitable k-coloring of the graph joining each cell to its entries.
+    """Equitable k-coloring of the graph joining each cell to its entries,
+    as the right vertex of each color at each cell copy.
 
     cells[i] lists the right vertices (ints in 0..right-1, repeats allowed)
-    of left vertex i's edges; returns each edge's color in 1..k, cell by
-    cell in stored order.  Each cell is cut into copies of k entries: copy
-    c takes entries c*k .. c*k+k-1.  A right vertex of degree at most k is
-    its own copy.  The split graph is properly k-edge-colored, so a full
+    of left vertex i's edges.  Each cell is cut into copies of k entries:
+    copy c takes entries c*k .. c*k+k-1.  A right vertex of degree at most k
+    is its own copy.  The split graph is properly k-edge-colored, so a full
     copy sees every color once and every vertex sees balanced color counts.
+    Returns one row of k slots per cell copy, in cell order: slot c - 1 of
+    copy i, at i*k + c - 1, holds the right vertex of color c there, or -1
+    in a short copy; with full copies, color class c is rows[c - 1::k].
 
     The i-th cell copy starts its first fit at color (i mod k) + 1: each
     edge takes the first color at or above that start free at both its
@@ -138,69 +147,66 @@ def _color_cells(cells, k: int, right: int) -> list[int]:
     one made free by alternating-chain recoloring (_flip_chain).  The
     staggered start keeps cells whose sorted entries rank alike from all
     reaching for the same low colors.  With k = 1 every edge is color 1.
-    A right vertex with no free color has more than k entries: the cells
-    are then relabelled so that each right vertex starts a new copy every
-    k appearances (_split_rights), and coloring restarts on them.
-
-    State: copy v is the offset of its row in the flat list at, one row of
-    k + 1 slots per copy: right vertex w's at w * (k + 1), then the cell
-    copies' in turn.  at[v] holds bit c when color c is taken at v, and
-    at[v + c] is the edge holding color c at v, or -1.  Edge e's two copies
-    are kept as their sum ends[e], so the far end from v is ends[e] - v.
-    The current cell copy's busy colors stay in busy until the copy ends:
-    a chain leaves the right end on a color free at the cell copy, so it
-    never reaches that copy.
+    A right vertex with no free color has more than k entries: the attempt
+    returns, freeing its state, the cells are relabelled so that each right
+    vertex starts a new copy every k appearances (_split_rights), and
+    coloring starts again; its rows are read back as the original vertices.
     """
     if k == 1:
-        return [1] * sum(map(len, cells))
-    width = k + 1
-    full = (1 << width) - 2
-    row = [0] + [-1] * k
-    at = row * right
-    ends: list[int] = []
-    color: list[int] = []
-    made = 0  # cell copies so far
-    end, paint = ends.append, color.append
+        return list(chain.from_iterable(cells))
+    rows = _first_fit(cells, k, right)
+    if rows is None:
+        cells, origin = _split_rights(cells, k)
+        rows = [origin[w] if w >= 0 else -1 for w in _first_fit(cells, k, len(origin))]
+    return rows
+
+
+def _first_fit(cells, k: int, right: int) -> Optional[list[int]]:
+    """_color_cells' rows for k >= 2, or None if a right vertex has too many entries.
+
+    State, colors counted 0..k-1: copy u's color c is at cop[u + c], right
+    vertex w's at sym[w*k + c] (the copy's offset u, or -1), and taken[w]
+    has bit c set when color c is taken at w.  The current copy's free
+    colors stay in avail: nothing else reads them, and a chain reaches
+    copies only on its color a, which is free at the current copy.
+    """
+    full = (1 << k) - 1
+    row = [-1] * k
+    sym = row * right
+    taken = [0] * right
+    cop: list[int] = []
     for cell in cells:
         for first in range(0, len(cell), k):
-            cu = len(at)
-            at += row
-            above = full & -(2 << made % k)  # colors (made mod k) + 1 .. k
-            made += 1
-            busy = 0
+            cu = len(cop)
+            cop += row
+            above = full & -(1 << cu // k % k)  # from color i mod k at the i-th copy
+            avail = full  # colors still free at the copy
             for w in cell[first:first + k]:
-                cw = w * width
-                taken = at[cw]
-                free = full & ~(busy | taken)
+                have = taken[w]
+                free = avail & ~have
                 if free:
                     bit = free & above or free
                     bit &= -bit
                     pick = bit.bit_length() - 1
                 else:
-                    # Every color free at u is busy at w: free the first one there.
-                    free_w = full & ~taken
+                    # Every color free at the copy is taken at w: free the first one there.
+                    free_w = full & ~have
                     if not free_w:
-                        cells, right = _split_rights(cells, k)
-                        return _color_cells(cells, k, right)
-                    free_u = full & ~busy
-                    pick = (free_u & -free_u).bit_length() - 1
-                    _flip_chain(cw, pick, (free_w & -free_w).bit_length() - 1, at, color, ends)
+                        return None
+                    pick = (avail & -avail).bit_length() - 1
+                    _flip_chain(w, pick, (free_w & -free_w).bit_length() - 1, k, sym, cop, taken)
                     bit = 1 << pick
-                    taken = at[cw]
-                e = len(color)
-                at[cu + pick] = e
-                at[cw + pick] = e
-                busy |= bit
-                at[cw] = taken | bit
-                end(cu + cw)
-                paint(pick)
-            at[cu] = busy
-    return color
+                    have = taken[w]
+                cop[cu + pick] = w
+                sym[w * k + pick] = cu
+                avail ^= bit
+                taken[w] = have | bit
+    return cop
 
 
-def _split_rights(cells, k: int) -> tuple[list[list[int]], int]:
+def _split_rights(cells, k: int) -> tuple[list[list[int]], list[int]]:
     """The cells with each right vertex's t-th entry, in cell order, relabelled
-    as its copy t // k; returns them and the number of copies."""
+    as its copy t // k; returns them and each copy's right vertex."""
     seen: dict[int, int] = {}
     label: dict[tuple[int, int], int] = {}
     out = []
@@ -211,34 +217,37 @@ def _split_rights(cells, k: int) -> tuple[list[list[int]], int]:
             seen[w] = t + 1
             new.append(label.setdefault((w, t // k), len(label)))
         out.append(new)
-    return out, len(label)
+    return out, [w for w, _ in label]
 
 
-def _flip_chain(start: int, a: int, b: int, at: list[int], color: list[int],
-                ends: list[int]) -> None:
-    """Swap colors a and b along the alternating chain leaving `start` on color a.
+def _flip_chain(w: int, a: int, b: int, k: int, sym: list[int], cop: list[int],
+                taken: list[int]) -> None:
+    """Swap colors a and b along the alternating chain leaving right vertex w
+    on color a.
 
-    b is free at start, so the chain is a path.  Each step recolors one
-    edge x -> y and, at the copy it reaches, hands color x to the chain's
-    next edge (or frees it at the far end).  Only the two ends change which
-    colors are busy: a becomes free at start and b busy, and the far end
-    swaps its chain color likewise.  The state is _color_cells'.
+    b is free at w, so the chain is a path that enters each copy on a and
+    each right vertex on b.  Every vertex on it swaps its a and b slots, and
+    only the ends change which colors are taken: a becomes free at w and b
+    taken, and a right vertex at the far end swaps likewise.  The state is
+    _first_fit's.
     """
-    e = at[start + a]
-    at[start + a] = -1
-    at[start + b] = e
-    vertex, x, y = start, a, b
-    while e >= 0:
-        vertex = ends[e] - vertex
-        nxt = at[vertex + y]
-        color[e] = y
-        at[vertex + y] = e
-        at[vertex + x] = nxt
-        x, y = y, x
-        e = nxt
     swap = (1 << a) | (1 << b)
-    at[start] ^= swap
-    at[vertex] ^= swap
+    taken[w] ^= swap
+    at = w * k
+    u = sym[at + a]
+    sym[at + a], sym[at + b] = -1, u
+    while True:
+        x = cop[u + b]
+        cop[u + a], cop[u + b] = x, w
+        if x < 0:
+            return
+        at = x * k
+        v = sym[at + a]
+        sym[at + a], sym[at + b] = u, v
+        if v < 0:
+            taken[x] ^= swap
+            return
+        w, u = x, v
 
 
 def max_matching(g: BipartiteMultigraph) -> Matching:

@@ -38,28 +38,23 @@ def _load(path: str) -> PartialGrid:
 
 
 def _is_corner_rectangle(grid: PartialGrid) -> Optional[PartialGrid]:
-    """Extract the fully filled top-left rectangle if the rest is empty."""
+    """Extract the fully filled top-left rectangle if the rest is empty.
+
+    Its width is row 1's filled prefix and its height the run of rows with
+    cell 1 filled; each row is read whole, by a slice and a count of None.
+    """
     if grid.is_fully_filled():
         return grid
-    rows = 0
-    for i in range(1, grid.rows + 1):
-        if grid.at(i, 1) is not None:
-            rows = i
-        else:
-            break
-    cols = 0
-    for j in range(1, grid.cols + 1):
-        if grid.at(1, j) is not None:
-            cols = j
-        else:
-            break
-    for i in range(1, grid.rows + 1):
-        for j in range(1, grid.cols + 1):
-            inside = i <= rows and j <= cols
-            if (grid.at(i, j) is not None) != inside:
-                return None
-    cells = tuple(tuple(grid.cells[i][:cols]) for i in range(rows))
-    return PartialGrid(grid.geometry, rows, cols, cells, grid.flavor, None)
+    cells = grid.cells  # at least one row and one column, or it is fully filled
+    first = cells[0]
+    cols = first.index(None) if None in first else len(first)
+    rows = next((i for i, row in enumerate(cells) if row[0] is None), len(cells))
+    for i, row in enumerate(cells):
+        filled = cols if i < rows else 0
+        if None in row[:filled] or row.count(None) != len(row) - filled:
+            return None
+    return PartialGrid(grid.geometry, rows, cols, tuple(row[:cols] for row in cells[:rows]),
+                       grid.flavor, None)
 
 
 def _invalid(grid: PartialGrid) -> bool:

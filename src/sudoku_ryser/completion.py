@@ -10,8 +10,8 @@ rows, and writes the square straight from the outline square's cells
 (_layout, then outline._write_square, expand_outline's writer).
 Distribution colours each band once, as the writer colours a merged block
 (outline._block_colors): the band's rows, with the leftover block as one
-more cell, get one colour per empty big column, and each symbol goes by
-its colour straight into its row's fill for that column.
+more cell, get one colour per empty big column, and a row's fill for that
+column is read off the colouring as one slice of that colour class.
 Every stage that can fail on honest input returns a checkable Obstruction;
 when all stages pass, the layout is a valid outline and the written square
 is valid, so the staged pipeline doubles as the completability decision.
@@ -20,7 +20,7 @@ Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline and
 follow Ryser's proof (_ryser_complete): the rows are extended to full
 width, then the missing rows are added, each step one colouring
 (outline._block_colors) whose colour classes are the new columns or rows,
-so each empty cell is coloured once and its symbol written straight in.
+so each empty cell is coloured once and the new lines are slices of it.
 Ryser's bound N(k) >= r + s - n enters only there, as what keeps each
 symbol's degree in the first step within the colour count.
 
@@ -429,9 +429,10 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
     big column: its cells are the rows' missing symbols once the plan's share
     is placed and, for the leftover band, the leftover block, which holds
     symbol k T - (rows missing k) times for T empty big columns.  Colour c
-    fills the c-th empty big column.  The rows missing each symbol come
-    from one Counter over the band's cells, not from a pass over the rows
-    per symbol.
+    fills the c-th empty big column: a row missing q T symbols is q copies,
+    whose colour c is one extended slice (any other count is a construction
+    bug).  The rows missing each symbol come from one Counter over the
+    band's cells, not from a pass over the rows per symbol.
     """
     n, targets = ax.n, ax.targets
     every = (2 << n) - 2
@@ -458,18 +459,17 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
             if any(contents[i] != every for i in rows):
                 raise RuntimeError("no room left but symbols remain unplaced")
             continue
-        colors = iter(_block_colors(cells, len(targets), n))
-        split = [[[] for _ in targets] for _ in cells]  # per cell, its symbols by colour
-        for cell, parts in zip(cells, split):
-            for k, c in zip(cell, colors):
-                parts[c - 1].append(k)
+        t = len(targets)
+        width = ax.q * t  # a row's missing symbols: q for each empty big column
+        if any(len(cell) != width for cell in cells[:len(rows)]):
+            raise RuntimeError(f"a {ax.line} of band {alpha} misses other than {width} symbols")
+        classes = _block_colors(cells, t, n)
+        starts = range(0, len(rows) * width, width)
         for c, J in enumerate(targets):
-            for i, parts in zip(rows, split):
-                if len(parts[c]) != ax.q:
-                    raise RuntimeError(f"member {i} got {len(parts[c])} symbols for line {J}")
-                row_fills[(i, J)] = tuple(parts[c])
+            for i, at in zip(rows, starts):
+                row_fills[(i, J)] = tuple(classes[at + c:at + width:t])
             if leftover:
-                block_fills[J] = tuple(split[-1][c])
+                block_fills[J] = tuple(classes[len(rows) * width + c::t])
     return row_fills, block_fills
 
 
@@ -641,15 +641,14 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
     symbol k has degree r - N(k), N(k) being its count in the rectangle;
     that is at most n - s exactly when Ryser's bound N(k) >= r + s - n
     holds.  One (n - s)-colouring of it (outline._block_colors) then gives
-    each row one symbol per colour and each symbol at most one row, so the
-    symbol of colour c is written into new column s + c.  Step 2 adds the
-    missing rows the same way: in the r x n result every column misses
-    n - r symbols and every symbol is missing from n - r columns, and the
-    symbol of colour c goes into new row r + c.  Each empty cell is
-    coloured once; new cells start at 0, so one left unwritten fails the
-    final validation.  When the bound fails the first failing symbol is the
-    obstruction.  A square that is not latin or does not extend the
-    rectangle is a construction bug: RuntimeError.
+    each row one symbol per colour and each symbol at most one row: each
+    row is one copy, and its colour row, appended, is new columns s + 1..n.
+    Step 2 adds the missing rows the same way: in the r x n result every
+    column misses n - r symbols and every symbol is missing from n - r
+    columns, and new row r + c is colour class c, a slice over the columns'
+    copies.  Each empty cell is coloured once.  When the bound fails the
+    first failing symbol is the obstruction.  A square that is not latin or
+    does not extend the rectangle is a construction bug: RuntimeError.
     """
     r, s = grid.rows, grid.cols
     ryser = ryser_counts(grid, n)
@@ -660,19 +659,16 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
     symbols = set(range(1, n + 1))
     rows = [list(row) for row in grid.cells]
     if s < n:
+        m = n - s
         block = tuple(_missing(row, symbols) for row in rows)
-        colors = iter(_block_colors(block, n - s, n))
-        for row, cell in zip(rows, block):
-            row += [0] * (n - s)
-            for k, c in zip(cell, colors):
-                row[s + c - 1] = k
+        classes = _block_colors(block, m, n)
+        for row, at in zip(rows, range(0, len(classes), m)):
+            row += classes[at:at + m]
     if r < n:
+        m = n - r
         block = tuple(_missing(column, symbols) for column in (zip(*rows) if rows else [()] * n))
-        colors = iter(_block_colors(block, n - r, n))
-        rows += [[0] * n for _ in range(n - r)]
-        for j, cell in enumerate(block):
-            for k, c in zip(cell, colors):
-                rows[r + c - 1][j] = k
+        classes = _block_colors(block, m, n)
+        rows += [classes[c:n * m:m] for c in range(m)]  # n cells, even past a bug in step 1
 
     square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
     if not validate_partial(square).ok or not extends(grid, square):

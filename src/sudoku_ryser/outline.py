@@ -153,26 +153,27 @@ def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...
 
 
 def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> list[int]:
-    """The colour in 1..m of each symbol instance of one merged part of size m.
+    """The colour classes of one merged part of size m, as the symbol of
+    each colour at each copy of m cell instances.
 
-    The colours, listed cell by cell in stored order, come from one
-    equitable m-edge-coloring of the graph joining the cells (cross-axis
-    blocks) to the symbols 1..symbols, one edge per symbol instance; colour
-    class c is unit line c of the part.  When every degree in that graph is
-    a multiple of m, each class takes an exact 1/m share at every vertex and
-    the counting conditions hold for every line.  Degrees of at most m are
-    allowed too: each class takes such a vertex at most once, so a symbol
-    of degree at most m lands at most once in any line, and a cell of
-    degree m gets exactly one symbol of each colour.
+    One equitable m-edge-colouring of the graph joining the cells
+    (cross-axis blocks) to the symbols 1..symbols, one edge per symbol
+    instance, in the kernel's rows (bipartite._color_cells).  Colour class
+    c is unit line c of the part: a cell of m*t instances whose first copy
+    is at offset at gives it the slice [at + c - 1:at + m*t:m].  When every
+    degree in that graph is a multiple of m, each class takes an exact 1/m
+    share at every vertex and the counting conditions hold for every line.
+    Degrees of at most m are allowed too: each class takes such a vertex at
+    most once, so a symbol of degree at most m lands at most once in any
+    line, and a cell of degree m gets exactly one symbol of each colour.
 
-    The colouring is bipartite._color_cells on the cells as they are, so
-    symbol k is right vertex k and no graph object is built; the first fit
-    of the i-th copy of m cell instances starts at colour (i mod m) + 1.
-    A symbol of degree above m makes the kernel split the symbols into
-    copies of m instances and colour again; no block of complete() or
-    expand_outline has one, only split_front's with non-unit symbol parts.
-    Symbols are not range-checked: every caller passes cells of symbols in
-    1..symbols.
+    The kernel takes the cells as they are, so symbol k is right vertex k
+    and no graph object is built; the first fit of the i-th copy of m cell
+    instances starts at colour (i mod m) + 1.  A symbol of degree above m
+    makes the kernel split the symbols into copies of m instances and
+    colour again; no block of complete() or expand_outline has one, only
+    split_front's with non-unit symbol parts.  Symbols are not range-checked:
+    every caller passes cells of symbols in 1..symbols.
     """
     return _color_cells(block, m, symbols + 1)
 
@@ -181,18 +182,15 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
                   symbols: int) -> list[tuple[tuple[int, ...], ...]]:
     """Split one merged part of size m into m unit slices, in colour order.
 
-    Slice c holds colour class c of _block_colors.  A slice cell keeps the
-    block's cell order, so sorted cells give sorted slices.  split_front is
-    its only caller in the library: distribution and _write_square write
-    each symbol straight from its colour, and the tests split through this
-    function as their reference for both.
+    Slice c holds colour class c of _block_colors, in the block's cell
+    order, so sorted cells give sorted slices.  split_front is its only
+    caller in the library; the tests split through it as their reference
+    for distribution and _write_square.
     """
-    colors = iter(_block_colors(block, m, symbols))
-    slices: list[list[list[int]]] = [[[] for _ in block] for _ in range(m)]
-    for b, cell in enumerate(block):
-        for k, c in zip(cell, colors):
-            slices[c - 1][b].append(k)
-    return [tuple(map(tuple, slice_)) for slice_ in slices]
+    rows = _block_colors(block, m, symbols)
+    ends = list(accumulate((-(-len(cell) // m) * m for cell in block), initial=0))
+    return [tuple(tuple(k for k in rows[at + c:end:m] if k >= 0)
+                  for at, end in zip(ends, ends[1:])) for c in range(m)]
 
 
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
@@ -226,13 +224,14 @@ def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -
 
     One _block_colors call splits each merged row part of size m: colour c
     goes to unit row c, straight into the square in a unit column, else into
-    that row's new cell of the column part.  A unit row part needs no
-    colouring and no copy: its unit cells are written straight into its
-    row, and its column-part cells are handed on as they are.  Each column
-    part of size m >= 2 is then split into its columns the same way.  Cells
-    are read in stored order, as splitting off unit slices in turn reads
-    them.  A column part's cell of the wrong size raises RuntimeError; an
-    unwritten cell stays 0.
+    that row's new cell of the column part, one slice of the colour class.
+    A unit row part needs no colouring and no copy: its unit cells are
+    written straight into its row, and its column-part cells are handed on
+    as they are.  Each column part of width q >= 2 is then split the same
+    way: each of its cells is one copy, whose colours are the row's q
+    columns, written as one slice.  Cells are read in stored order, as
+    splitting off unit slices in turn reads them.  A column part's cell of
+    the wrong size raises RuntimeError; an unwritten cell stays 0.
     """
     starts = tuple(accumulate(col_comp, initial=0))
     parts: list[list] = [[] for _ in col_comp]  # unit-row cells; none for a unit column
@@ -248,24 +247,24 @@ def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -
                     part.append(cell)
             square.append(row)
             continue
-        colors = iter(_block_colors(line, m, n))
+        classes = _block_colors(line, m, n)
         rows = [[0] * n for _ in range(m)]
+        at = 0
         for start, width, cell, part in zip(starts, col_comp, line, parts):
+            end = at + len(cell)
             if width == 1:
-                for k, c in zip(cell, colors):
-                    rows[c - 1][start] = k
+                for row, k in zip(rows, classes[at:end]):
+                    row[start] = k
             else:
-                part += [[] for _ in rows]
-                for k, c in zip(cell, colors):
-                    part[c - 1 - m].append(k)
+                part += [classes[c:end:m] for c in range(at, at + m)]
+            at = end
         square += rows
     for start, width, part in zip(starts, col_comp, parts):
-        colors = iter(_block_colors(part, width, n) if width >= 2 else ())
-        for row, cell in zip(square, part):
+        columns = _block_colors(part, width, n) if width >= 2 else ()
+        for at, row, cell in zip(range(0, len(columns), width), square, part):
             if len(cell) != width:
                 raise RuntimeError("a cell holds the wrong number of symbols; construction bug")
-            for k, c in zip(cell, colors):
-                row[start + c - 1] = k
+            row[start:start + width] = columns[at:at + width]
     return tuple(map(tuple, square))
 
 
@@ -274,9 +273,9 @@ def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
 
     Requires a unit symbol composition and a valid outline, then writes the
     square as complete() does (_write_square).  A cell of the wrong size, or
-    a square cell left empty, is a construction bug and raises RuntimeError.
-    The result is a latin-flavor grid with 1 x n boxes; callers that need a
-    box structure re-wrap its cells.
+    a square that is not latin, is a construction bug and raises
+    RuntimeError.  The result is a latin-flavor grid with 1 x n boxes;
+    callers that need a box structure re-wrap its cells.
     """
     if any(part != 1 for part in o.sym_comp):
         raise OutlineError("expansion requires a unit symbol composition")
@@ -284,7 +283,8 @@ def expand_outline(o: OutlineLatinSquare) -> PartialGrid:
     if not report.ok:
         raise OutlineError(f"outline is invalid: {report.violations[:3]}")
     n = o.n
-    square = _write_square(o.row_comp, o.col_comp, o.cells, n)
-    if any(0 in row for row in square):
-        raise RuntimeError("expansion left a cell empty; construction bug")
-    return PartialGrid(SudokuGeometry(1, n), n, n, square, "latin", None)
+    square = PartialGrid(SudokuGeometry(1, n), n, n,
+                         _write_square(o.row_comp, o.col_comp, o.cells, n), "latin", None)
+    if not validate_partial(square).ok:
+        raise RuntimeError("expanded square is not latin; construction bug")
+    return square

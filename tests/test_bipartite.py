@@ -334,6 +334,30 @@ def reference_coloring(g: BipartiteMultigraph, k: int) -> tuple[int, ...]:
     return tuple(by_edge)
 
 
+def by_copy(g: BipartiteMultigraph, k: int, color_of) -> list[dict[int, int]]:
+    """Each left copy's right vertex per colour: the edges grouped by left
+    vertex, in edge order, and cut into copies of k, as the kernel cuts its
+    cells.  Parallel edges of one copy may swap colours without changing it."""
+    groups: list[list[int]] = [[] for _ in g.left_labels]
+    for e, (u, _) in enumerate(g.edges):
+        groups[u].append(e)
+    return [{color_of[e]: g.edges[e][1] for e in group[i:i + k]}
+            for group in groups for i in range(0, len(group), k)]
+
+
+def parallel_colours_ascend(g: BipartiteMultigraph, k: int, color_of) -> bool:
+    """Whether the parallel edges of each left copy take ascending colours in edge order."""
+    last: dict = {}
+    seen: dict = {}
+    for e, (u, w) in enumerate(g.edges):
+        copy = (u, seen.get(u, 0) // k)
+        seen[u] = seen.get(u, 0) + 1
+        if last.get((copy, w), 0) > color_of[e]:
+            return False
+        last[(copy, w)] = color_of[e]
+    return True
+
+
 def criterion_2_graphs():
     """The acceptance suite's criterion-2 graphs, each with its color count."""
     rng = random.Random(271828)
@@ -363,9 +387,14 @@ def test_coloring_matches_the_dict_reference(monkeypatch):
     rng = random.Random(6)
     graphs.extend((random_multigraph(rng, max_side=6, max_edges=120), rng.randint(1, 12))
                   for _ in range(300))
+    parallel = 0
     for g, k in graphs:
-        assert equitable_edge_coloring(g, k).color_of == reference_coloring(g, k), (g, k)
+        colors, reference = equitable_edge_coloring(g, k).color_of, reference_coloring(g, k)
+        assert by_copy(g, k, colors) == by_copy(g, k, reference), (g, k)
+        assert parallel_colours_ascend(g, k, colors), (g, k)
+        parallel += colors != reference
     assert len(flips) > 100
+    assert parallel  # the reference colours some parallel edges out of order
 
 
 def test_coloring_restarts_on_split_rights_after_chain_flips(monkeypatch):
@@ -390,7 +419,7 @@ def test_coloring_restarts_on_split_rights_after_chain_flips(monkeypatch):
     coloring = equitable_edge_coloring(g, 2)
     assert events[:2] == ["flip", "split"]
     assert is_equitable(g, coloring)
-    assert coloring.color_of == reference_coloring(g, 2)
+    assert by_copy(g, 2, coloring.color_of) == by_copy(g, 2, reference_coloring(g, 2))
 
 
 def adjacency(g):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from sudoku_ryser.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from sudoku_ryser.fixtures import gen_evans_small
 from sudoku_ryser.grid import (
     MAX_ORDER,
+    PartialGrid,
     grid_from_rows,
     parse_grid,
     serialize_grid,
@@ -149,6 +151,67 @@ def test_check_ryser_reads_the_filled_corner(tmp_path, capsys):
     assert main(["check", "--ryser", "--verbose", str(path)]) == 0
     assert "symbol 1: N=1\n" in capsys.readouterr().out
     assert main(["complete", str(path)]) == 0
+
+
+def _corner_by_cells(grid):
+    """The corner check cell by cell: the height and width are the filled
+    runs down column 1 and along row 1, and every cell must be filled
+    exactly when it lies inside them."""
+    if grid.is_fully_filled():
+        return grid
+    cells = grid.cells
+    rows = next((i for i in range(grid.rows) if cells[i][0] is None), grid.rows)
+    cols = next((j for j in range(grid.cols) if cells[0][j] is None), grid.cols)
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            if (cells[i][j] is not None) != (i < rows and j < cols):
+                return None
+    return PartialGrid(grid.geometry, rows, cols, tuple(row[:cols] for row in cells[:rows]),
+                       grid.flavor, None)
+
+
+def test_corner_rectangle_reads_whole_rows(monkeypatch):
+    # Seeded grids of every kind the check meets: corners (empty and full
+    # among them), corners with a hole or a stray filled cell, or with a
+    # cell moved out of the corner along its row, and ragged rows that each
+    # fill their own prefix.  The row-wise check agrees with
+    # the cell-by-cell reference and never reads a cell through at().
+    def refuse(*args):
+        raise AssertionError("PartialGrid.at was called")
+
+    monkeypatch.setattr(PartialGrid, "at", refuse)
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(600):
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        n = p * q
+        height, width = rng.randint(1, n), rng.randint(1, n)
+        r, s = rng.randint(0, height), rng.randint(0, width)
+        kind = rng.choice(("corner", "hole", "stray", "moved", "ragged"))
+        if kind == "ragged":
+            ends = [rng.randint(0, width) for _ in range(height)]
+        else:
+            ends = [s if i < r else 0 for i in range(height)]
+        rows = [[rng.randint(1, n) if j < end else 0 for j in range(width)] for end in ends]
+        if kind == "hole" and r and s:
+            rows[rng.randrange(r)][rng.randrange(s)] = 0
+        if kind == "moved" and r and 0 < s < width:
+            i = rng.randrange(r)
+            rows[i][rng.randrange(s)], rows[i][rng.randrange(s, width)] = 0, 1
+        if kind == "stray" and (r < height or s < width):
+            i, j = rng.randrange(height), rng.randrange(width)
+            while i < r and j < s:
+                i, j = rng.randrange(height), rng.randrange(width)
+            rows[i][j] = 1
+        grid = grid_from_rows(p, q, rows)
+        expected = _corner_by_cells(grid)
+        assert cli._is_corner_rectangle(grid) == expected, rows
+        seen.add((kind, expected is not None))
+        seen.update(name for name, hit in (
+            ("full", grid.is_fully_filled()),
+            ("empty", all(v is None for row in grid.cells for v in row))) if hit)
+    assert {("corner", True), ("hole", False), ("stray", False), ("moved", False),
+            ("ragged", True), ("ragged", False), "full", "empty"} <= seen
 
 
 def test_check_ryser_needs_a_corner_rectangle(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """The colouring kernel's work on fixed inputs, pinned as counts and a hash.
 
 For each input the ledger counts the coloured edges, the _flip_chain calls
-and the chain edges those calls recolour, and hashes every colour list the
-kernel returned, in call order.  A change that claims identical colourings
-(a kernel speed-up) leaves LEDGER as it is; a change to the algorithm
-records the new figures and says why.  The counts come from spies on
-bipartite._flip_chain and on outline._color_cells, the name every colouring
-of complete() goes through; the multigraph input is coloured by
-equitable_edge_coloring and hashed from its result.
+and the chain edges those calls recolour, and hashes the kernel's rows of
+every colouring, in call order: for each cell copy, in cell order, the
+right vertex of each colour (-1 where a short copy lacks it).  A change
+that claims identical colourings (a kernel speed-up) leaves LEDGER as it
+is; a change to the algorithm records the new figures and says why.  The
+counts come from spies on bipartite._flip_chain and on outline._color_cells,
+the name every colouring of complete() goes through; the multigraph input
+is coloured by equitable_edge_coloring and its rows are read off its
+result, so parallel edges of one copy may swap colours without changing
+the hash.  The (16,16) input is the order-256 pin of the large-order work.
 """
 import hashlib
 import random
@@ -18,16 +21,18 @@ from sudoku_ryser.completion import complete
 from sudoku_ryser.fixtures import _pattern_square
 from sudoku_ryser.grid import grid_from_rows
 
-# input -> (coloured edges, _flip_chain calls, chain edges recoloured, sha256 of the colours)
+# input -> (coloured edges, _flip_chain calls, chain edges recoloured, sha256 of the rows)
 LEDGER = {
     "(12,12) 73x49": (34560, 3833, 58968,
-                      "90b157ed6527f21150fed15677dcf45738dc386236e08927cb69706caae5702d"),
+                      "88e50dfe3e3c52daeeb83c5f2679bd60d4b56ea5e348621959165d4813f7583c"),
     "(8,12) 49x33": (15360, 1608, 20512,
-                     "3dbd6889e3d1b6d2cf03a187da9a3e729a1705853924eac817a1bd4f91df462a"),
+                     "2122d06ebdfe51a8b387afb39b88c91b6275415b31794e77bf37bbc27302f087"),
     "(1,121) 61x41": (12140, 257, 8318,
-                      "e32d5fc98f4cea801d1a6c3e651b52c7c707cb5a99a9b0ba5af8e45e711b889d"),
+                      "c4c4e9a4f30ddedd5c1724f08ed81e97f8be971ac32f3c04d66255cb8787b9bb"),
     "multigraph k=3": (64, 5, 12,
-                       "e1ea50229185a1e634bce7df2f2e5d70e0c8d7b9731e200fc308d7732e2af7cc"),
+                       "36fb42b28ae71120639c619e7255af6bd7a61b2c6841d0239aba56d7c01332c0"),
+    "(16,16) 129x86": (109824, 11746, 226536,
+                       "b5b8327fd8232f4cf8a87e6005d5537f7fae15016acefd78f13b371b04abfb1f"),
 }
 
 
@@ -49,7 +54,25 @@ INPUTS = {
     "(8,12) 49x33": lambda: complete(_corner(8, 12, 49, 33, 2)),
     "(1,121) 61x41": lambda: complete(_corner(1, 121, 61, 41, 3)),
     "multigraph k=3": lambda: equitable_edge_coloring(_overfull_multigraph(), 3),
+    "(16,16) 129x86": lambda: complete(_corner(16, 16, 129, 86, 4)),
 }
+
+
+def _rows_of(g: BipartiteMultigraph, k: int, color_of) -> list[int]:
+    """The kernel's rows of an edge colouring: the edges grouped by left
+    vertex, in edge order, cut into copies of k, and each copy's right
+    vertex written into the slot of its colour."""
+    groups: list[list[int]] = [[] for _ in g.left_labels]
+    for e, (u, _) in enumerate(g.edges):
+        groups[u].append(e)
+    rows: list[int] = []
+    for group in groups:
+        for first in range(0, len(group), k):
+            row = [-1] * k
+            for e in group[first:first + k]:
+                row[color_of[e] - 1] = g.edges[e][1]
+            rows += row
+    return rows
 
 
 def _ledger(monkeypatch, run):
@@ -58,23 +81,30 @@ def _ledger(monkeypatch, run):
     core, flip = outline._color_cells, bipartite._flip_chain
 
     def coloring(cells, k, right):
-        colors = core(cells, k, right)
-        counts["edges"] += len(colors)
-        digest.update(repr(colors).encode())
-        return colors
+        rows = core(cells, k, right)
+        counts["edges"] += sum(map(len, cells))
+        digest.update(repr(rows).encode())
+        return rows
 
-    def flipping(start, a, b, at, color, ends):
-        before = color[:]
-        flip(start, a, b, at, color, ends)
+    def flipping(w, a, b, k, sym, cop, taken):
+        # Walk the chain before it flips: a right vertex leaves on a, a copy on b.
+        u = sym[w * k + a]
+        while u >= 0:
+            counts["walked"] += 1
+            x = cop[u + b]
+            if x < 0:
+                break
+            counts["walked"] += 1
+            u = sym[x * k + a]
         counts["flips"] += 1
-        counts["walked"] += sum(x != y for x, y in zip(before, color))
+        flip(w, a, b, k, sym, cop, taken)
 
     monkeypatch.setattr(outline, "_color_cells", coloring)
     monkeypatch.setattr(bipartite, "_flip_chain", flipping)
     result = run()
     if isinstance(result, bipartite.EdgeColoring):
         counts["edges"] += len(result.color_of)
-        digest.update(repr(list(result.color_of)).encode())
+        digest.update(repr(_rows_of(_overfull_multigraph(), result.k, result.color_of)).encode())
     else:
         assert result.completable
     return counts["edges"], counts["flips"], counts["walked"], digest.hexdigest()

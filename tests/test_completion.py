@@ -574,20 +574,21 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda colors: [colors[1]] + colors[1:],  # a cell gets two symbols of one colour
-    lambda colors: [colors[1], colors[0]] + colors[2:],  # a new line repeats a symbol
+    lambda rows: [rows[1]] + rows[1:],  # a new line gets one symbol twice and loses one
+    lambda rows: [rows[1], rows[0]] + rows[2:],  # two new cells of a line swap symbols
 ], ids=["two-symbol-cell", "repeated-symbol"])
 def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
     # Both steps, then step 1 alone (r = n), then step 2 alone (s = n), so
     # that the last step's corruption reaches the final square check.  Each
-    # step colours a block whose first cell has two symbols, so the two
-    # corruptions change the first cell's colours.
+    # step colours a block whose first cell is one copy of two symbols, and
+    # the corruptions change the kernel's row of that copy: either symbol
+    # count goes wrong, or a new column repeats a symbol.
     rectangles = ([[1, 2], [2, 1]], [[1, 2], [2, 1], [3, 4], [4, 3]],
                   [[1, 2, 3, 4], [2, 1, 4, 3]])
     block_colors = completion._block_colors
 
     def corrupted(block, m, symbols):
-        return corrupt(list(block_colors(block, m, symbols)))
+        return corrupt(block_colors(block, m, symbols))
 
     monkeypatch.setattr(completion, "_block_colors", corrupted)
     for (p, q), rows in itertools.product(((1, 4), (4, 1)), rectangles):
@@ -606,10 +607,10 @@ def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corr
     ("column", [[1, 2], [3, 4], [2, 1]]),
 ])
 def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split, rows):
-    # Recolour the first symbol instance of the first colouring that the
-    # writer's row split, or its column split, makes.  A wrong row split
-    # leaves a cell of the wrong size for the column split, or a square cell
-    # unwritten; a wrong column split gives a cell two symbols of one colour.
+    # In the first colouring that the writer's row split, or its column
+    # split, makes, the first copy's colour-1 symbol takes colour 2 as well,
+    # replacing that colour's symbol.  Either split then writes one symbol
+    # too often and another too seldom, so the square is not latin.
     # complete() and the public expand_outline share the writer.
     grid = grid_from_rows(2, 2, rows)
     plan = plan_medium_cells(grid)
@@ -621,12 +622,12 @@ def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split,
     state = {"writing": False, "calls": 0}
 
     def corrupted(block, m, symbols):
-        colors = list(block_colors(block, m, symbols))
+        rows = block_colors(block, m, symbols)
         if state["writing"]:
             if state["calls"] == target:
-                colors[0] = colors[0] % m + 1
+                rows[1] = rows[0]
             state["calls"] += 1
-        return colors
+        return rows
 
     def writing(*args):
         state.update(writing=True, calls=0)
@@ -648,8 +649,9 @@ def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split,
 
 
 def _expanded_by_slices(o):
-    """Expansion as one slice list per merged row block, then the column
-    parts: the reference for the writer, which splits straight into cells."""
+    """Expansion as one slice list per merged row block, then one per column
+    part: the reference for the writer, which reads the colour classes
+    straight into cells."""
     n = o.n
     rows = []
     for m, line in zip(o.row_comp, o.cells):
@@ -657,10 +659,9 @@ def _expanded_by_slices(o):
     square = [[0] * n for _ in range(n)]
     offset = 0
     for m, column in zip(o.col_comp, zip(*rows)):
-        colors = iter(outline._block_colors(column, m, n)) if m >= 2 else itertools.repeat(1)
-        for row, cell in zip(square, column):
-            for k, c in zip(cell, colors):
-                row[offset + c - 1] = k
+        for c, slice_ in enumerate(outline._block_slices(column, m, n) if m >= 2 else (column,)):
+            for row, (k,) in zip(square, slice_):
+                row[offset + c] = k
         offset += m
     return tuple(map(tuple, square))
 

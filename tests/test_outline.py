@@ -285,12 +285,13 @@ def test_expand_colors_each_merged_part_once(monkeypatch):
 
 def test_block_colors_are_the_generic_coloring_of_the_block_graph():
     # What equitable_edge_coloring adds over the kernel (_color_cells): it
-    # groups the graph's edges by left vertex, in edge order, and scatters
-    # each cell's colours back to the edges' positions.  The block graph's
-    # edges are given with the cells interleaved at random, each cell's own
-    # edges in order, so the grouped cells are the block's cells: every
-    # edge must get its instance's colour from the kernel on those cells,
-    # and the colouring must pass is_equitable.
+    # groups the graph's edges by left vertex, in edge order, and gives each
+    # copy's edges the colours its row gives their symbols, ascending among
+    # parallel edges.  The block graph's edges are given with the cells
+    # interleaved at random, each cell's own edges in order, so the grouped
+    # cells are the block's cells: every edge must get its instance's colour
+    # read off the kernel's rows on those cells, and the colouring must pass
+    # is_equitable.
     rng = random.Random(59)
     cases = [((), 3, 4), (((),), 1, 2), (((), (2, 2, 1), ()), 1, 2)]
     for _ in range(3000):
@@ -302,8 +303,16 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
     interleaved = 0
     for block, m, n in cases:
         grouped = [[k - 1 for k in cell] for cell in block]
-        kernel = iter(_color_cells(grouped, m, n))
-        colour = {(b, i): next(kernel) for b, cell in enumerate(grouped) for i in range(len(cell))}
+        rows = iter(_color_cells(grouped, m, n))
+        colour = {}
+        for b, cell in enumerate(grouped):
+            for first in range(0, len(cell), m):
+                colours: dict = {}
+                for c in range(1, m + 1):
+                    colours.setdefault(next(rows), []).append(c)
+                for i in range(first, min(first + m, len(cell))):
+                    colour[(b, i)] = colours[cell[i]].pop(0)
+        assert next(rows, None) is None
         pending = [list(range(len(cell))) for cell in grouped]
         order = []  # (cell, instance) of each edge, cells interleaved
         while any(pending):
@@ -330,10 +339,12 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
 
 
 def test_block_colors_pass_the_definitional_equitability_check():
-    # Independent of the colouring kernel: each block's colours, read as an
-    # m-edge-colouring of the graph joining its cells to the symbols, pass
-    # is_equitable's count at every vertex.  Cells are sorted, as the library
-    # stores them, or left in draw order.
+    # Independent of the colouring kernel: each block's rows, read as an
+    # m-edge-colouring of the graph joining its cells to the symbols (slot c
+    # of a row of cell b, holding k, is an edge b-k of colour c + 1), hold
+    # every symbol instance once and pass is_equitable's count at every
+    # vertex.  Cells are sorted, as the library stores them, or left in draw
+    # order.
     rng = random.Random(61)
     seen = set()
     for _ in range(2000):
@@ -342,10 +353,19 @@ def test_block_colors_pass_the_definitional_equitability_check():
         for _ in range(rng.randint(1, 6)):
             cell = [rng.randint(1, n) for _ in range(rng.randint(0, 3 * m))]
             block.append(tuple(sorted(cell) if rng.random() < 0.5 else cell))
-        edges = tuple((b, k - 1) for b, cell in enumerate(block) for k in cell)
-        graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, n + 1)), edges)
-        colors = EdgeColoring(m, tuple(outline._block_colors(tuple(block), m, n)))
-        assert is_equitable(graph, colors), (block, m, n)
+        rows = outline._block_colors(tuple(block), m, n)
+        copies = [b for b, cell in enumerate(block) for _ in range(0, len(cell), m)]
+        assert len(rows) == m * len(copies)
+        edges, colors = [], []
+        for at, b in zip(range(0, len(rows), m), copies):
+            for c, k in enumerate(rows[at:at + m], 1):
+                if k >= 0:
+                    edges.append((b, k - 1))
+                    colors.append(c)
+        assert sorted(edges) == sorted((b, k - 1) for b, cell in enumerate(block) for k in cell)
+        graph = BipartiteMultigraph(tuple(range(len(block))), tuple(range(1, n + 1)),
+                                    tuple(edges))
+        assert is_equitable(graph, EdgeColoring(m, tuple(colors))), (block, m, n)
         degrees = [len(cell) for cell in block]
         degrees += [sum(cell.count(k) for cell in block) for k in range(1, n + 1)]
         seen.update(name for name, hit in (
