@@ -7,7 +7,6 @@ from .bipartite import (
     Matching,
     equitable_edge_coloring,
     is_equitable,
-    max_matching,
     saturating_matching,
 )
 from .completion import (
@@ -15,13 +14,10 @@ from .completion import (
     Obstruction,
     Verdict,
     assemble_outline,
-    bottom_graph,
     complete,
     complete_latin_rectangle,
     distribute_free,
-    matchings_exist,
     plan_medium_cells,
-    side_graph,
     verify_obstruction,
 )
 from .fixtures import (

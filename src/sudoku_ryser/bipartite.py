@@ -250,17 +250,6 @@ def _flip_chain(w: int, a: int, b: int, k: int, sym: list[int], cop: list[int],
         w, u = x, v
 
 
-def max_matching(g: BipartiteMultigraph) -> Matching:
-    """Maximum-cardinality matching, deterministic.
-
-    A greedy pass gives each left vertex, in index order, its first free
-    neighbor; then each vertex still free gets one augmenting search (see
-    extend_matching).
-    """
-    adj = _left_adjacency(g)
-    return _augment_each_free(adj, *_greedy(adj, 1, g.right_count))
-
-
 def extend_matching(g: BipartiteMultigraph,
                     initial: Iterable[tuple[int, int]] = ()) -> Matching:
     """Grow a valid initial matching to a maximum one by augmenting paths.

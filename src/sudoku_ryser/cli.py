@@ -17,6 +17,7 @@ from typing import Optional
 from . import completion, fixtures, hall
 from .grid import (
     FLAVORS,
+    MAX_ORDER,
     GridFormatError,
     PartialGrid,
     embed_in_square,
@@ -159,11 +160,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.generator == "evans-small":
+    # Checked before anything is built: a grid above the cap would be
+    # written, but parse_grid refuses to read it back.
+    gen = args.generator
+    order = args.k * args.k if gen == "evans-big" else args.n if gen == "fig6" else args.p * args.q
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order}: a grid file may declare at most {MAX_ORDER}")
+    if gen == "evans-small":
         grid = fixtures.gen_evans_small(args.p, args.q)
-    elif args.generator == "evans-big":
+    elif gen == "evans-big":
         grid = fixtures.gen_evans_big(args.k, args.i)
-    elif args.generator == "fig6":
+    elif gen == "fig6":
         grid = fixtures.gen_fig6(args.n, args.x, args.variant)
     else:
         grid = fixtures.gen_random_rectangle(args.p, args.q, args.r, args.s, args.seed)

@@ -43,7 +43,6 @@ from itertools import chain
 from typing import Iterable, Optional, Union
 
 from .bipartite import (
-    BipartiteMultigraph,
     HallViolator,
     _augment_each_free,
     _greedy,
@@ -142,7 +141,7 @@ class _Axis:
     lines: list[int]  # each line's symbols, 1-based (lines[0] is 0)
     band_cells: list[int]  # each band's partially covered big cell, 1-based
     corner: int  # the doubly covered corner big cell, 0 when there is none
-    line: str  # left label of replica graphs
+    line: str  # what a line is called in error messages
     stage: str  # Obstruction stage of this axis' matchings
     band_kind: str  # Obstruction kind when a band's replica lists do not saturate
     coverage_kind: str  # Obstruction kind when a symbol's leftover rows outnumber its slots
@@ -216,61 +215,32 @@ def _band_rows(ax: _Axis, alpha: int) -> range:
     return range((alpha - 1) * ax.p + 1, min(alpha * ax.p, ax.r) + 1)
 
 
-def _band_allowed(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
+def _band_allowed(ax: _Axis, alpha: int) -> list[list[int]]:
     """The 0-based symbols each row of band alpha may take in the partial big
-    column, ascending: those absent from the row and, with the strengthened
-    rule, from the band's partially covered big cell."""
-    if ax.q_divides:
-        raise ValueError(f"{ax.line} replica graphs need a partially covered big line")
-    if not (1 <= alpha <= ax.full_bands or (alpha == ax.full_bands + 1 and not ax.p_divides)):
-        raise ValueError(f"{ax.line} group index {alpha} out of range")
-    free = (2 << ax.n) - 2 & ~(ax.band_cells[alpha] if strengthen else 0)
+    column, ascending: those absent from the row and from the band's
+    partially covered big cell.  Callers check that the band has one."""
+    free = (2 << ax.n) - 2 & ~ax.band_cells[alpha]
     return [_bits((free & ~ax.lines[i]) >> 1) for i in _band_rows(ax, alpha)]
 
 
-def _replicas(ax: _Axis, alpha: int, strengthen: bool) -> list[list[int]]:
+def _replicas(ax: _Axis, alpha: int) -> list[list[int]]:
     """Band alpha's rows, b copies each, with the symbols they may take:
-    replica pos * b + c is copy c of the band's row at position pos."""
-    return [hood for hood in _band_allowed(ax, alpha, strengthen) for _ in range(ax.b)]
+    replica pos * b + c is copy c of the band's row at position pos.  These
+    are the left vertices of the paper's side (bottom) graph."""
+    return [hood for hood in _band_allowed(ax, alpha) for _ in range(ax.b)]
 
 
-def _side_graph(ax: _Axis, alpha: int, strengthen: bool) -> BipartiteMultigraph:
-    """The replica lists as a graph, for side_graph and bottom_graph."""
-    left = tuple((ax.line, i, c) for i in _band_rows(ax, alpha) for c in range(1, ax.b + 1))
-    edges = tuple((u, w) for u, hood in enumerate(_replicas(ax, alpha, strengthen)) for w in hood)
-    return BipartiteMultigraph(left, tuple(range(1, ax.n + 1)), edges)
-
-
-def _match_band(ax: _Axis, alpha: int,
-                strengthen: bool) -> Union[dict[int, list[int]], HallViolator]:
+def _match_band(ax: _Axis, alpha: int) -> Union[dict[int, list[int]], HallViolator]:
     """Band alpha's share of the partial big column: b symbols per row, each
     symbol at most once in the band, keyed by row.
 
     The capacitated matcher works on one vertex per row; its violator is
     stated on the replica lists (_replicas), in the numbering they share.
     """
-    res = capacitated_matching(_band_allowed(ax, alpha, strengthen), ax.b, ax.n)
+    res = capacitated_matching(_band_allowed(ax, alpha), ax.b, ax.n)
     if isinstance(res, HallViolator):
         return res
     return {i: [w + 1 for w in got] for i, got in zip(_band_rows(ax, alpha), res)}
-
-
-def side_graph(grid: PartialGrid, alpha: int, *, strengthen: bool = True) -> BipartiteMultigraph:
-    """Replicated row-versus-symbol graph for one band of the partial big column.
-
-    Each row of the band appears q - (s - s*) times; a replica is joined to
-    symbol j when j is absent from that row and (with the strengthened rule)
-    absent from the band's partially covered big cell.
-    """
-    return _side_graph(_shape(grid).axes[0], alpha, strengthen)
-
-
-def bottom_graph(grid: PartialGrid, beta: int, *, strengthen: bool = True) -> BipartiteMultigraph:
-    """Column mirror of side_graph for one stack of the partial big row.
-
-    It is side_graph on the column axis, with ("col", j, c) replica labels.
-    """
-    return _side_graph(_shape(grid).axes[1], beta, strengthen)
 
 
 def _coverage(ax: _Axis, symbol: int) -> tuple[list[int], range]:
@@ -327,7 +297,7 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
         if ax.q_divides:
             continue
         for alpha in range(1, ax.full_bands + 1):
-            res = _match_band(ax, alpha, True)
+            res = _match_band(ax, alpha)
             if isinstance(res, HallViolator):
                 return Obstruction(ax.stage, res, kind=ax.band_kind, index=alpha)
             share.update(((alpha, i - (alpha - 1) * ax.p), tuple(syms)) for i, syms in res.items())
@@ -605,17 +575,6 @@ def complete(grid: PartialGrid) -> Verdict:
     return Verdict(True, square)
 
 
-def matchings_exist(grid: PartialGrid, *, strengthen: bool = True) -> bool:
-    """Bare matching criterion: every defined side and bottom graph saturates.
-
-    This is the unstaged test (no corner coordination, no placement counts);
-    it is exposed for comparing the plain and strengthened edge rules.
-    """
-    return not any(isinstance(_match_band(ax, alpha, strengthen), HallViolator)
-                   for ax in _shape(grid).axes if not ax.q_divides
-                   for alpha in range(1, len(ax.band_cells)))
-
-
 def _missing(line: Iterable[int], symbols: set[int]) -> tuple[int, ...]:
     """The symbols a line lacks, ascending."""
     return tuple(sorted(symbols.difference(line)))
@@ -705,7 +664,7 @@ def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
         if ob.kind == ax.band_kind:
             return (not ax.q_divides and type(ob.index) is int
                     and 1 <= ob.index < len(ax.band_cells)
-                    and _is_violator(_replicas(ax, ob.index, True), ob.detail))
+                    and _is_violator(_replicas(ax, ob.index), ob.detail))
         if ob.kind == ax.coverage_kind:
             if not symbol_ok:
                 return False

@@ -16,7 +16,6 @@ from .grid import (
     SudokuGeometry,
     _constraint_keys,
     empty_grid,
-    extends,  # re-exported: the oracle's callers check completions with it
     validate_partial,
 )
 

@@ -11,7 +11,6 @@ from sudoku_ryser.bipartite import (
     equitable_edge_coloring,
     extend_matching,
     is_equitable,
-    max_matching,
     saturating_matching,
     verify_violator,
 )
@@ -31,6 +30,14 @@ def brute_force_max_matching(g: BipartiteMultigraph) -> int:
         return score
 
     return best(0, frozenset(), frozenset())
+
+
+def max_matching(g: BipartiteMultigraph) -> Matching:
+    """The maximum matching the library computes, as hall._alpha and the
+    corner run it: a greedy pass, then one augmenting search from each
+    left vertex it leaves free."""
+    adj = bipartite._left_adjacency(g)
+    return bipartite._augment_each_free(adj, *bipartite._greedy(adj, 1, g.right_count))
 
 
 def random_multigraph(rng, max_side=8, max_edges=24) -> BipartiteMultigraph:
@@ -102,15 +109,17 @@ def test_max_matching_edgeless():
 
 
 def test_max_matching_matches_brute_force():
+    # The library's matcher and extend_matching from no seed, each checked
+    # to be a matching of g as large as the brute force's.
     rng = random.Random(99)
     for _ in range(200):
         g = random_multigraph(rng)
-        m = max_matching(g)
-        pairs = m.pairs
-        assert len({u for u, _ in pairs}) == len(pairs)
-        assert len({w for _, w in pairs}) == len(pairs)
-        assert all((u, w) in g.edges for u, w in pairs)
-        assert len(pairs) == brute_force_max_matching(g)
+        for m in (max_matching(g), extend_matching(g)):
+            pairs = m.pairs
+            assert len({u for u, _ in pairs}) == len(pairs)
+            assert len({w for _, w in pairs}) == len(pairs)
+            assert all((u, w) in g.edges for u, w in pairs)
+            assert len(pairs) == brute_force_max_matching(g)
 
 
 def test_saturating_matching_found():
@@ -140,7 +149,7 @@ def test_violator_iff_deficient():
     for _ in range(200):
         g = random_multigraph(rng, max_side=6, max_edges=14)
         result = saturating_matching(g)
-        maximum = len(max_matching(g).pairs)
+        maximum = len(extend_matching(g).pairs)
         if maximum == g.left_count:
             assert isinstance(result, Matching)
         else:
@@ -262,9 +271,10 @@ def test_extend_matching_follows_a_3000_vertex_chain():
 
 
 def test_max_matching_follows_a_3000_vertex_chain():
+    # saturating_matching runs the library's matcher (max_matching above).
     n = 3000
-    assert max_matching(chain_graph(n)).pairs == tuple((i, i + 1) for i in range(n))
-    assert max_matching(chain_graph(n, reverse=True)).pairs == tuple(
+    assert saturating_matching(chain_graph(n)).pairs == tuple((i, i + 1) for i in range(n))
+    assert saturating_matching(chain_graph(n, reverse=True)).pairs == tuple(
         (j, n - j) for j in range(n))
 
 

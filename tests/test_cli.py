@@ -368,6 +368,23 @@ def test_gen_random_full_square_of_order_36_terminates(capsys):
     assert square.is_fully_filled() and validate_partial(square).ok
 
 
+@pytest.mark.parametrize("argv", [
+    ["evans-small", "--p", "5", "--q", "205"],
+    ["evans-big", "--k", "33", "--i", "2"],
+    ["fig6", "--n", "1025", "--x", "2", "--variant", "column"],
+    ["random", "--p", "41", "--q", "25", "--r", "1", "--s", "1"],
+])
+def test_gen_refuses_an_order_above_the_cap_before_building(argv, capsys):
+    # parse_grid refuses an order above MAX_ORDER, so gen must not write
+    # one; each generator is asked for the smallest order it has above it.
+    start = time.process_time()
+    assert main(["gen"] + argv) == 2
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most {MAX_ORDER}" in captured.err
+
+
 def test_verify(tmp_path, capsys):
     good = tmp_path / "good.grid"
     good.write_text("sudoku v1\n2 2 2 2\n1 2\n3 4\n")

@@ -10,7 +10,6 @@ from sudoku_ryser.bipartite import (
     BipartiteMultigraph,
     HallViolator,
     Matching,
-    max_matching,
     saturating_matching,
     verify_violator,
 )
@@ -19,18 +18,14 @@ from sudoku_ryser.completion import (
     MediumCellPlan,
     Obstruction,
     assemble_outline,
-    bottom_graph,
     complete,
     complete_latin_rectangle,
     distribute_free,
-    matchings_exist,
     plan_medium_cells,
-    side_graph,
     verify_obstruction,
 )
 from sudoku_ryser.fixtures import (
     brute_force_complete,
-    extends,
     gen_random_rectangle,
     gen_random_valid_rectangle,
 )
@@ -39,6 +34,7 @@ from sudoku_ryser.grid import (
     SudokuGeometry,
     embed_in_square,
     empty_grid,
+    extends,
     grid_from_rows,
     parse_grid,
     serialize_grid,
@@ -51,8 +47,11 @@ WORKED_SQUARE = grid_from_rows(2, 2, [[1, 2, 3, 4], [3, 4, 1, 2],
                                       [2, 1, 4, 3], [4, 3, 2, 1]])
 
 
-def edge_set(graph):
-    return {(graph.left_labels[u], graph.right_labels[w]) for u, w in graph.edges}
+def replicas(grid, side, alpha):
+    """Band (side 0) or stack (side 1) alpha's replica lists: the side or
+    bottom graph's left vertices, each listing its 1-based symbols."""
+    ax = completion._shape(grid).axes[side]
+    return [[w + 1 for w in hood] for hood in completion._replicas(ax, alpha)]
 
 
 def cyclic_rows(n, r, s, shift):
@@ -64,51 +63,33 @@ def cyclic_rows(n, r, s, shift):
 
 def test_side_graph_band_example():
     grid = grid_from_rows(2, 2, [[1, 2, 3], [3, 4, 1]])
-    g = side_graph(grid, 1)
-    assert edge_set(g) == {(("row", 1, 1), 4), (("row", 2, 1), 2)}
+    assert replicas(grid, 0, 1) == [[4], [2]]
 
 
 def test_side_graph_replication_count():
     grid = gen_random_rectangle(2, 3, 2, 4, 0)
-    g = side_graph(grid, 1)
-    copies = {lab[2] for lab in g.left_labels}
-    assert copies == {1, 2}  # q - (s - s*) = 3 - 1
+    lists = replicas(grid, 0, 1)
+    assert len(lists) == 2 * 2  # q - (s - s*) = 3 - 1 copies of each row
+    assert lists[0] == lists[1] and lists[2] == lists[3]
 
 
 def test_side_graph_corner_only():
     grid = grid_from_rows(2, 2, [[1, 2, 3]])
-    g = side_graph(grid, 1)
-    assert edge_set(g) == {(("row", 1, 1), 4)}
+    assert replicas(grid, 0, 1) == [[4]]
 
 
-def test_side_graph_preconditions():
-    with pytest.raises(ValueError):
-        side_graph(grid_from_rows(2, 2, [[1, 2], [3, 4]]), 1)  # q | s
-    with pytest.raises(ValueError):
-        side_graph(grid_from_rows(2, 2, [[1, 2, 3], [3, 4, 1]]), 2)  # p | r, no corner
-
-
-def test_bottom_graph_example_both_rules():
+def test_bottom_graph_example():
+    # A column's replicas lack the symbols of the column and those of the
+    # stack's cells in the partially covered big row, here 1 and 2.
     grid = grid_from_rows(2, 2, [[1, 2, 3]])
-    relaxed = bottom_graph(grid, 1, strengthen=False)
-    assert edge_set(relaxed) == {(("col", 1, 1), k) for k in (2, 3, 4)} | {
-        (("col", 2, 1), k) for k in (1, 3, 4)}
-    strengthened = bottom_graph(grid, 1)
-    assert edge_set(strengthened) == {(("col", 1, 1), k) for k in (3, 4)} | {
-        (("col", 2, 1), k) for k in (3, 4)}
+    assert replicas(grid, 1, 1) == [[3, 4], [3, 4]]
 
 
 def test_bottom_graph_replication():
     grid = gen_random_rectangle(3, 2, 4, 2, 1)
-    g = bottom_graph(grid, 1)
-    copies = {lab[2] for lab in g.left_labels}
-    assert copies == {1, 2}  # p - (r - r*) = 3 - 1
-
-
-def test_bottom_graph_precondition():
-    grid = gen_random_rectangle(2, 2, 2, 3, 2)
-    with pytest.raises(ValueError):
-        bottom_graph(grid, 1)  # p | r
+    lists = replicas(grid, 1, 1)
+    assert len(lists) == 2 * 2  # p - (r - r*) = 3 - 1 copies of each column
+    assert lists[0] == lists[1] and lists[2] == lists[3]
 
 
 def test_plan_worked_instance():
@@ -440,7 +421,8 @@ def matching_rows(n, rng):
         edges = tuple((a, b) for a, taken in enumerate(used)
                       for b, k in enumerate(syms) if k not in taken)
         row = [0] * n
-        for a, b in max_matching(BipartiteMultigraph(tuple(cols), tuple(syms), edges)).pairs:
+        for a, b in saturating_matching(BipartiteMultigraph(tuple(cols), tuple(syms),
+                                                            edges)).pairs:
             row[cols[a]] = syms[b]
         assert 0 not in row
         rows.append(row)
@@ -737,11 +719,11 @@ def test_matching_criterion_alone_misses_column_clash():
     # matching exists.
     grid = grid_from_rows(2, 3, [[1, 2], [3, 4], [2, 1], [4, 3]])
     assert validate_partial(grid).ok
-    assert matchings_exist(grid)
-    assert matchings_exist(grid, strengthen=False)
     assert brute_force_complete(embed_in_square(grid)).outcome == "incompletable"
     verdict = complete(grid)
     assert not verdict.completable
+    # A later stage fails, so every band and stack was matched.
+    assert verdict.certificate.kind not in ("side-alpha", "bottom-beta")
 
 
 def test_row_coverage_obstruction():
@@ -750,11 +732,11 @@ def test_row_coverage_obstruction():
     grid = grid_from_rows(3, 2, [[2, 1, 4, 3], [4, 3, 6, 5], [5, 6, 2, 1],
                                  [1, 2, 3, 4], [3, 4, 1, 2]])
     assert validate_partial(grid).ok
-    assert matchings_exist(grid)
     assert brute_force_complete(embed_in_square(grid)).outcome == "incompletable"
     verdict = complete(grid)
     assert not verdict.completable
     ob = verdict.certificate
+    assert ob.kind not in ("side-alpha", "bottom-beta")
     assert ob.kind == "row-coverage"
     assert verify_obstruction(grid, ob)
 
@@ -928,9 +910,10 @@ def test_corner_failures_build_no_graph(monkeypatch):
 
 def reference_lists(grid) -> dict:
     """Every allowed list the planning stage reads, straight from the cells
-    with Python sets: per axis (0 rows, 1 columns), each band's allowed
-    symbols with and without the strengthened rule, each symbol's coverage
-    sides, and, when there is a corner big cell, its slots' allowed lists."""
+    with Python sets: per axis (0 rows, 1 columns), each band's replica
+    lists (each line's allowed symbols, once per copy), each symbol's
+    coverage sides, and, when there is a corner big cell, its slots'
+    allowed lists."""
     p, q, n, r, s = grid.geometry.p, grid.geometry.q, grid.n, grid.rows, grid.cols
     views = ((grid.cells, p, q, s), ([[row[j] for row in grid.cells] for j in range(s)], q, p, r))
     out: dict = {}
@@ -944,11 +927,9 @@ def reference_lists(grid) -> dict:
             for top in range(0, len(lines), height):
                 band = lines[top:top + height]
                 cell = {line[j] for line in band for j in range(cut, length)}
-                for strengthen in (True, False):
-                    out[side, "band", top // height + 1, strengthen] = [
-                        [k - 1 for k in range(1, n + 1)
-                         if k not in set(line) | (cell if strengthen else set())]
-                        for line in band]
+                out[side, "band", top // height + 1] = [
+                    [k - 1 for k in range(1, n + 1) if k not in set(line) | cell]
+                    for line in band for _ in range(width - length % width)]
         must = set()
         for k in range(1, n + 1):
             rows = [i + 1 for i in range(full, len(lines)) if k not in lines[i]]
@@ -976,9 +957,7 @@ def pipeline_lists(grid) -> dict:
     for side, ax in enumerate(axes):
         if not ax.q_divides:
             for alpha in range(1, len(ax.band_cells)):
-                for strengthen in (True, False):
-                    out[side, "band", alpha, strengthen] = completion._band_allowed(
-                        ax, alpha, strengthen)
+                out[side, "band", alpha] = completion._replicas(ax, alpha)
         over, must = completion._placements(ax)
         for k in range(1, ax.n + 1):
             rows, slots = completion._coverage(ax, k)
@@ -992,7 +971,7 @@ def pipeline_lists(grid) -> dict:
 
 def test_set_up_masks_give_the_lists_python_sets_give():
     # The set-up's bit masks against a reference written here with Python
-    # sets: every band's allowed lists under both edge rules, every
+    # sets: every band's replica lists, every
     # symbol's coverage sides (and _placements' over-full symbols), and the
     # corner slots' allowed lists, on both axes of random valid rectangles.
     # p < q and p > q both occur, so each axis meets both box orientations.
@@ -1156,8 +1135,7 @@ def test_forged_violators_on_completable_grids_are_refused():
     # have: vertex 0 and its neighbors, plus made-up vertices 10**6 ...
     grid = grid_from_rows(2, 3, [[5], [1], [6], [4], [3]])
     assert complete(grid).completable
-    graph = side_graph(grid, 1)
-    hood = frozenset(w for u, w in graph.edges if u == 0)
+    hood = frozenset(completion._replicas(completion._shape(grid).axes[0], 1)[0])
     padded = HallViolator(frozenset({0, *range(10 ** 6, 10 ** 6 + len(hood))}), hood)
     assert not verify_obstruction(grid, Obstruction("side-matching", padded,
                                                     kind="side-alpha", index=1))
@@ -1280,18 +1258,14 @@ def transpose(grid):
     return PartialGrid(SudokuGeometry(geom.q, geom.p), grid.cols, grid.rows, cells)
 
 
-def replica_graph(graph):
-    """Edges and (index, replica) labels, without the row or column tag."""
-    return [label[1:] for label in graph.left_labels], graph.right_labels, graph.edges
-
-
 def test_transposition_swaps_rows_and_columns():
     # Transposing swaps rows with columns and bands with stacks, so the
-    # verdict cannot change and each bottom graph is the side graph of the
-    # transpose.  Kinds are not compared: when both sides fail, each grid
-    # reports its own side first.  This sampler seed was once chosen to
-    # avoid the n = 12 draws on which gen_random_valid_rectangle, then
-    # without restarts, spent seconds; its restarts now end such draws.
+    # verdict cannot change and each stack's replica lists (its bottom
+    # graph) are the transpose's band replica lists (its side graph).
+    # Kinds are not compared: when both sides fail, each grid reports its
+    # own side first.  This sampler seed was once chosen to avoid the n = 12
+    # draws on which gen_random_valid_rectangle, then without restarts,
+    # spent seconds; its restarts now end such draws.
     rng = random.Random(5)
     for p, q in ((2, 3), (3, 2), (3, 4), (4, 3), (2, 4), (4, 2)):
         n = p * q
@@ -1304,23 +1278,23 @@ def test_transposition_swaps_rows_and_columns():
             for g, v in ((grid, verdict), (flipped, flipped_verdict)):
                 assert v.completable or verify_obstruction(g, v.certificate)
             if r % p:
+                cols = completion._shape(grid).axes[1]
+                flipped_rows = completion._shape(flipped).axes[0]
                 for beta in range(1, (s + q - 1) // q + 1):
-                    for strengthen in (True, False):
-                        assert (replica_graph(bottom_graph(grid, beta, strengthen=strengthen))
-                                == replica_graph(side_graph(flipped, beta,
-                                                            strengthen=strengthen)))
+                    assert (completion._replicas(cols, beta)
+                            == completion._replicas(flipped_rows, beta))
 
 
 def test_band_matcher_agrees_with_saturating_matching():
-    # Every full band and full stack of random valid rectangles, under both
-    # edge rules: the capacitated matcher that plan_medium_cells and
-    # matchings_exist run saturates exactly when saturating_matching saturates
-    # the replica graph, gives every row (column) b symbols it lacks with no
-    # symbol twice in the band, and otherwise returns a violator of the side
-    # (bottom) graph.  Rectangles are drawn until 20 bands have failed.
+    # Every full band and full stack of random valid rectangles: the
+    # capacitated matcher that plan_medium_cells runs saturates exactly when
+    # saturating_matching saturates the replica graph (the side or bottom
+    # graph, built here from the replica lists), gives every row (column) b
+    # symbols absent from it and from the band's partially covered big
+    # cell, with no symbol twice in the band, and otherwise returns a
+    # violator of that graph.  Rectangles are drawn until 20 bands have failed.
     rng = random.Random(31)
     shapes = ((2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 4))
-    graph_of = (side_graph, bottom_graph)
     filled = failed = draws = 0
     while failed < 20:
         draws += 1
@@ -1337,23 +1311,24 @@ def test_band_matcher_agrees_with_saturating_matching():
             for alpha in range(1, ax.full_bands + 1):
                 rows = range((alpha - 1) * ax.p + 1, alpha * ax.p + 1)
                 cell = {lines.at(i, j) for i in rows for j in range(s_star + 1, lines.cols + 1)}
-                for strengthen in (True, False):
-                    graph = graph_of[side](grid, alpha, strengthen=strengthen)
-                    expected = saturating_matching(graph)
-                    got = completion._match_band(ax, alpha, strengthen)
-                    assert isinstance(got, HallViolator) == isinstance(expected, HallViolator)
-                    if isinstance(got, HallViolator):
-                        assert verify_violator(graph, got), (grid.cells, side, alpha)
-                        failed += 1
-                        continue
-                    assert sorted(got) == list(rows)
-                    placed = [k for i in rows for k in got[i]]
-                    assert len(placed) == len(set(placed))
-                    banned = cell if strengthen else set()
-                    for i in rows:
-                        assert len(got[i]) == ax.b
-                        assert not set(got[i]) & (set(lines.row_symbols(i)) | banned)
-                    filled += 1
+                hoods = completion._replicas(ax, alpha)
+                graph = BipartiteMultigraph(
+                    tuple(range(len(hoods))), tuple(range(1, n + 1)),
+                    tuple((u, w) for u, hood in enumerate(hoods) for w in hood))
+                expected = saturating_matching(graph)
+                got = completion._match_band(ax, alpha)
+                assert isinstance(got, HallViolator) == isinstance(expected, HallViolator)
+                if isinstance(got, HallViolator):
+                    assert verify_violator(graph, got), (grid.cells, side, alpha)
+                    failed += 1
+                    continue
+                assert sorted(got) == list(rows)
+                placed = [k for i in rows for k in got[i]]
+                assert len(placed) == len(set(placed))
+                for i in rows:
+                    assert len(got[i]) == ax.b
+                    assert not set(got[i]) & (set(lines.row_symbols(i)) | cell)
+                filled += 1
     assert filled > failed
 
 

@@ -6,7 +6,6 @@ import pytest
 from sudoku_ryser import fixtures
 from sudoku_ryser.fixtures import (
     brute_force_complete,
-    extends,
     gen_evans_big,
     gen_evans_small,
     gen_fig6,
@@ -14,7 +13,13 @@ from sudoku_ryser.fixtures import (
     gen_random_valid_rectangle,
     random_latin_square,
 )
-from sudoku_ryser.grid import _constraint_keys, empty_grid, grid_from_rows, validate_partial
+from sudoku_ryser.grid import (
+    _constraint_keys,
+    empty_grid,
+    extends,
+    grid_from_rows,
+    validate_partial,
+)
 
 
 def filled_count(grid):

@@ -59,3 +59,29 @@ def test_the_import_check_finds_an_unused_name_and_accepts_a_comment():
               "    return os.sep\n")
     assert unused_imports(source) == [(6, "validate_partial")]
     assert MODULES and "completion.py" in MODULES
+
+
+# The package's public names, written out so that adding or removing one
+# shows in this list's diff.  The subpackage modules are listed too: their
+# imports in __init__ bind them, and __all__ takes every public name there.
+PUBLIC_API = [
+    "Anchors", "BipartiteMultigraph", "EdgeColoring", "GridFormatError", "HallReport",
+    "HallViolator", "Matching", "MediumCellPlan", "Obstruction", "OracleResult",
+    "OutlineLatinSquare", "PartialGrid", "RotatedBlockMatrix", "RyserReport",
+    "SudokuGeometry", "ValidationReport", "Verdict", "Violation", "alpha_cells",
+    "amalgamate", "anchors", "assemble_outline", "big_cell_of", "bipartite",
+    "brute_force_complete", "complete", "complete_latin_rectangle", "completion",
+    "distribute_free", "embed_in_square", "empty_grid", "equitable_edge_coloring",
+    "expand_outline", "fixtures", "gen_evans_big", "gen_evans_small", "gen_fig6",
+    "gen_random_rectangle", "gen_random_valid_rectangle", "grid", "grid_from_rows", "hall",
+    "hall_condition", "hall_condition_graph", "hall_inequality", "is_equitable",
+    "list_assignment", "outline", "parse_grid", "plan_medium_cells", "random_latin_square",
+    "ryser_counts", "saturating_matching", "serialize_grid", "split_front",
+    "validate_outline", "validate_partial", "verify_obstruction", "whole_square_inequality",
+]
+
+
+def test_public_api_is_the_pinned_list():
+    import sudoku_ryser
+
+    assert sudoku_ryser.__all__ == PUBLIC_API
