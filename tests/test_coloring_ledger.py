@@ -1,16 +1,19 @@
-"""The colouring kernel's work on fixed inputs, pinned as counts and a hash.
+"""The colouring kernel's and the matcher's work on fixed inputs, pinned as
+counts and a hash.
 
-For each input the ledger counts the coloured edges, the _flip_chain calls
-and the chain edges those calls recolour, and hashes the kernel's rows of
-every colouring, in call order: for each cell copy, in cell order, the
-right vertex of each colour (-1 where a short copy lacks it).  A change
-that claims identical colourings (a kernel speed-up) leaves LEDGER as it
-is; a change to the algorithm records the new figures and says why.  The
-counts come from spies on bipartite._flip_chain and on outline._color_cells,
-the name every colouring of complete() goes through; the multigraph input
-is coloured by equitable_edge_coloring and its rows are read off its
-result, so parallel edges of one copy may swap colours without changing
-the hash.  The (16,16) input is the order-256 pin of the large-order work.
+For each input the ledger counts the coloured edges, the _flip_chain calls,
+the chain edges those calls recolour and the augmenting searches
+(bipartite._augment_from calls), and hashes the kernel's rows of every
+colouring, in call order: for each cell copy, in cell order, the right
+vertex of each colour (-1 where a short copy lacks it).  A change that
+claims identical colourings and matchings (a kernel speed-up) leaves LEDGER
+as it is; a change to the algorithm records the new figures and says why.
+The counts come from spies on bipartite._flip_chain, on
+bipartite._augment_from and on outline._color_cells, the name every
+colouring of complete() goes through; the multigraph input is coloured by
+equitable_edge_coloring and its rows are read off its result, so parallel
+edges of one copy may swap colours without changing the hash.  The (16,16)
+input is the order-256 pin of the large-order work.
 """
 import hashlib
 import random
@@ -21,17 +24,18 @@ from sudoku_ryser.completion import complete
 from sudoku_ryser.fixtures import _pattern_square
 from sudoku_ryser.grid import grid_from_rows
 
-# input -> (coloured edges, _flip_chain calls, chain edges recoloured, sha256 of the rows)
+# input -> (coloured edges, _flip_chain calls, chain edges recoloured, _augment_from calls,
+#           sha256 of the rows)
 LEDGER = {
-    "(12,12) 73x49": (34560, 3833, 58968,
+    "(12,12) 73x49": (34560, 3833, 58968, 55,
                       "88e50dfe3e3c52daeeb83c5f2679bd60d4b56ea5e348621959165d4813f7583c"),
-    "(8,12) 49x33": (15360, 1608, 20512,
+    "(8,12) 49x33": (15360, 1608, 20512, 76,
                      "2122d06ebdfe51a8b387afb39b88c91b6275415b31794e77bf37bbc27302f087"),
-    "(1,121) 61x41": (12140, 257, 8318,
+    "(1,121) 61x41": (12140, 257, 8318, 0,
                       "c4c4e9a4f30ddedd5c1724f08ed81e97f8be971ac32f3c04d66255cb8787b9bb"),
-    "multigraph k=3": (64, 5, 12,
+    "multigraph k=3": (64, 5, 12, 0,
                        "36fb42b28ae71120639c619e7255af6bd7a61b2c6841d0239aba56d7c01332c0"),
-    "(16,16) 129x86": (109824, 11746, 226536,
+    "(16,16) 129x86": (109824, 11746, 226536, 163,
                        "b5b8327fd8232f4cf8a87e6005d5537f7fae15016acefd78f13b371b04abfb1f"),
 }
 
@@ -77,8 +81,8 @@ def _rows_of(g: BipartiteMultigraph, k: int, color_of) -> list[int]:
 
 def _ledger(monkeypatch, run):
     digest = hashlib.sha256()
-    counts = {"edges": 0, "flips": 0, "walked": 0}
-    core, flip = outline._color_cells, bipartite._flip_chain
+    counts = {"edges": 0, "flips": 0, "walked": 0, "searches": 0}
+    core, flip, search = outline._color_cells, bipartite._flip_chain, bipartite._augment_from
 
     def coloring(cells, k, right):
         rows = core(cells, k, right)
@@ -99,15 +103,21 @@ def _ledger(monkeypatch, run):
         counts["flips"] += 1
         flip(w, a, b, k, sym, cop, taken)
 
+    def searching(root, adj, owner, held):
+        counts["searches"] += 1
+        return search(root, adj, owner, held)
+
     monkeypatch.setattr(outline, "_color_cells", coloring)
     monkeypatch.setattr(bipartite, "_flip_chain", flipping)
+    monkeypatch.setattr(bipartite, "_augment_from", searching)
     result = run()
     if isinstance(result, bipartite.EdgeColoring):
         counts["edges"] += len(result.color_of)
         digest.update(repr(_rows_of(_overfull_multigraph(), result.k, result.color_of)).encode())
     else:
         assert result.completable
-    return counts["edges"], counts["flips"], counts["walked"], digest.hexdigest()
+    return (counts["edges"], counts["flips"], counts["walked"], counts["searches"],
+            digest.hexdigest())
 
 
 def test_coloring_work_matches_the_ledger(monkeypatch):

@@ -4,7 +4,8 @@ hash per input group.
 A change that claims to leave every output byte-identical (a speed-up, a
 refactor) must leave GOLDEN as it is.  A change that alters a square or an
 obstruction on purpose records the new hash of each group it alters and
-says why; the groups it leaves alone keep theirs.
+says why; the groups it leaves alone keep theirs.  VERDICT_DIGEST pins the
+verdicts alone, so a change that picks other squares must leave it as it is.
 """
 import hashlib
 import random
@@ -12,7 +13,7 @@ import random
 from sudoku_ryser.bipartite import HallViolator
 from sudoku_ryser.completion import complete
 from sudoku_ryser.fixtures import gen_random_rectangle, gen_random_valid_rectangle
-from sudoku_ryser.grid import PartialGrid, SudokuGeometry, validate_partial
+from sudoku_ryser.grid import PartialGrid, SudokuGeometry, extends, validate_partial
 
 SHAPES = ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
 DRAWS = 24  # per shape
@@ -98,6 +99,30 @@ def test_large_latin_corners_match_the_recorded_hash():
         assert [record[1] for record in records] == [True] * 7 + [False]
         digests[(p, q)] = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digests == GOLDEN_LATIN
+
+
+# The verdicts of both corpora above, with each completed square replaced by
+# whether it validates and extends its rectangle.  A change that alters
+# squares but no verdict (another choice among valid completions) re-records
+# GOLDEN and GOLDEN_LATIN and leaves this digest as it is.
+VERDICT_DIGEST = "1b61ecc93d39c7335b6d353fec977c9db6540caa4be576c4525d375fc959a3b6"
+
+
+def _verdict_record(grid):
+    verdict = complete(grid)
+    if verdict.completable:
+        square = verdict.certificate
+        return (grid.cells, True, (validate_partial(square).ok, extends(grid, square)))
+    return _record(grid)
+
+
+def test_verdicts_match_the_recorded_digest():
+    grids = [grid for _, group in _groups() for grid in group]
+    grids += [_latin_corner(p, q, r, s, 10000 * p + 100 * r + s)
+              for p, q in GOLDEN_LATIN for r, s in LATIN_CORNERS]
+    records = [_verdict_record(grid) for grid in grids]
+    assert all(record[2] == (True, True) for record in records if record[1])
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == VERDICT_DIGEST
 
 
 GOLDEN_VALIDATE = {
