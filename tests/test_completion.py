@@ -988,6 +988,26 @@ def test_set_up_masks_give_the_lists_python_sets_give():
     assert kinds == {"band", "coverage", "corner"}
 
 
+def test_bits_lists_the_set_bits_of_masks_on_both_sides_of_the_cut():
+    # _bits reads narrow masks bit by bit and wide ones in one call; both
+    # against a plain loop over the binary digits, at every width 0..1025:
+    # the mask 0, every single bit, all ones and seeded random masks, sparse
+    # and dense, each with its top bit set.
+    def reference(mask):
+        return [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+    rng = random.Random(29)
+    masks = [0]
+    for width in range(1, 1026):
+        top = 1 << width - 1
+        masks += [top, (top << 1) - 1, top | rng.getrandbits(width),
+                  top | sum(1 << b for b in rng.sample(range(width), min(3, width)))]
+    widths = {mask.bit_length() for mask in masks}
+    assert min(widths) <= completion._LOOP_WIDTH < max(widths)
+    for mask in masks:
+        assert completion._bits(mask) == reference(mask), mask
+
+
 def test_corner_coverage_instance_completable_with_care():
     # Completable, but only if the corner choices respect both the column
     # deficiency and the leftover-row coverage.
