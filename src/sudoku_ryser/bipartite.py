@@ -339,22 +339,26 @@ def capacitated_matching(adj: list[list[int]], capacity: int,
     return [sorted(got) for got in held]
 
 
-def _greedy(adj: list[list[int]], capacity: int,
-            right_count: int) -> tuple[list[int], list[set[int]]]:
-    """Each left vertex, in index order, takes its first free neighbors, up to
-    capacity.  Returns owner (the left vertex holding each right vertex, or
-    -1) and held (the right vertices each left vertex holds)."""
+def _greedy(adj: list[list[int]], capacity: int, right_count: int,
+            held: Optional[list[set[int]]] = None) -> tuple[list[int], list[set[int]]]:
+    """Each left vertex, in index order, takes its first free neighbors until
+    it holds capacity.  held, when given, is the matching to start from (the
+    right vertices each left vertex holds), grown in place.  Returns owner
+    (the left vertex holding each right vertex, or -1) and held."""
     owner = [-1] * right_count
-    held: list[set[int]] = []
-    for u, hood in enumerate(adj):
-        got: set[int] = set()
+    if held is None:
+        held = [set() for _ in adj]
+    else:
+        for u, got in enumerate(held):
+            for w in got:
+                owner[w] = u
+    for u, (hood, got) in enumerate(zip(adj, held)):
         for w in hood:
             if len(got) == capacity:
                 break
             if owner[w] < 0:
                 owner[w] = u
                 got.add(w)
-        held.append(got)
     return owner, held
 
 

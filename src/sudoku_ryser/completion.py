@@ -377,13 +377,14 @@ def _corner_slots(axes: tuple[_Axis, _Axis], must_h: int, must_v: int) -> tuple[
 def _solve_corner(axes: tuple[_Axis, _Axis], must_h: int, must_v: int):
     """One matching for both corner directions; returns (h_fills, v_fills).
 
-    The forced symbols are matched to their hosts first, and that matching
-    seeds the slot matching.  A failure's violator is stated on the lists
-    that failed, hosts (corner-must) or allowed (corner-flow); any maximum
-    matching gives the same one.
+    The forced symbols are matched to their hosts first.  That matching
+    seeds the slot matching, a greedy pass gives each free slot its first
+    free symbol, and only the slots still free search for augmenting paths.
+    A failure's violator is stated on the lists that failed, hosts
+    (corner-must) or allowed (corner-flow); any maximum matching gives the
+    same one.
     """
     slots, allowed, musts, hosts = _corner_slots(axes, must_h, must_v)
-    owner = [-1] * axes[0].n
     held: list[set[int]] = [set() for _ in slots]
     if musts:
         host_owner, host_held = _greedy(hosts, 1, len(slots))
@@ -391,9 +392,9 @@ def _solve_corner(axes: tuple[_Axis, _Axis], must_h: int, must_v: int):
         if len(forced.pairs) < len(musts):
             return Obstruction("corner-conflict", _violator(hosts, host_owner), kind="corner-must")
         for mi, si in forced.pairs:
-            owner[musts[mi] - 1] = si
             held[si].add(musts[mi] - 1)
 
+    owner, held = _greedy(allowed, 1, axes[0].n, held)
     full = _augment_each_free(allowed, owner, held)
     if len(full.pairs) < len(slots):
         return Obstruction("corner-conflict", _violator(allowed, owner), kind="corner-flow")

@@ -27,16 +27,16 @@ from sudoku_ryser.grid import grid_from_rows
 # input -> (coloured edges, _flip_chain calls, chain edges recoloured, _augment_from calls,
 #           sha256 of the rows)
 LEDGER = {
-    "(12,12) 73x49": (34560, 3833, 58968, 55,
-                      "88e50dfe3e3c52daeeb83c5f2679bd60d4b56ea5e348621959165d4813f7583c"),
-    "(8,12) 49x33": (15360, 1608, 20512, 76,
-                     "2122d06ebdfe51a8b387afb39b88c91b6275415b31794e77bf37bbc27302f087"),
+    "(12,12) 73x49": (34560, 3816, 59030, 33,
+                      "0137bd6eee8a097707fbec3bc1592d7608e85eeaa6d572c1a5e88a209ed48c37"),
+    "(8,12) 49x33": (15360, 1567, 22228, 10,
+                     "5c89b82db81b429e6dc9c039b1a79bbb914967bf4b76cde1fc562da2266f9c2f"),
     "(1,121) 61x41": (12140, 257, 8318, 0,
                       "c4c4e9a4f30ddedd5c1724f08ed81e97f8be971ac32f3c04d66255cb8787b9bb"),
     "multigraph k=3": (64, 5, 12, 0,
                        "36fb42b28ae71120639c619e7255af6bd7a61b2c6841d0239aba56d7c01332c0"),
-    "(16,16) 129x86": (109824, 11746, 226536, 163,
-                       "b5b8327fd8232f4cf8a87e6005d5537f7fae15016acefd78f13b371b04abfb1f"),
+    "(16,16) 129x86": (109824, 11668, 228894, 63,
+                       "1d4f4c286d7057bc92c481080dc4658790e3c2453d373e0cbe7eaf4bcdb4f6da"),
 }
 
 

@@ -18,12 +18,12 @@ from sudoku_ryser.grid import PartialGrid, SudokuGeometry, extends, validate_par
 SHAPES = ((2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4))
 DRAWS = 24  # per shape
 GOLDEN = {
-    (2, 3): "b9c80deb338ca4a9b086998ee390774c90df87b060e5b6720d34b406f3e640dd",
-    (3, 2): "5f78680a01e02ea311de1387089436b62e6a55e63f2c6a111b3b493b309aafb4",
-    (3, 3): "73c96ce6e7d00c7fa7de7d05b0e50a0cae665b4cb1266a33bb8b67397245e276",
-    (3, 4): "731300483a56a20e3c7b82c8b615c2669c61b01baef3bff6f46fdc4c1bfff8f0",
-    (4, 3): "8e437d20ba1202cfce0fd904c27e3478551106902a4420d85e38bbe259f748b9",
-    (4, 4): "b74f919f20d67f7400bb64b6882cc745f7bd4ac45d1b73fd4260d1bd189f30ad",
+    (2, 3): "d1c926e6c8c8754bbbb2fb9c7549e5a9ae214d9ad2d16b1ad8b40a4cdf5488c7",
+    (3, 2): "8ed27950da81b321543c33f82e88efc6c97b6e2d41c07f8bf9695f55bc165bdc",
+    (3, 3): "898600d35f65cea20031b9e3e838dccdd9bc1dcdec52f767a04fdd0bd297e49e",
+    (3, 4): "442eabc07b3ddef6ae6e3fc085e2f18f722c4fe883fed5f9d7332191d7bbb9af",
+    (4, 3): "a863ebd46da46012e0a3f1a93adbde031cd283eef3991868c73ce90698260901",
+    (4, 4): "b276bef54e5a338cf515156e719f4508823db86ce6e26789f400c165c80cdb41",
     "latin": "92ba82489026925b05c0367c286fc13ad47b4ecebd4a57f3a82e5ace644277d0",
 }
 
