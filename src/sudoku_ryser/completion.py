@@ -178,8 +178,9 @@ def _bits(mask: int) -> list[int]:
     """The set bits of mask, ascending: the symbols of a line set.
 
     A wide mask is read in one call, its binary digits reversed as
-    compress's selectors; that wins 3-6x on the dense masks of orders 36 and
-    up, and the bit loop wins on the few set bits of orders up to 16.
+    compress's selectors: that is faster on the dense masks of orders 36
+    and up, and the bit loop is faster on the few set bits of orders up to
+    16.
     """
     if mask.bit_length() > _LOOP_WIDTH:
         return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
