@@ -20,6 +20,7 @@ from .grid import (
     MAX_ORDER,
     GridFormatError,
     PartialGrid,
+    SudokuGeometry,
     embed_in_square,
     parse_grid,
     serialize_grid,
@@ -81,9 +82,17 @@ def _brute_force(grid: PartialGrid, node_limit: int) -> int:
     return EXIT_FAIL
 
 
+def _incompletable(ob: completion.Obstruction) -> int:
+    """Report an obstruction from complete() on stderr."""
+    print(f"incompletable at stage {ob.stage} ({ob.kind})", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def _cmd_complete(args) -> int:
     grid = _load(args.file)
     method = args.method
+    if completion._oversized(grid):  # complete()'s size rule, on every route
+        return _incompletable(completion._input_fault(grid))
     if method == "brute":
         return _brute_force(grid, args.node_limit)
 
@@ -105,9 +114,7 @@ def _cmd_complete(args) -> int:
     if verdict.completable:
         sys.stdout.write(serialize_grid(verdict.certificate))
         return EXIT_OK
-    ob = verdict.certificate
-    print(f"incompletable at stage {ob.stage} ({ob.kind})", file=sys.stderr)
-    return EXIT_FAIL
+    return _incompletable(verdict.certificate)
 
 
 def _cmd_check(args) -> int:
@@ -117,7 +124,12 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("ryser check needs a corner rectangle", file=sys.stderr)
             return EXIT_USAGE
-        if _invalid(replace(rectangle, flavor="latin", partition=None)):
+        latin = replace(rectangle, geometry=SudokuGeometry(1, grid.n), flavor="latin")
+        fault = completion._input_fault(grid if completion._oversized(grid) else latin)
+        if fault is not None:
+            if fault.kind != "invalid":
+                return _incompletable(fault)
+            _invalid(latin)  # prints the first violation
             return EXIT_FAIL
         report = hall.ryser_counts(rectangle, grid.n)
         for k in sorted(report.counts):
@@ -130,7 +142,7 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("matchings check needs a partition-free corner rectangle", file=sys.stderr)
             return EXIT_USAGE
-        verdict = completion.complete(rectangle)
+        verdict = completion.complete(grid if completion._oversized(grid) else rectangle)
         if verdict.completable:
             print("completable: all stages passed")
             return EXIT_OK

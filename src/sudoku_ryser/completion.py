@@ -56,6 +56,7 @@ from .bipartite import (
 from .grid import (
     PartialGrid,
     SudokuGeometry,
+    _default_flavor,
     extends,
     validate_partial,
 )
@@ -300,7 +301,7 @@ def plan_medium_cells(grid: PartialGrid) -> Union[MediumCellPlan, Obstruction]:
     are built once, with their line sets, and read by every stage; the plan
     hands them on to distribute_free.
     """
-    if grid.geometry.p == 1 or grid.geometry.q == 1:
+    if _default_flavor(grid.geometry.p, grid.geometry.q) == "latin":
         raise ValueError("medium-cell planning needs p >= 2 and q >= 2")
     plan = MediumCellPlan()
     plan._shape = _shape(grid)
@@ -536,57 +537,57 @@ def assemble_outline(grid: PartialGrid, plan: MediumCellPlan,
     return outline
 
 
-def _as_built(grid: PartialGrid) -> PartialGrid:
-    """The grid under the rules of the square complete() builds from it.
+def _oversized(grid: PartialGrid) -> bool:
+    """_input_fault's first check: a side longer than the order."""
+    return grid.rows > grid.n or grid.cols > grid.n
 
-    That square is latin when a box is one row or column and Sudoku
-    otherwise, whatever the grid's flavor; the pipeline reads no partition,
-    so a gerechte grid is judged as its (p,q) rectangle.  A grid that
-    already has that flavor and no partition is returned itself, not
-    copied; only another flavor or a partition costs a copy.
+
+def _input_fault(grid: PartialGrid) -> Optional[Obstruction]:
+    """The input-invalid obstruction complete() answers for grid, or None.
+
+    The one statement of the input rule, in order: oversized, then invalid
+    under the rules of the square complete() builds (latin when a box is
+    one row or column, else Sudoku, whatever the grid's flavor, and no
+    partition), then not-filled.
     """
-    geom = grid.geometry
-    flavor = "latin" if geom.p == 1 or geom.q == 1 else "sudoku"
-    if grid.flavor == flavor and grid.partition is None:
-        return grid
-    return replace(grid, flavor=flavor, partition=None)
+    if _oversized(grid):
+        return Obstruction("input-invalid", "rectangle larger than order", kind="oversized")
+    flavor = _default_flavor(grid.geometry.p, grid.geometry.q)
+    if grid.flavor != flavor or grid.partition is not None:
+        grid = replace(grid, flavor=flavor, partition=None)
+    report = validate_partial(grid)
+    if not report.ok:
+        return Obstruction("input-invalid", report, kind="invalid")
+    if not grid.is_fully_filled():
+        return Obstruction("input-invalid", "rectangle is not fully filled", kind="not-filled")
+    return None
 
 
 def complete(grid: PartialGrid) -> Verdict:
     """Extend a fully filled rectangle to a full square, or explain why not.
 
-    Orders with p = 1 or q = 1 reduce to plain latin rectangle completion.
-    When p divides r and q divides s no matchings are needed and the
-    pipeline always succeeds.  The input is validated under the rules of
-    the square built from it (_as_built), not under its own flavor.
+    Orders with p = 1 or q = 1 reduce to plain latin rectangle completion
+    (_ryser_complete).  When p divides r and q divides s no matchings are
+    needed and the pipeline always succeeds.  The input is checked by
+    _input_fault; a square either path builds that is not valid or does not
+    extend the grid is a construction bug, RuntimeError.
     """
+    fault = _input_fault(grid)
+    if fault is not None:
+        return Verdict(False, fault)
     geom = grid.geometry
-    if grid.rows > geom.n or grid.cols > geom.n:
-        return Verdict(False, Obstruction("input-invalid", "rectangle larger than order",
-                                          kind="oversized"))
-    checked = _as_built(grid)
-    report = validate_partial(checked)
-    if not report.ok:
-        return Verdict(False, Obstruction("input-invalid", report, kind="invalid"))
-    if not grid.is_fully_filled():
-        return Verdict(False, Obstruction("input-invalid", "rectangle is not fully filled",
-                                          kind="not-filled"))
-
-    if checked.flavor == "latin":
-        res = _ryser_complete(grid, geom.n)
-        if isinstance(res, Obstruction):
-            return Verdict(False, res)
-        return Verdict(True, PartialGrid(geom, geom.n, geom.n, res.cells, "latin", None))
-
-    plan = plan_medium_cells(grid)
-    if isinstance(plan, Obstruction):
-        return Verdict(False, plan)
-    dist = distribute_free(grid, plan)
-    cells = _write_square(*_layout(grid, plan, dist), geom.n)
-    square = PartialGrid(geom, geom.n, geom.n, cells, "sudoku", None)
-
+    flavor = _default_flavor(geom.p, geom.q)
+    if flavor == "latin":
+        cells = _ryser_complete(grid)
+    else:
+        cells = plan = plan_medium_cells(grid)
+        if not isinstance(plan, Obstruction):
+            cells = _write_square(*_layout(grid, plan, distribute_free(grid, plan)), geom.n)
+    if isinstance(cells, Obstruction):
+        return Verdict(False, cells)
+    square = PartialGrid(geom, geom.n, geom.n, cells, flavor, None)
     if not validate_partial(square).ok or not extends(grid, square):
-        raise RuntimeError("expanded square is not a completion of the input; construction bug")
+        raise RuntimeError("completed square is not a completion of the input; construction bug")
     return Verdict(True, square)
 
 
@@ -598,17 +599,19 @@ def _missing(line: Iterable[int], symbols: set[int]) -> tuple[int, ...]:
 def complete_latin_rectangle(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
     """Complete an r x s latin rectangle to an n x n latin square, as in Ryser's proof.
 
-    Raises ValueError unless the rectangle is fully filled and latin, then
-    runs _ryser_complete, which complete() calls on its own checked input.
+    This is complete() on the grid's cells read as an order-n latin
+    rectangle, and raises ValueError where complete() answers input-invalid.
     """
-    work = PartialGrid(SudokuGeometry(1, n), grid.rows, grid.cols, grid.cells, "latin", None)
-    if not validate_partial(work).ok or not work.is_fully_filled():
-        raise ValueError("input is not a fully filled latin rectangle")
-    return _ryser_complete(work, n)
+    view = PartialGrid(SudokuGeometry(1, n), grid.rows, grid.cols, grid.cells, "latin", None)
+    answer = complete(view).certificate
+    if isinstance(answer, Obstruction) and answer.stage == "input-invalid":
+        raise ValueError(f"not a fully filled latin rectangle of order {n} ({answer.kind})")
+    return answer
 
 
-def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction]:
-    """Ryser's two steps on an r x s rectangle already checked to be latin and full.
+def _ryser_complete(grid: PartialGrid) -> Union[tuple, Obstruction]:
+    """Ryser's two steps on an r x s latin rectangle that passed _input_fault:
+    the rows of the n x n square, or the first symbol that fails the bound.
 
     Step 1 extends the rows to full width.  Joining each row to the n - s
     symbols it misses gives a graph in which every row has degree n - s and
@@ -621,10 +624,9 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
     column misses n - r symbols and every symbol is missing from n - r
     columns, and new row r + c is colour class c, a slice over the columns'
     copies.  Each empty cell is coloured once.  When the bound fails the
-    first failing symbol is the obstruction.  A square that is not latin or
-    does not extend the rectangle is a construction bug: RuntimeError.
+    first failing symbol is the obstruction.
     """
-    r, s = grid.rows, grid.cols
+    n, r, s = grid.n, grid.rows, grid.cols
     ryser = ryser_counts(grid, n)
     if not ryser.ok:
         k = ryser.failing[0]
@@ -643,36 +645,21 @@ def _ryser_complete(grid: PartialGrid, n: int) -> Union[PartialGrid, Obstruction
         block = tuple(_missing(column, symbols) for column in (zip(*rows) if rows else [()] * n))
         classes = _block_colors(block, m, n)
         rows += [classes[c:n * m:m] for c in range(m)]  # n cells, even past a bug in step 1
-
-    square = PartialGrid(SudokuGeometry(1, n), n, n, tuple(map(tuple, rows)), "latin", None)
-    if not validate_partial(square).ok or not extends(grid, square):
-        raise RuntimeError("completed latin square fails validation; construction bug")
-    return square
+    return tuple(map(tuple, rows))
 
 
 def verify_obstruction(grid: PartialGrid, ob: Obstruction) -> bool:
     """Independently recheck an obstruction against the grid it came from.
 
-    An input-invalid obstruction holds only when the grid has the fault its
-    kind names: oversized, a side longer than the order; not-filled, an
-    empty cell; invalid, a grid within the order whose validation under
-    complete()'s rules (_as_built) fails with the report given as detail.
-    Any other holds only on a grid that passes those checks, and only if it
-    names no symbol outside 1..n and no band without a partially covered big
-    cell; a corner kind needs a corner big cell.  None raises.
+    An input-invalid obstruction holds only when it equals the one
+    complete() answers for the grid (_input_fault).  Any other holds only
+    on a grid that passes that check, and only if it names no symbol
+    outside 1..n and no band without a partially covered big cell; a corner
+    kind needs a corner big cell.  None raises.
     """
-    oversized = grid.rows > grid.n or grid.cols > grid.n
-    if ob.stage == "input-invalid":
-        if ob.kind == "oversized":
-            return oversized
-        if ob.kind == "not-filled":
-            return not grid.is_fully_filled()
-        if ob.kind == "invalid" and not oversized:
-            report = validate_partial(_as_built(grid))
-            return not report.ok and ob.detail == report
-        return False
-    if oversized or not grid.is_fully_filled() or not validate_partial(_as_built(grid)).ok:
-        return False
+    fault = _input_fault(grid)
+    if ob.stage == "input-invalid" or fault is not None:
+        return ob == fault
     symbol_ok = type(ob.symbol) is int and 1 <= ob.symbol <= grid.n
     axes = _shape(grid).axes
     for ax in axes:

@@ -246,7 +246,10 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
     k * NODES_PER_CELL assignments per cell.  All attempts draw from one
     random stream, and the budget grows until one finishes or the later
     attempts have made RESTART_VISITS cell visits; the draw is then the
-    corner of a pattern square shuffled by the same stream.
+    corner of a pattern square shuffled by the same stream.  An attempt
+    makes an assignment per cell, and the later ones get at most
+    RESTART_VISITS // cells, so past FIRST_BUDGET cells none can finish and
+    the draw is that corner at once.
     """
     rng = random.Random(seed)
     geom = SudokuGeometry(p, q)
@@ -255,25 +258,26 @@ def gen_random_valid_rectangle(p: int, q: int, r: int, s: int, seed: int) -> Par
         raise ValueError("rectangle larger than the order")
     base = empty_grid(p, q, rows=r, cols=s)
     cells = r * s
-    keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
-    visits = 0
-    for attempt in itertools.count():
-        if attempt:
-            budget = min(NODES_PER_CELL * cells * attempt, (RESTART_VISITS - visits) // cells)
-        else:
-            budget = FIRST_BUDGET
-        used = {key: 0 for keys in keys_of for key in keys}
-        outcome, values, nodes = _backtrack(keys_of, used, n, attempt > 0, rng.shuffle, budget)
-        if outcome == "found":
-            rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
-            break
-        if outcome == "incompletable":
-            raise RuntimeError("random rectangle generation failed")
-        if attempt:
-            visits += nodes * cells
-        if visits >= RESTART_VISITS:
-            rows = tuple(tuple(row[:s]) for row in _pattern_square(p, q, rng)[:r])
-            break
+    if cells <= FIRST_BUDGET:
+        keys_of = [_constraint_keys(base, i, j) for i in range(1, r + 1) for j in range(1, s + 1)]
+        visits = 0
+        for attempt in itertools.count():
+            if attempt:
+                budget = min(NODES_PER_CELL * cells * attempt, (RESTART_VISITS - visits) // cells)
+            else:
+                budget = FIRST_BUDGET
+            used = {key: 0 for keys in keys_of for key in keys}
+            outcome, values, nodes = _backtrack(keys_of, used, n, attempt > 0, rng.shuffle, budget)
+            if outcome == "found":
+                rows = tuple(tuple(values[i * s:(i + 1) * s]) for i in range(r))
+                return PartialGrid(geom, r, s, rows, base.flavor, None)
+            if outcome == "incompletable":
+                raise RuntimeError("random rectangle generation failed")
+            if attempt:
+                visits += nodes * cells
+            if visits >= RESTART_VISITS:
+                break
+    rows = tuple(tuple(row[:s]) for row in _pattern_square(p, q, rng)[:r])
     return PartialGrid(geom, r, s, rows, base.flavor, None)
 
 

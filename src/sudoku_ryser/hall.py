@@ -201,17 +201,10 @@ def hall_condition(grid: PartialGrid, flavor: Optional[str] = None,
     Filled cells can be dropped: the inequality for any subset holds exactly
     when it holds for its empty part.  What remains is Hall's Condition for
     the conflict graph of the empty cells (adjacent when they share a row, a
-    column or the flavor's unit) under their lists, so hall_condition_graph
-    decides it with the one exact independence search.  Enumeration is
-    depth first in lexicographic order, so a reported witness is the
-    lexicographically first failing subset.  A subtree is certified rather
-    than walked when greedy independent sets of its root S, grown over the
-    later cells, leave at most (their total - |S|) cells unplaced, or when
-    S's exact alpha sum exceeds |S| by the number of later cells: either
-    gives every subset of the subtree an alpha sum of at least its size.
-    Its subsets still count in subsets_checked, which is 2**e whenever the
-    condition holds.  More empty cells than the gate means giving up.  A
-    grid that fails validation under the flavor checked raises ValueError.
+    column or the flavor's unit) under their lists, which _hall_walk, the
+    subset walk of hall_condition_graph, decides.  More empty cells than the
+    gate means giving up.  A grid that fails validation under the flavor
+    checked raises ValueError.
     """
     flavor = _flavor_of(grid, flavor)
     for v in validate_partial(replace(grid, flavor=flavor)).violations[:1]:
@@ -233,11 +226,24 @@ def ryser_counts(grid: PartialGrid, n: int) -> RyserReport:
 
 def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict,
                          gate: int = 18) -> HallReport:
-    """Hall's Condition for a list-assigned simple graph.
+    """Hall's Condition for a list-assigned simple graph, by _hall_walk.
 
     Every induced subgraph (vertex subset) must satisfy the inequality with
-    alpha taken over independent sets of vertices listing the color.  The
-    subsets are enumerated depth first in lexicographic order of position,
+    alpha taken over independent sets of vertices listing the color.  More
+    vertices than the gate means giving up.
+    """
+    verts = list(vertices)
+    if len(verts) > gate:
+        return HallReport(True, None, 0, True)
+    return _hall_walk(verts, [frozenset(lists.get(v, ())) for v in verts],
+                      _adjacency(verts, edges))
+
+
+def _hall_walk(verts: list, vlists: list[frozenset], adj: list[int]) -> HallReport:
+    """The subset walk of Hall's Condition, on each vertex's list and
+    neighbour bit mask by position in verts.
+
+    The subsets are enumerated depth first in lexicographic order of position,
     so a reported witness is the first failing subset in that order.  Each
     subset is screened greedily first: per color, the parent's greedy
     independent set is extended by the one new vertex when it fits, and only
@@ -259,16 +265,6 @@ def hall_condition_graph(vertices: Iterable, edges: Iterable[tuple], lists: dict
     certified subtree adds its 2**|R| - 1 subsets to subsets_checked, so
     the count, and the first failing subset, are those of a full walk.
     """
-    verts = list(vertices)
-    if len(verts) > gate:
-        return HallReport(True, None, 0, True)
-    return _hall_walk(verts, [frozenset(lists.get(v, ())) for v in verts],
-                      _adjacency(verts, edges))
-
-
-def _hall_walk(verts: list, vlists: list[frozenset], adj: list[int]) -> HallReport:
-    """hall_condition_graph's subset walk, on each vertex's list and
-    neighbour bit mask by position in verts."""
     count = len(verts)
     colors = sorted({c for lst in vlists for c in lst})
     index = {color: k for k, color in enumerate(colors)}

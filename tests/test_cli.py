@@ -136,6 +136,38 @@ def test_check_ryser_rejects_a_rectangle_that_is_not_latin(tmp_path, capsys):
     assert "input-invalid" in capsys.readouterr().err
 
 
+def test_check_ryser_reports_an_oversized_rectangle(tmp_path, capsys):
+    # Three empty rows at order 2 are oversized before Ryser's bound is
+    # read, as complete says.
+    path = tmp_path / "tall.grid"
+    path.write_text("sudoku v1\n1 2 3 0\n")
+    for command in (["check", "--ryser"], ["complete"]):
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "incompletable at stage input-invalid (oversized)\n"
+
+
+@pytest.mark.parametrize("text", [
+    "sudoku v1\n2 2 5 1\n.\n.\n.\n.\n1\n",  # a symbol below the square, no corner
+    "sudoku v1\n1 2 3 1\n.\n.\n1\n",  # no corner either
+    "sudoku v1\n1 2 3 1\n1\n.\n.\n",  # a 1 x 1 corner inside an oversized grid
+])
+def test_complete_reports_an_oversized_grid_on_every_route(tmp_path, capsys, text):
+    path = tmp_path / "oversized.grid"
+    path.write_text(text)
+    for method in ("auto", "thm2", "thm3", "brute"):
+        assert main(["complete", str(path), "--method", method]) == 1, method
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "incompletable at stage input-invalid (oversized)\n"
+    if text.endswith("1\n.\n.\n"):
+        assert main(["check", "--matchings", str(path)]) == 1
+        assert capsys.readouterr().out == "incompletable at stage input-invalid (oversized)\n"
+        assert main(["check", "--ryser", str(path)]) == 1
+        assert "(oversized)" in capsys.readouterr().err
+
+
 def test_check_ryser_ok(tmp_path, capsys):
     grid = grid_from_rows(1, 4, [[1, 2], [2, 1]])
     path = tmp_path / "ok.grid"

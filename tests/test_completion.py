@@ -372,6 +372,43 @@ def test_verify_obstruction_rechecks_the_input_kind():
         assert not verify_obstruction(valid, replace(invalid, kind=kind))
 
 
+def test_verify_obstruction_holds_an_input_kind_only_as_complete_answers_it():
+    # A 5 x 1 empty (2,2) grid is oversized before it is not filled: only
+    # complete()'s own obstruction verifies, and no other kind does.
+    grid = empty_grid(2, 2, 5, 1)
+    own = complete(grid).certificate
+    assert (own.stage, own.kind) == ("input-invalid", "oversized")
+    assert verify_obstruction(grid, own)
+    not_filled = Obstruction("input-invalid", "rectangle is not fully filled", kind="not-filled")
+    assert not verify_obstruction(grid, not_filled)
+    assert not verify_obstruction(grid, dataclasses.replace(own, detail="too big"))
+    assert not verify_obstruction(grid, Obstruction("ryser", 1, kind="ryser", symbol=1))
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], [[1, 2, 3], [3, 4, 1]]])
+def test_complete_builds_and_checks_one_square_on_either_path(monkeypatch, rows):
+    # The latin path (p = 1) and the Sudoku one each build one square, and
+    # the input and that square are each validated once.
+    calls = []
+
+    def counted(name):
+        fn = getattr(completion, name)
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("PartialGrid", "validate_partial", "extends"):
+        monkeypatch.setattr(completion, name, counted(name))
+    for p, q in ((1, 4), (2, 2)):
+        calls.clear()
+        grid = grid_from_rows(p, q, rows)
+        verdict = complete(grid)
+        assert verdict.completable and extends(grid, verdict.certificate)
+        assert sorted(calls) == ["PartialGrid", "extends", "validate_partial", "validate_partial"]
+
+
 def test_complete_routes_latin_for_flat_boxes():
     grid = grid_from_rows(1, 3, [[1, 2], [2, 1]])
     verdict = complete(grid)
@@ -407,6 +444,23 @@ def test_complete_latin_rectangle_success():
         result = complete_latin_rectangle(grid, 6)
         assert isinstance(result, PartialGrid) and result.rows == result.cols == 6
         assert validate_partial(result).ok and extends(grid, result)
+
+
+def test_complete_latin_rectangle_raises_on_what_complete_finds_invalid():
+    # It is complete() on the order-n latin view, so each input-invalid kind
+    # raises, the oversized 5 x 0 rectangle at order 4 included, and the
+    # grid's own geometry and flavor are not read.
+    tall = PartialGrid(SudokuGeometry(1, 4), 5, 0, ((),) * 5, "latin", None)
+    assert complete(tall).certificate.kind == "oversized"
+    for grid, n, kind in ((tall, 4, "oversized"), (grid_from_rows(1, 3, [[1, 1]]), 3, "invalid"),
+                          (grid_from_rows(1, 3, [[1, None]]), 3, "not-filled")):
+        with pytest.raises(ValueError, match=f"order {n} \\({kind}\\)"):
+            complete_latin_rectangle(grid, n)
+    boxed = grid_from_rows(2, 2, [[1, 2], [2, 1]])  # a repeat in a 2 x 2 box
+    assert complete(boxed).certificate.kind == "invalid"
+    square = complete_latin_rectangle(boxed, 4)
+    assert square.geometry == SudokuGeometry(1, 4) and square.flavor == "latin"
+    assert validate_partial(square).ok and extends(boxed, square)
 
 
 def matching_rows(n, rng):

@@ -302,6 +302,25 @@ def test_random_valid_rectangle_falls_back_to_a_pattern_corner(monkeypatch):
     assert len(draws) > 12  # the shuffles differ from seed to seed
 
 
+def test_random_valid_rectangle_past_the_first_budget_is_a_pattern_corner(monkeypatch):
+    # An attempt makes an assignment per cell, so past FIRST_BUDGET cells
+    # none can finish: the draw is a pattern-square corner with no search,
+    # a 1 x 1 corner of an order-1024 square included.
+    def no_search(*args):
+        raise AssertionError("no attempt can finish, so none is made")
+
+    monkeypatch.setattr(fixtures, "_backtrack", no_search)
+    for p, q, r, s in ((1, 130, 130, 130), (130, 1, 127, 130), (2, 65, 130, 127),
+                       (13, 10, 129, 130)):
+        assert r * s > fixtures.FIRST_BUDGET
+        grid = gen_random_valid_rectangle(p, q, r, s, 5)
+        assert (grid.rows, grid.cols) == (r, s)
+        assert grid.is_fully_filled() and validate_partial(grid).ok, (p, q)
+        assert gen_random_valid_rectangle(p, q, r, s, 5) == grid
+    corner = gen_random_rectangle(32, 32, 1, 1, 0)
+    assert corner.rows == corner.cols == 1 and validate_partial(corner).ok
+
+
 def test_random_valid_rectangle_deeper_than_the_recursion_limit():
     grid = gen_random_valid_rectangle(1, 34, 34, 34, 1)  # 1,156 cells
     assert grid.is_fully_filled() and validate_partial(grid).ok

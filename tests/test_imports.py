@@ -1,6 +1,7 @@
 """No library module imports a name it never uses, unless the import line
 says why in a comment (a name kept for the benchmark's tracer to rebind, or
-a re-export).  The check reads the source with ast; nothing is imported."""
+a re-export), and no private top-level name goes unread by the library.
+The checks read the source with ast; nothing is imported."""
 import ast
 from pathlib import Path
 
@@ -59,6 +60,62 @@ def test_the_import_check_finds_an_unused_name_and_accepts_a_comment():
               "    return os.sep\n")
     assert unused_imports(source) == [(6, "validate_partial")]
     assert MODULES and "completion.py" in MODULES
+
+
+def _top_level_names(node):
+    """The names a module-level statement defines: a function, a class or
+    the plain names it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_private_names(sources):
+    """(module, name) of each private top-level name of the modules (a
+    mapping of module name to source) that no statement reads but the one
+    defining it: by name, as another module's attribute, or in a string
+    annotation."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            read = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+                    read.add(sub.attr)
+                elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+                    read.update(_annotation_names(sub.annotation))
+                elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
+                    read.update(_annotation_names(sub.returns))
+            reads.append(read)
+            defined += [(module, name, len(reads) - 1) for name in _top_level_names(node)
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted((module, name) for module, name, own in defined
+                  if not any(name in read for at, read in enumerate(reads) if at != own))
+
+
+def test_every_private_top_level_name_is_read_by_the_library():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_the_private_name_check_finds_a_dead_helper():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_UNUSED: int = 4\n"
+                 "def _recursive(k):\n"
+                 "    return _recursive(k - 1) if k else _LIMIT\n"
+                 "def _remote():\n"
+                 "    pass\n"
+                 "class _Hint:\n"
+                 "    pass\n"
+                 "def f(x: '_Hint'):\n"
+                 "    return x\n"),
+        "b.py": "from . import a\nvalue = a._remote()\na._UNUSED = 5\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_UNUSED"), ("a.py", "_recursive")]
 
 
 # The package's public names, written out so that adding or removing one
