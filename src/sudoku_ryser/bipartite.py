@@ -9,9 +9,11 @@ Every equitable edge-coloring comes from one kernel, _color_cells.  It
 takes the edges as cells, one list of right vertices per left vertex, cuts
 each cell into copies of k edges, and properly k-colors the result by
 first fit from a staggered start with alternating-chain recoloring.  It
-numbers no edge: it keeps the other end of each color at each cell copy
-and each right vertex, and returns the copies' rows, which callers slice
-into color classes.  Only when a right vertex has more than k edges, so
+numbers no edge: its state is one list per color, holding that color's
+other end at each cell copy and at each right vertex, and it returns the
+copies' lists, the k color classes with one entry per cell copy.  Callers
+read a class, or a cell's slice of one, directly, and zip the classes to
+read copy by copy.  Only when a right vertex has more than k edges, so
 that one of them finds no free color there, are the right vertices split
 into copies of k edges (_split_rights) and the coloring restarted; every
 block complete() colors gives each symbol at most k edges, so it never
@@ -118,28 +120,30 @@ def equitable_edge_coloring(g: BipartiteMultigraph, k: int) -> EdgeColoring:
     for e, (u, _) in enumerate(g.edges):
         groups[u].append(e)
     edges = g.edges
-    rows = _color_cells([[edges[e][1] for e in group] for group in groups], k, g.right_count)
+    classes = _color_cells([[edges[e][1] for e in group] for group in groups], k, g.right_count)
     copies = (group[i:i + k] for group in groups for i in range(0, len(group), k))
     color_of = [0] * len(edges)
-    for at, copy in zip(range(0, len(rows), k), copies):
-        slots = sorted((w, c) for c, w in enumerate(rows[at:at + k], 1) if w >= 0)
+    for copy, row in zip(copies, zip(*classes)):
+        slots = sorted((w, c) for c, w in enumerate(row, 1) if w >= 0)
         for e, (_, c) in zip(sorted(copy, key=lambda e: edges[e][1]), slots):
             color_of[e] = c
     return EdgeColoring(k, tuple(color_of))
 
 
-def _color_cells(cells, k: int, right: int) -> list[int]:
+def _color_cells(cells, k: int, right: int) -> list[list[int]]:
     """Equitable k-coloring of the graph joining each cell to its entries,
-    as the right vertex of each color at each cell copy.
+    as its k color classes.
 
     cells[i] lists the right vertices (ints in 0..right-1, repeats allowed)
     of left vertex i's edges.  Each cell is cut into copies of k entries:
     copy c takes entries c*k .. c*k+k-1.  A right vertex of degree at most k
     is its own copy.  The split graph is properly k-edge-colored, so a full
     copy sees every color once and every vertex sees balanced color counts.
-    Returns one row of k slots per cell copy, in cell order: slot c - 1 of
-    copy i, at i*k + c - 1, holds the right vertex of color c there, or -1
-    in a short copy; with full copies, color class c is rows[c - 1::k].
+    Returns k lists, one per color, each with one entry per cell copy, in
+    cell order: list c - 1 holds the right vertex of color c at each copy,
+    or -1 in a short copy that lacks it.  A cell whose copies are u0..u1-1
+    has its color-c slice at classes[c - 1][u0:u1], and zip(*classes) reads
+    the copies one by one.
 
     The i-th cell copy starts its first fit at color (i mod k) + 1: each
     edge takes the first color at or above that start free at both its
@@ -150,36 +154,37 @@ def _color_cells(cells, k: int, right: int) -> list[int]:
     A right vertex with no free color has more than k entries: the attempt
     returns, freeing its state, the cells are relabelled so that each right
     vertex starts a new copy every k appearances (_split_rights), and
-    coloring starts again; its rows are read back as the original vertices.
+    coloring starts again; its classes are read back as the original vertices.
     """
     if k == 1:
-        return list(chain.from_iterable(cells))
-    rows = _first_fit(cells, k, right)
-    if rows is None:
+        return [list(chain.from_iterable(cells))]
+    classes = _first_fit(cells, k, right)
+    if classes is None:
         cells, origin = _split_rights(cells, k)
-        rows = [origin[w] if w >= 0 else -1 for w in _first_fit(cells, k, len(origin))]
-    return rows
+        classes = [[origin[w] if w >= 0 else -1 for w in cls]
+                   for cls in _first_fit(cells, k, len(origin))]
+    return classes
 
 
-def _first_fit(cells, k: int, right: int) -> Optional[list[int]]:
-    """_color_cells' rows for k >= 2, or None if a right vertex has too many entries.
+def _first_fit(cells, k: int, right: int) -> Optional[list[list[int]]]:
+    """_color_cells' classes for k >= 2, or None if a right vertex has too many entries.
 
-    State, colors counted 0..k-1: copy u's color c is at cop[u + c], right
-    vertex w's at sym[w*k + c] (the copy's offset u, or -1), and taken[w]
-    has bit c set when color c is taken at w.  The current copy's free
-    colors stay in avail: nothing else reads them, and a chain reaches
-    copies only on its color a, which is free at the current copy.
+    State, one list per color, colors counted 0..k-1: cop[c][u] is copy u's
+    right vertex on color c and sym[c][w] right vertex w's copy on it (or
+    -1), and taken[w] has bit c set when color c is taken at w.  cop is the
+    result.  The current copy's free colors stay in avail: nothing else
+    reads them, and a chain reaches copies only on its color a, which is
+    free at the current copy.
     """
     full = (1 << k) - 1
-    row = [-1] * k
-    sym = row * right
+    sym = [[-1] * right for _ in range(k)]
     taken = [0] * right
-    cop: list[int] = []
+    copies = sum(-(-len(cell) // k) for cell in cells)
+    cop = [[-1] * copies for _ in range(k)]
+    u = 0
     for cell in cells:
         for first in range(0, len(cell), k):
-            cu = len(cop)
-            cop += row
-            above = full & -(1 << cu // k % k)  # from color i mod k at the i-th copy
+            above = full & -(1 << u % k)  # from color i mod k at the i-th copy
             avail = full  # colors still free at the copy
             for w in cell[first:first + k]:
                 have = taken[w]
@@ -194,13 +199,14 @@ def _first_fit(cells, k: int, right: int) -> Optional[list[int]]:
                     if not free_w:
                         return None
                     pick = (avail & -avail).bit_length() - 1
-                    _flip_chain(w, pick, (free_w & -free_w).bit_length() - 1, k, sym, cop, taken)
+                    _flip_chain(w, pick, (free_w & -free_w).bit_length() - 1, sym, cop, taken)
                     bit = 1 << pick
                     have = taken[w]
-                cop[cu + pick] = w
-                sym[w * k + pick] = cu
+                cop[pick][u] = w
+                sym[pick][w] = u
                 avail ^= bit
                 taken[w] = have | bit
+            u += 1
     return cop
 
 
@@ -220,30 +226,29 @@ def _split_rights(cells, k: int) -> tuple[list[list[int]], list[int]]:
     return out, [w for w, _ in label]
 
 
-def _flip_chain(w: int, a: int, b: int, k: int, sym: list[int], cop: list[int],
+def _flip_chain(w: int, a: int, b: int, sym: list[list[int]], cop: list[list[int]],
                 taken: list[int]) -> None:
     """Swap colors a and b along the alternating chain leaving right vertex w
     on color a.
 
     b is free at w, so the chain is a path that enters each copy on a and
-    each right vertex on b.  Every vertex on it swaps its a and b slots, and
-    only the ends change which colors are taken: a becomes free at w and b
-    taken, and a right vertex at the far end swaps likewise.  The state is
-    _first_fit's.
+    each right vertex on b.  Every vertex on it swaps its a and b entries,
+    and only the ends change which colors are taken: a becomes free at w and
+    b taken, and a right vertex at the far end swaps likewise.  The state is
+    _first_fit's; the two colors' lists are bound once per chain.
     """
     swap = (1 << a) | (1 << b)
     taken[w] ^= swap
-    at = w * k
-    u = sym[at + a]
-    sym[at + a], sym[at + b] = -1, u
+    sym_a, sym_b, cop_a, cop_b = sym[a], sym[b], cop[a], cop[b]
+    u = sym_a[w]
+    sym_a[w], sym_b[w] = -1, u
     while True:
-        x = cop[u + b]
-        cop[u + a], cop[u + b] = x, w
+        x = cop_b[u]
+        cop_a[u], cop_b[u] = x, w
         if x < 0:
             return
-        at = x * k
-        v = sym[at + a]
-        sym[at + a], sym[at + b] = u, v
+        v = sym_a[x]
+        sym_a[x], sym_b[x] = u, v
         if v < 0:
             taken[x] ^= swap
             return

@@ -68,10 +68,16 @@ def _invalid(grid: PartialGrid) -> bool:
 
 
 def _brute_force(grid: PartialGrid, node_limit: int) -> int:
-    """Complete the grid by exhaustive search and report the outcome."""
+    """Complete the grid by exhaustive search and report the outcome.
+
+    The search fills the n x n square with the grid in its top left corner,
+    so a "found" prints the whole square, as the pipeline does.  A gerechte
+    grid is searched as it is: its parts cover only its own cells.
+    """
     if _invalid(grid):
         return EXIT_FAIL
-    result = fixtures.brute_force_complete(grid, node_limit=node_limit)
+    square = grid if grid.partition is not None else embed_in_square(grid)
+    result = fixtures.brute_force_complete(square, node_limit=node_limit)
     if result.outcome == "found":
         sys.stdout.write(serialize_grid(result.square))
         return EXIT_OK
@@ -119,13 +125,19 @@ def _cmd_complete(args) -> int:
 
 def _cmd_check(args) -> int:
     grid = _load(args.file)
+    if completion._oversized(grid):  # complete()'s size rule, on every route
+        fault = completion._input_fault(grid)
+        if args.matchings:  # its verdicts go to stdout
+            print(f"incompletable at stage {fault.stage} ({fault.kind})")
+            return EXIT_FAIL
+        return _incompletable(fault)
     if args.ryser:
         rectangle = _is_corner_rectangle(grid)
         if rectangle is None:
             print("ryser check needs a corner rectangle", file=sys.stderr)
             return EXIT_USAGE
         latin = replace(rectangle, geometry=SudokuGeometry(1, grid.n), flavor="latin")
-        fault = completion._input_fault(grid if completion._oversized(grid) else latin)
+        fault = completion._input_fault(latin)
         if fault is not None:
             if fault.kind != "invalid":
                 return _incompletable(fault)
@@ -142,7 +154,7 @@ def _cmd_check(args) -> int:
         if rectangle is None:
             print("matchings check needs a partition-free corner rectangle", file=sys.stderr)
             return EXIT_USAGE
-        verdict = completion.complete(grid if completion._oversized(grid) else rectangle)
+        verdict = completion.complete(rectangle)
         if verdict.completable:
             print("completable: all stages passed")
             return EXIT_OK

@@ -20,7 +20,8 @@ Latin rectangles (p = 1 or q = 1) skip the pipeline and the outline and
 follow Ryser's proof (_ryser_complete): the rows are extended to full
 width, then the missing rows are added, each step one colouring
 (outline._block_colors) whose colour classes are the new columns or rows,
-so each empty cell is coloured once and the new lines are slices of it.
+so each empty cell is coloured once: the new rows are the classes as
+they are, and the new columns are read off them transposed.
 Ryser's bound N(k) >= r + s - n enters only there, as what keeps each
 symbol's degree in the first step within the colour count.
 
@@ -414,11 +415,13 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
     Each band is coloured once (outline._block_colors), one colour per empty
     big column: its cells are the rows' missing symbols once the plan's share
     is placed and, for the leftover band, the leftover block, which holds
-    symbol k T - (rows missing k) times for T empty big columns.  Colour c
-    fills the c-th empty big column: a row missing q T symbols is q copies,
-    whose colour c is one extended slice (any other count is a construction
-    bug).  The rows missing each symbol come from one Counter over the
-    band's cells, not from a pass over the rows per symbol.
+    symbol k T - (rows missing k) times for T empty big columns.  Colour
+    class c fills the c-th empty big column: a row missing q T symbols is q
+    copies, so the row's fill is the class's slice [u:u + q] at its first
+    copy u (any other count is a construction bug), and the leftover
+    block's fill is the class's tail.  The rows missing each symbol come
+    from one Counter over the band's cells, not from a pass over the rows
+    per symbol.
     """
     n, targets = ax.n, ax.targets
     every = (2 << n) - 2
@@ -449,13 +452,13 @@ def _distribute_rows(ax: _Axis, share: dict) -> tuple[dict, dict]:
         width = ax.q * t  # a row's missing symbols: q for each empty big column
         if any(len(cell) != width for cell in cells[:len(rows)]):
             raise RuntimeError(f"a {ax.line} of band {alpha} misses other than {width} symbols")
-        classes = _block_colors(cells, t, n)
-        starts = range(0, len(rows) * width, width)
-        for c, J in enumerate(targets):
-            for i, at in zip(rows, starts):
-                row_fills[(i, J)] = tuple(classes[at + c:at + width:t])
+        q = ax.q
+        starts = range(0, len(rows) * q, q)
+        for J, cls in zip(targets, _block_colors(cells, t, n)):
+            for i, u in zip(rows, starts):
+                row_fills[(i, J)] = tuple(cls[u:u + q])
             if leftover:
-                block_fills[J] = tuple(classes[len(rows) * width + c::t])
+                block_fills[J] = tuple(cls[len(rows) * q:])
     return row_fills, block_fills
 
 
@@ -619,12 +622,12 @@ def _ryser_complete(grid: PartialGrid) -> Union[tuple, Obstruction]:
     that is at most n - s exactly when Ryser's bound N(k) >= r + s - n
     holds.  One (n - s)-colouring of it (outline._block_colors) then gives
     each row one symbol per colour and each symbol at most one row: each
-    row is one copy, and its colour row, appended, is new columns s + 1..n.
-    Step 2 adds the missing rows the same way: in the r x n result every
-    column misses n - r symbols and every symbol is missing from n - r
-    columns, and new row r + c is colour class c, a slice over the columns'
-    copies.  Each empty cell is coloured once.  When the bound fails the
-    first failing symbol is the obstruction.
+    row is one copy, so the transpose of the colour classes gives each row
+    its new columns s + 1..n.  Step 2 adds the missing rows the same way:
+    in the r x n result every column misses n - r symbols and every symbol
+    is missing from n - r columns, each column is one copy, and new row
+    r + c is colour class c as it is.  Each empty cell is coloured once.
+    When the bound fails the first failing symbol is the obstruction.
     """
     n, r, s = grid.n, grid.rows, grid.cols
     ryser = ryser_counts(grid, n)
@@ -637,14 +640,13 @@ def _ryser_complete(grid: PartialGrid) -> Union[tuple, Obstruction]:
     if s < n:
         m = n - s
         block = tuple(_missing(row, symbols) for row in rows)
-        classes = _block_colors(block, m, n)
-        for row, at in zip(rows, range(0, len(classes), m)):
-            row += classes[at:at + m]
+        for row, copy in zip(rows, zip(*_block_colors(block, m, n))):
+            row += copy
     if r < n:
         m = n - r
         block = tuple(_missing(column, symbols) for column in (zip(*rows) if rows else [()] * n))
-        classes = _block_colors(block, m, n)
-        rows += [classes[c:n * m:m] for c in range(m)]  # n cells, even past a bug in step 1
+        # New row r + c is class c, cut to n cells even past a bug in step 1.
+        rows += [cls[:n] for cls in _block_colors(block, m, n)]
     return tuple(map(tuple, rows))
 
 

@@ -152,20 +152,22 @@ def _lines(o: OutlineLatinSquare, axis: str) -> tuple[tuple[tuple[int, ...], ...
     return o.cells if axis == "row" else tuple(zip(*o.cells))
 
 
-def _block_colors(block: tuple[tuple[int, ...], ...], m: int, symbols: int) -> list[int]:
-    """The colour classes of one merged part of size m, as the symbol of
+def _block_colors(block: tuple[tuple[int, ...], ...], m: int,
+                  symbols: int) -> list[list[int]]:
+    """The m colour classes of one merged part of size m, as the symbol of
     each colour at each copy of m cell instances.
 
     One equitable m-edge-colouring of the graph joining the cells
     (cross-axis blocks) to the symbols 1..symbols, one edge per symbol
-    instance, in the kernel's rows (bipartite._color_cells).  Colour class
-    c is unit line c of the part: a cell of m*t instances whose first copy
-    is at offset at gives it the slice [at + c - 1:at + m*t:m].  When every
-    degree in that graph is a multiple of m, each class takes an exact 1/m
-    share at every vertex and the counting conditions hold for every line.
-    Degrees of at most m are allowed too: each class takes such a vertex at
-    most once, so a symbol of degree at most m lands at most once in any
-    line, and a cell of degree m gets exactly one symbol of each colour.
+    instance, as the kernel's colour classes (bipartite._color_cells).
+    Class c - 1 is unit line c of the part: a cell of m*t instances whose
+    copies are u..u+t-1 gives it the slice [u:u + t] of that class.  When
+    every degree in that graph is a multiple of m, each class takes an
+    exact 1/m share at every vertex and the counting conditions hold for
+    every line.  Degrees of at most m are allowed too: each class takes such
+    a vertex at most once, so a symbol of degree at most m lands at most
+    once in any line, and a cell of degree m gets exactly one symbol of
+    each colour.
 
     The kernel takes the cells as they are, so symbol k is right vertex k
     and no graph object is built; the first fit of the i-th copy of m cell
@@ -182,15 +184,14 @@ def _block_slices(block: tuple[tuple[int, ...], ...], m: int,
                   symbols: int) -> list[tuple[tuple[int, ...], ...]]:
     """Split one merged part of size m into m unit slices, in colour order.
 
-    Slice c holds colour class c of _block_colors, in the block's cell
-    order, so sorted cells give sorted slices.  split_front is its only
-    caller in the library; the tests split through it as their reference
-    for distribution and _write_square.
+    Slice c holds colour class c of _block_colors, cut at the block's cell
+    copies, in the block's cell order, so sorted cells give sorted slices.
+    split_front is its only caller in the library; the tests split through
+    it as their reference for distribution and _write_square.
     """
-    rows = _block_colors(block, m, symbols)
-    ends = list(accumulate((-(-len(cell) // m) * m for cell in block), initial=0))
-    return [tuple(tuple(k for k in rows[at + c:end:m] if k >= 0)
-                  for at, end in zip(ends, ends[1:])) for c in range(m)]
+    ends = list(accumulate((-(-len(cell) // m) for cell in block), initial=0))
+    return [tuple(tuple(k for k in cls[u0:u1] if k >= 0) for u0, u1 in zip(ends, ends[1:]))
+            for cls in _block_colors(block, m, symbols)]
 
 
 def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
@@ -222,16 +223,18 @@ def split_front(o: OutlineLatinSquare, axis: str) -> OutlineLatinSquare:
 def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -> tuple:
     """The n x n square of an outline layout with unit symbol parts.
 
-    One _block_colors call splits each merged row part of size m: colour c
-    goes to unit row c, straight into the square in a unit column, else into
-    that row's new cell of the column part, one slice of the colour class.
-    A unit row part needs no colouring and no copy: its unit cells are
-    written straight into its row, and its column-part cells are handed on
-    as they are.  Each column part of width q >= 2 is then split the same
-    way: each of its cells is one copy, whose colours are the row's q
-    columns, written as one slice.  Cells are read in stored order, as
-    splitting off unit slices in turn reads them.  A column part's cell of
-    the wrong size raises RuntimeError; an unwritten cell stays 0.
+    One _block_colors call splits each merged row part of size m: colour
+    class c is unit row c, its entry at a unit column's cell (one copy) goes
+    straight into the square, and its slice at a column part's cell of
+    width q (q copies) is that row's new cell of the part.  A unit row part
+    needs no colouring and no copy: its unit cells are written straight into
+    its row, and its column-part cells are handed on as they are.  Each
+    column part of width q >= 2 is then split the same way: each of its
+    cells is one copy, whose colours are the row's q columns, so the
+    classes' transpose gives each row's slice.  Cells are read in stored
+    order, as splitting off unit slices in turn reads them.  A column
+    part's cell of the wrong size raises RuntimeError; an unwritten cell
+    stays 0.
     """
     starts = tuple(accumulate(col_comp, initial=0))
     parts: list[list] = [[] for _ in col_comp]  # unit-row cells; none for a unit column
@@ -249,22 +252,24 @@ def _write_square(row_comp: Composition, col_comp: Composition, cells, n: int) -
             continue
         classes = _block_colors(line, m, n)
         rows = [[0] * n for _ in range(m)]
-        at = 0
+        u = 0
         for start, width, cell, part in zip(starts, col_comp, line, parts):
-            end = at + len(cell)
+            end = u + -(-len(cell) // m)
             if width == 1:
-                for row, k in zip(rows, classes[at:end]):
-                    row[start] = k
+                if end > u:
+                    for row, cls in zip(rows, classes):
+                        row[start] = cls[u]
             else:
-                part += [classes[c:end:m] for c in range(at, at + m)]
-            at = end
+                part += [cls[u:end] for cls in classes]
+            u = end
         square += rows
     for start, width, part in zip(starts, col_comp, parts):
-        columns = _block_colors(part, width, n) if width >= 2 else ()
-        for at, row, cell in zip(range(0, len(columns), width), square, part):
+        if width == 1:
+            continue
+        for row, cell, copy in zip(square, part, zip(*_block_colors(part, width, n))):
             if len(cell) != width:
                 raise RuntimeError("a cell holds the wrong number of symbols; construction bug")
-            row[start:start + width] = columns[at:at + width]
+            row[start:start + width] = copy
     return tuple(map(tuple, square))
 
 

@@ -432,6 +432,54 @@ def test_coloring_restarts_on_split_rights_after_chain_flips(monkeypatch):
     assert by_copy(g, 2, coloring.color_of) == by_copy(g, 2, reference_coloring(g, 2))
 
 
+def test_color_cells_returns_one_class_per_colour(monkeypatch):
+    # The kernel's output contract on seeded random cells: k lists, one per
+    # colour, each with one entry per cell copy (-1 in a short copy); the
+    # copies, read across the classes, hold exactly their cell slices; each
+    # class holds a right vertex of degree d floor(d/k) or ceil(d/k) times,
+    # so at most once when d <= k; and the copies agree with the dict
+    # reference.  The draws cover repeats, short copies, k = 1 and the
+    # _split_rights restart.
+    splits = []
+    split = bipartite._split_rights
+
+    def counted_split(*args):
+        splits.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(bipartite, "_split_rights", counted_split)
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(1500):
+        k, right = rng.randint(1, 6), rng.randint(1, 8)
+        cells = [[rng.randrange(right) for _ in range(rng.randint(0, 3 * k))]
+                 for _ in range(rng.randint(0, 7))]
+        restarts = len(splits)
+        classes = bipartite._color_cells(cells, k, right)
+        slices = [cell[i:i + k] for cell in cells for i in range(0, len(cell), k)]
+        assert len(classes) == k
+        assert all(len(cls) == len(slices) for cls in classes)
+        for row, slice_ in zip(zip(*classes), slices):
+            assert sorted(w for w in row if w >= 0) == sorted(slice_)
+        degree = [0] * right
+        for cell in cells:
+            for w in cell:
+                degree[w] += 1
+        for cls in classes:
+            for w, d in enumerate(degree):
+                assert d // k <= cls.count(w) <= -(-d // k), (cells, k)
+        edges = tuple((u, w) for u, cell in enumerate(cells) for w in cell)
+        g = BipartiteMultigraph(tuple(range(len(cells))), tuple(range(right)), edges)
+        mine = [{c: w for c, w in enumerate(row, 1) if w >= 0} for row in zip(*classes)]
+        assert mine == by_copy(g, k, reference_coloring(g, k)), (cells, k)
+        seen.update(name for name, hit in (
+            ("repeat", any(len(set(cell)) < len(cell) for cell in cells)),
+            ("short copy", any(len(slice_) < k for slice_ in slices)),
+            ("k = 1", k == 1),
+            ("restart", len(splits) > restarts)) if hit)
+    assert seen == {"repeat", "short copy", "k = 1", "restart"}
+
+
 def adjacency(g):
     return [sorted({w for u, w in g.edges if u == x}) for x in range(g.left_count)]
 

@@ -9,6 +9,7 @@ from sudoku_ryser.fixtures import gen_evans_small
 from sudoku_ryser.grid import (
     MAX_ORDER,
     PartialGrid,
+    extends,
     grid_from_rows,
     parse_grid,
     serialize_grid,
@@ -166,6 +167,53 @@ def test_complete_reports_an_oversized_grid_on_every_route(tmp_path, capsys, tex
         assert capsys.readouterr().out == "incompletable at stage input-invalid (oversized)\n"
         assert main(["check", "--ryser", str(path)]) == 1
         assert "(oversized)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["--hall", "--matchings"])
+@pytest.mark.parametrize("text", [
+    "sudoku v1\n1 2 3 0\n",  # three empty rows at order 2
+    "sudoku v1\n2 2 5 1\n.\n.\n.\n.\n1\n",  # a symbol below the square, no corner
+], ids=["tall-empty", "no-corner"])
+def test_check_reports_an_oversized_grid_first(tmp_path, capsys, route, text):
+    # complete()'s size rule comes before anything else a check reads: not
+    # embed_in_square's format error, nor a missing corner rectangle.
+    path = tmp_path / "oversized.grid"
+    path.write_text(text)
+    assert main(["check", route, str(path)]) == 1
+    captured = capsys.readouterr()
+    said = captured.out if route == "--matchings" else captured.err
+    assert said == "incompletable at stage input-invalid (oversized)\n"
+    assert "error" not in captured.err
+    assert main(["complete", str(path)]) == 1
+    assert capsys.readouterr().err == "incompletable at stage input-invalid (oversized)\n"
+
+
+# (2,2), 3 x 3, with cell (3,3) empty: not a corner rectangle, and no 4 x 4
+# square extends it (check --hall finds a deficient subset), yet every
+# cell of the file itself can be filled.
+HOLED_INCOMPLETABLE = "sudoku v1\n2 2 3 3\n1 3 4\n4 2 3\n3 4 .\n"
+# The same shape cut from a (2,2) pattern square: completable.
+HOLED_COMPLETABLE = "sudoku v1\n2 2 3 3\n1 2 3\n3 4 1\n2 1 .\n"
+
+
+@pytest.mark.parametrize("method", ["auto", "brute"])
+def test_exhaustive_search_answers_for_the_whole_square(tmp_path, capsys, method):
+    # The oracle searches the file embedded in its n x n square, as check
+    # --hall tests it, so "yes" means a square extends the file.
+    path = tmp_path / "holed.grid"
+    path.write_text(HOLED_INCOMPLETABLE)
+    assert main(["check", "--hall", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("fails")
+    assert main(["complete", str(path), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "incompletable (exhaustive search)" in captured.err
+    path.write_text(HOLED_COMPLETABLE)
+    assert main(["complete", str(path), "--method", method]) == 0
+    square = parse_grid(capsys.readouterr().out)
+    assert square.rows == square.cols == 4
+    assert validate_partial(square).ok and square.is_fully_filled()
+    assert extends(parse_grid(HOLED_COMPLETABLE), square)
 
 
 def test_check_ryser_ok(tmp_path, capsys):

@@ -3,15 +3,16 @@ counts and a hash.
 
 For each input the ledger counts the coloured edges, the _flip_chain calls,
 the chain edges those calls recolour and the augmenting searches
-(bipartite._augment_from calls), and hashes the kernel's rows of every
-colouring, in call order: for each cell copy, in cell order, the right
-vertex of each colour (-1 where a short copy lacks it).  A change that
-claims identical colourings and matchings (a kernel speed-up) leaves LEDGER
-as it is; a change to the algorithm records the new figures and says why.
+(bipartite._augment_from calls), and hashes the kernel's colour classes of
+every colouring, in call order, transposed into one flat list: for each
+cell copy, in cell order, the right vertex of each colour (-1 where a short
+copy lacks it).  A change that claims identical colourings and matchings
+(a kernel speed-up) leaves LEDGER as it is; a change to the algorithm
+records the new figures and says why.
 The counts come from spies on bipartite._flip_chain, on
 bipartite._augment_from and on outline._color_cells, the name every
 colouring of complete() goes through; the multigraph input is coloured by
-equitable_edge_coloring and its rows are read off its result, so parallel
+equitable_edge_coloring and its copies are read off its result, so parallel
 edges of one copy may swap colours without changing the hash.  The (16,16)
 input is the order-256 pin of the large-order work.
 """
@@ -25,7 +26,7 @@ from sudoku_ryser.fixtures import _pattern_square
 from sudoku_ryser.grid import grid_from_rows
 
 # input -> (coloured edges, _flip_chain calls, chain edges recoloured, _augment_from calls,
-#           sha256 of the rows)
+#           sha256 of the copies)
 LEDGER = {
     "(12,12) 73x49": (34560, 3816, 59030, 33,
                       "0137bd6eee8a097707fbec3bc1592d7608e85eeaa6d572c1a5e88a209ed48c37"),
@@ -63,7 +64,7 @@ INPUTS = {
 
 
 def _rows_of(g: BipartiteMultigraph, k: int, color_of) -> list[int]:
-    """The kernel's rows of an edge colouring: the edges grouped by left
+    """The flat copies of an edge colouring: the edges grouped by left
     vertex, in edge order, cut into copies of k, and each copy's right
     vertex written into the slot of its colour."""
     groups: list[list[int]] = [[] for _ in g.left_labels]
@@ -85,23 +86,23 @@ def _ledger(monkeypatch, run):
     core, flip, search = outline._color_cells, bipartite._flip_chain, bipartite._augment_from
 
     def coloring(cells, k, right):
-        rows = core(cells, k, right)
+        classes = core(cells, k, right)
         counts["edges"] += sum(map(len, cells))
-        digest.update(repr(rows).encode())
-        return rows
+        digest.update(repr([w for copy in zip(*classes) for w in copy]).encode())
+        return classes
 
-    def flipping(w, a, b, k, sym, cop, taken):
+    def flipping(w, a, b, sym, cop, taken):
         # Walk the chain before it flips: a right vertex leaves on a, a copy on b.
-        u = sym[w * k + a]
+        u = sym[a][w]
         while u >= 0:
             counts["walked"] += 1
-            x = cop[u + b]
+            x = cop[b][u]
             if x < 0:
                 break
             counts["walked"] += 1
-            u = sym[x * k + a]
+            u = sym[a][x]
         counts["flips"] += 1
-        flip(w, a, b, k, sym, cop, taken)
+        flip(w, a, b, sym, cop, taken)
 
     def searching(root, adj, owner, held):
         counts["searches"] += 1

@@ -609,22 +609,33 @@ def test_complete_latin_rectangle_colours_each_empty_cell_once(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda rows: [rows[1]] + rows[1:],  # a new line gets one symbol twice and loses one
-    lambda rows: [rows[1], rows[0]] + rows[2:],  # two new cells of a line swap symbols
-], ids=["two-symbol-cell", "repeated-symbol"])
+def _first_copy_repeats_colour_2(classes):
+    # a new line gets one symbol twice and loses one
+    classes[0][0] = classes[1][0]
+
+
+def _first_copy_swaps_colours(classes):
+    # two new cells of a line swap symbols
+    classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
+
+
+@pytest.mark.parametrize("corrupt", [_first_copy_repeats_colour_2, _first_copy_swaps_colours],
+                         ids=["two-symbol-cell", "repeated-symbol"])
 def test_latin_construction_bug_is_an_internal_error(monkeypatch, tmp_path, corrupt):
     # Both steps, then step 1 alone (r = n), then step 2 alone (s = n), so
     # that the last step's corruption reaches the final square check.  Each
     # step colours a block whose first cell is one copy of two symbols, and
-    # the corruptions change the kernel's row of that copy: either symbol
-    # count goes wrong, or a new column repeats a symbol.
+    # the corruptions change the first entry of the kernel's two colour
+    # classes, that copy's two colours: either symbol count goes wrong, or a
+    # new column repeats a symbol.
     rectangles = ([[1, 2], [2, 1]], [[1, 2], [2, 1], [3, 4], [4, 3]],
                   [[1, 2, 3, 4], [2, 1, 4, 3]])
     block_colors = completion._block_colors
 
     def corrupted(block, m, symbols):
-        return corrupt(block_colors(block, m, symbols))
+        classes = block_colors(block, m, symbols)
+        corrupt(classes)
+        return classes
 
     monkeypatch.setattr(completion, "_block_colors", corrupted)
     for (p, q), rows in itertools.product(((1, 4), (4, 1)), rectangles):
@@ -658,12 +669,12 @@ def test_sudoku_expansion_bug_is_an_internal_error(monkeypatch, tmp_path, split,
     state = {"writing": False, "calls": 0}
 
     def corrupted(block, m, symbols):
-        rows = block_colors(block, m, symbols)
+        classes = block_colors(block, m, symbols)
         if state["writing"]:
             if state["calls"] == target:
-                rows[1] = rows[0]
+                classes[1][0] = classes[0][0]
             state["calls"] += 1
-        return rows
+        return classes
 
     def writing(*args):
         state.update(writing=True, calls=0)

@@ -286,12 +286,12 @@ def test_expand_colors_each_merged_part_once(monkeypatch):
 def test_block_colors_are_the_generic_coloring_of_the_block_graph():
     # What equitable_edge_coloring adds over the kernel (_color_cells): it
     # groups the graph's edges by left vertex, in edge order, and gives each
-    # copy's edges the colours its row gives their symbols, ascending among
-    # parallel edges.  The block graph's edges are given with the cells
-    # interleaved at random, each cell's own edges in order, so the grouped
-    # cells are the block's cells: every edge must get its instance's colour
-    # read off the kernel's rows on those cells, and the colouring must pass
-    # is_equitable.
+    # copy's edges the colours the classes give their symbols at that copy,
+    # ascending among parallel edges.  The block graph's edges are given with
+    # the cells interleaved at random, each cell's own edges in order, so the
+    # grouped cells are the block's cells: every edge must get its instance's
+    # colour read off the kernel's classes on those cells, and the colouring
+    # must pass is_equitable.
     rng = random.Random(59)
     cases = [((), 3, 4), (((),), 1, 2), (((), (2, 2, 1), ()), 1, 2)]
     for _ in range(3000):
@@ -303,7 +303,9 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
     interleaved = 0
     for block, m, n in cases:
         grouped = [[k - 1 for k in cell] for cell in block]
-        rows = iter(_color_cells(grouped, m, n))
+        classes = _color_cells(grouped, m, n)
+        assert len(classes) == m
+        rows = iter([w for copy in zip(*classes) for w in copy])
         colour = {}
         for b, cell in enumerate(grouped):
             for first in range(0, len(cell), m):
@@ -339,10 +341,10 @@ def test_block_colors_are_the_generic_coloring_of_the_block_graph():
 
 
 def test_block_colors_pass_the_definitional_equitability_check():
-    # Independent of the colouring kernel: each block's rows, read as an
-    # m-edge-colouring of the graph joining its cells to the symbols (slot c
-    # of a row of cell b, holding k, is an edge b-k of colour c + 1), hold
-    # every symbol instance once and pass is_equitable's count at every
+    # Independent of the colouring kernel: each block's colour classes, read
+    # as an m-edge-colouring of the graph joining its cells to the symbols
+    # (class c's entry k at a copy of cell b is an edge b-k of colour c + 1),
+    # hold every symbol instance once and pass is_equitable's count at every
     # vertex.  Cells are sorted, as the library stores them, or left in draw
     # order.
     rng = random.Random(61)
@@ -353,12 +355,12 @@ def test_block_colors_pass_the_definitional_equitability_check():
         for _ in range(rng.randint(1, 6)):
             cell = [rng.randint(1, n) for _ in range(rng.randint(0, 3 * m))]
             block.append(tuple(sorted(cell) if rng.random() < 0.5 else cell))
-        rows = outline._block_colors(tuple(block), m, n)
+        classes = outline._block_colors(tuple(block), m, n)
         copies = [b for b, cell in enumerate(block) for _ in range(0, len(cell), m)]
-        assert len(rows) == m * len(copies)
+        assert len(classes) == m and all(len(cls) == len(copies) for cls in classes)
         edges, colors = [], []
-        for at, b in zip(range(0, len(rows), m), copies):
-            for c, k in enumerate(rows[at:at + m], 1):
+        for b, row in zip(copies, zip(*classes)):
+            for c, k in enumerate(row, 1):
                 if k >= 0:
                     edges.append((b, k - 1))
                     colors.append(c)
